@@ -18,10 +18,15 @@ import numpy as np
 
 from .correlation import CorrelationKind, CorrelationMatrix
 from .coupling import CouplingMatrix, CouplingSide
-from .errors import DomainError, KneeUndefinedError
+from .errors import DomainError, KneeUndefinedError, NumericalError
 from .geometry import ArrayGeometry
 
 _HERMITIAN_TOL = 1e-8
+_MIRROR_TOL = 1e-10
+_SQRT2 = math.sqrt(2.0)
+# Negative eigenvalues of a PSD matrix are round-off; more negative mass
+# than this share of the largest eigenvalue means the input is not PSD.
+_NEGATIVE_MASS_TOL = 1e-8
 _DOMINANCE_THRESHOLD = 1e-2
 # Knee detection looks at the dynamic range a log-scale eigenvalue plot
 # actually shows; entries further than this factor below the maximum are
@@ -41,6 +46,8 @@ class EigenSpectrum:
 
     ``knee_index`` is None when no knee is detectable (all-flat spectra).
     ``asymptotic_dof`` is filled when the source geometry is known.
+    ``negative_mass`` is the summed magnitude of the negative eigenvalues
+    over the largest eigenvalue, before magnitudes were taken.
     """
 
     values: np.ndarray = field(repr=False)
@@ -48,6 +55,7 @@ class EigenSpectrum:
     dominant_count: int
     knee_index: int | None
     asymptotic_dof: int | None = None
+    negative_mass: float = 0.0
 
     @property
     def n(self) -> int:
@@ -109,21 +117,114 @@ def knee_index(values, floor: float = _KNEE_FLOOR,
     return int(idx[np.argmax(bend)])
 
 
+def _hermitian_part(values: np.ndarray, scale: float) -> np.ndarray:
+    """(A + A^H) / 2 of a matrix that must be Hermitian within 1e-8 of
+    ``scale``."""
+    skew = values - values.conj().T
+    defect = float(np.abs(skew).max())
+    if defect > _HERMITIAN_TOL * scale:
+        raise DomainError(f"matrix not Hermitian: defect {defect:.3e} at scale {scale:.3e}")
+    return values - 0.5 * skew
+
+
+def _mirror_defect(a4: np.ndarray) -> float:
+    """Largest entry change of a (nz, nx, nz, nx) matrix under the x and
+    under the z reversal of the lattice.  A reversal pairs up entries, so
+    half of the rows covers every pair; one block row at a time keeps the
+    temporaries small."""
+    nz, nx = a4.shape[:2]
+    hx = (nx + 1) // 2
+    worst = 0.0
+    for k in range(nz):
+        worst = max(worst, float(np.abs(a4[k, :hx] - a4[k, ::-1, :, ::-1][:hx]).max()))
+    for k in range((nz + 1) // 2):
+        worst = max(worst, float(np.abs(a4[k] - a4[nz - 1 - k, :, ::-1, :]).max()))
+    return worst
+
+
+def _mirror_block(a: np.ndarray, row_axis: int, col_axis: int, odd: bool) -> np.ndarray:
+    """Block of a matrix that commutes with the reversal of one lattice
+    axis, in the even (``odd=False``) or odd (``odd=True``) half of that
+    axis's orthonormal mirror basis: (e_i +/- e_{n-1-i}) / sqrt(2) for
+    i < n // 2, plus the centre e_{n // 2} in the even half when n is odd.
+
+    By the symmetry (Cantoni & Butler 1976) the block needs only the
+    first rows: B[r, c] = A[r, c] +/- A[r, n-1-c] for r, c < n // 2,
+    sqrt(2) A[r, c] where one of r, c is the centre and A[c, c] where
+    both are.
+    """
+    a = np.moveaxis(a, (row_axis, col_axis), (0, 1))
+    n = a.shape[0]
+    h = n // 2
+    m = h if odd else n - h
+    lo, hi = a[:m, :h], a[:m, n - 1:n - 1 - h:-1]
+    if odd:
+        b = lo - hi
+    else:
+        b = np.empty((m, m) + a.shape[2:], dtype=a.dtype)
+        np.add(lo, hi, out=b[:, :h])
+        if m > h:
+            b[:, h] = a[:m, h] * _SQRT2
+            b[h] /= _SQRT2
+    return np.moveaxis(b, (0, 1), (row_axis, col_axis))
+
+
+def _mirror_blocks(values: np.ndarray, geom: ArrayGeometry, scale: float) -> list[np.ndarray]:
+    """The four parity blocks, one per (z, x) mirror parity, of a lattice
+    matrix that commutes with the x and z reversals; their eigenvalues
+    together are those of the matrix."""
+    if values.shape != (geom.n, geom.n):
+        raise DomainError(
+            f"matrix shape {values.shape} does not match geometry with {geom.n} elements"
+        )
+    a4 = values.reshape(geom.nz, geom.nx, geom.nz, geom.nx)
+    defect = _mirror_defect(a4)
+    if defect > _MIRROR_TOL * scale:
+        raise DomainError(
+            f"matrix not mirror-symmetric on the lattice: defect {defect:.3e} at scale {scale:.3e}"
+        )
+    blocks = []
+    for pz in (False, True):
+        zz = _mirror_block(a4, 0, 2, pz)
+        for px in (False, True):
+            b = _mirror_block(zz, 1, 3, px)
+            m = b.shape[0] * b.shape[1]
+            if m:
+                blocks.append(b.reshape(m, m))
+    return blocks
+
+
 def eigen_spectrum(r: CorrelationMatrix, normalize_by_n: bool = True,
                    geom: ArrayGeometry | None = None) -> EigenSpectrum:
     """Eigenvalues of a correlation matrix, sorted non-increasing.
 
-    The input must be Hermitian within 1e-8 of its scale.  Effective
-    correlation matrices of lossy couplings can carry tiny negative
+    The input must be Hermitian within 1e-8 of its scale.  With ``geom``,
+    the matrix must also commute with the x and z reversals of the
+    lattice (within 1e-10 of its scale, else ``DomainError``), as every
+    correlation, impedance and coupling matrix built on a uniform grid
+    does; the even/odd basis of each axis then splits it exactly into
+    four Hermitian blocks of about N/4, which are solved separately.
+    Without ``geom`` the full matrix is solved.
+
+    Effective correlation matrices can carry tiny negative round-off
     eigenvalues; magnitudes are reported (matching how eigenvalue decay
     is normally displayed), which leaves exact PSD spectra untouched.
+    Their summed magnitude over the largest eigenvalue is kept as
+    ``negative_mass``; above 1e-8 the matrix is not PSD and
+    ``NumericalError`` is raised.
     """
     values = r.values
     scale = float(np.abs(values).max()) or 1.0
-    defect = float(np.abs(values - values.conj().T).max())
-    if defect > _HERMITIAN_TOL * scale:
-        raise DomainError(f"matrix not Hermitian: defect {defect:.3e} at scale {scale:.3e}")
-    ev = np.linalg.eigvalsh(0.5 * (values + values.conj().T))
+    blocks = [values] if geom is None else _mirror_blocks(values, geom, scale)
+    ev = np.concatenate([np.linalg.eigvalsh(_hermitian_part(b, scale)) for b in blocks])
+    top = float(ev.max())
+    negative = float(-ev[ev < 0.0].sum())
+    negative_mass = negative / top if top > 0.0 else (math.inf if negative else 0.0)
+    if negative_mass > _NEGATIVE_MASS_TOL:
+        raise NumericalError(
+            f"negative eigenvalue mass {negative_mass:.3e} of the largest eigenvalue "
+            f"exceeds {_NEGATIVE_MASS_TOL:.0e}: matrix is not PSD"
+        )
     ev = np.sort(np.abs(ev))[::-1]
     if normalize_by_n:
         ev = ev / r.dim
@@ -138,6 +239,7 @@ def eigen_spectrum(r: CorrelationMatrix, normalize_by_n: bool = True,
         dominant_count=dominant_count(ev),
         knee_index=knee,
         asymptotic_dof=asymptotic_dof(geom) if geom is not None else None,
+        negative_mass=negative_mass,
     )
 
 

@@ -256,8 +256,8 @@ def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     return paths
 
 
-def _eigen_csv(outdir: Path, name: str, target: str, corr, note: str) -> Path:
-    spec = analysis.eigen_spectrum(corr, normalize_by_n=False)
+def _eigen_csv(outdir: Path, name: str, target: str, corr, geom, note: str) -> Path:
+    spec = analysis.eigen_spectrum(corr, normalize_by_n=False, geom=geom)
     return write_csv(outdir / name, target,
                      ["index", "eigenvalue", "eigenvalue_db", "cumulative_fraction"],
                      eigen_rows(spec.values), notes=[note])
@@ -274,25 +274,25 @@ def run_mc_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         note = f"spacing: {sp} wavelengths, elements: {geom.n}"
         paths.append(_eigen_csv(
             outdir, f"fig8_tx_dx{label}_no_mc.csv",
-            "fig8 (transmit effective correlation eigenvalues)", r0,
+            "fig8 (transmit effective correlation eigenvalues)", r0, geom,
             note + ", coupling: none"))
         for zs in cfg.impedance.z_source_cases:
             ct = coupling.coupling_tx(z, zs)
             r = analysis.effective_correlation(ct, r0)
             paths.append(_eigen_csv(
                 outdir, f"fig8_tx_dx{label}_{impedance_label('zs', zs)}.csv",
-                "fig8 (transmit effective correlation eigenvalues)", r,
+                "fig8 (transmit effective correlation eigenvalues)", r, geom,
                 note + f", z_source: {zs}"))
         paths.append(_eigen_csv(
             outdir, f"fig9_rx_dx{label}_no_mc.csv",
-            "fig9 (receive effective correlation eigenvalues)", r0,
+            "fig9 (receive effective correlation eigenvalues)", r0, geom,
             note + ", coupling: none"))
         for zl in cfg.impedance.z_load_cases:
             cr = coupling.coupling_rx(z, zl)
             r = analysis.effective_correlation(cr, r0)
             paths.append(_eigen_csv(
                 outdir, f"fig9_rx_dx{label}_{impedance_label('zl', zl)}.csv",
-                "fig9 (receive effective correlation eigenvalues)", r,
+                "fig9 (receive effective correlation eigenvalues)", r, geom,
                 note + f", z_load: {zl}"))
         # dipole vs isotropic comparison at matched load
         if geom.element_kind is ElementKind.HALF_WAVE_DIPOLE:
@@ -301,13 +301,14 @@ def run_mc_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
             paths.append(_eigen_csv(
                 outdir, f"fig10_rx_dx{label}_dipole.csv",
                 "fig10 (receive eigenvalues, dipole vs isotropic elements)",
-                analysis.effective_correlation(cr, r0), note + ", elements: dipole"))
+                analysis.effective_correlation(cr, r0), geom, note + ", elements: dipole"))
             zi = coupling.impedance_matrix_isotropic(geom, cfg.impedance.r_iso)
             cri = coupling.coupling_rx(zi, cfg.impedance.r_iso)
             paths.append(_eigen_csv(
                 outdir, f"fig10_rx_dx{label}_isotropic.csv",
                 "fig10 (receive eigenvalues, dipole vs isotropic elements)",
-                analysis.effective_correlation(cri, r0), note + ", elements: isotropic"))
+                analysis.effective_correlation(cri, r0), geom,
+                note + ", elements: isotropic"))
     paths.extend(_matrix_exports(cfg, outdir))
     return paths
 

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ArrayGeometry, Direction
+from .geometry import ArrayGeometry, Direction, gather_offsets
 
 _HERMITIAN_TOL = 1e-10
 _PSD_TOL = 1e-8
@@ -74,28 +74,35 @@ def isotropic_scattering_density(direction: Direction) -> float:
     return math.sin(direction.theta) / (2.0 * math.pi)
 
 
+def sinc_offset_table(geom: ArrayGeometry) -> np.ndarray:
+    """The sinc kernel sinc(2 |d| / wavelength) at every lattice offset
+    (|di|, |dk|), shape (nx, nz)."""
+    dist = np.hypot(np.arange(geom.nx)[:, None] * geom.dx,
+                    np.arange(geom.nz)[None, :] * geom.dz)
+    return np.sinc(2.0 * dist / geom.wavelength)
+
+
 def correlation_matrix_isotropic(geom: ArrayGeometry) -> CorrelationMatrix:
     """Correlation matrix of a geometry under isotropic scattering.
 
-    Entries are the closed-form sinc kernel of pairwise distances; the
+    Entries are the closed-form sinc kernel of pairwise distances,
+    evaluated once per lattice offset and gathered into the matrix; the
     result is real with unit diagonal.
     """
     if geom.n == 0:
         raise DomainError("geometry has no elements")
-    pos = geom.positions
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    values = np.sinc(2.0 * dist / geom.wavelength)
+    values = gather_offsets(sinc_offset_table(geom), geom)
     return CorrelationMatrix(values=values, kind=CorrelationKind.MC_UNAWARE)
 
 
 def verify_bttb(matrix, geom: ArrayGeometry, tol: float = 1e-10) -> BttbReport:
-    """Check the block-Toeplitz-with-Toeplitz-blocks structure of a matrix
-    built on a uniform grid (row-major ordering, x index fastest).
+    """Check the symmetric block-Toeplitz-with-Toeplitz-blocks structure
+    of a matrix built on a uniform grid (row-major ordering, x index
+    fastest): every entry must depend only on the index-offset
+    magnitudes (|di|, |dk|), as the lattice matrices of this package do.
 
-    Verifies that blocks are constant along block diagonals, each block
-    is Toeplitz, and the block at offset -m is the transpose of the
-    block at +m.  ``max_violation`` is the largest entry mismatch.
+    The reference matrix is gathered from the first row (the offsets from
+    the corner element); ``max_violation`` is the largest entry mismatch.
     """
     values = matrix.values if hasattr(matrix, "values") else np.asarray(matrix)
     n = geom.n
@@ -103,32 +110,6 @@ def verify_bttb(matrix, geom: ArrayGeometry, tol: float = 1e-10) -> BttbReport:
         raise DomainError(
             f"matrix shape {values.shape} does not match geometry with {n} elements"
         )
-    nx, nz = geom.nx, geom.nz
-    blocks = values.reshape(nz, nx, nz, nx)
-    worst = 0.0
-
-    # representative block per block offset m = bz2 - bz1
-    rep = {}
-    for m in range(-(nz - 1), nz):
-        if m >= 0:
-            rep[m] = blocks[0, :, m, :]
-        else:
-            rep[m] = blocks[-m, :, 0, :]
-
-    for bz1 in range(nz):
-        for bz2 in range(nz):
-            blk = blocks[bz1, :, bz2, :]
-            worst = max(worst, float(np.abs(blk - rep[bz2 - bz1]).max()))
-
-    for m in range(nz):
-        blk = rep[m]
-        # Toeplitz within the block: entries depend on j - i only
-        first_col = blk[:, 0]
-        first_row = blk[0, :]
-        for i in range(nx):
-            for j in range(nx):
-                ref = first_row[j - i] if j >= i else first_col[i - j]
-                worst = max(worst, abs(blk[i, j] - ref))
-        worst = max(worst, float(np.abs(rep[-m] - blk.T).max()))
-
+    table = values[0].reshape(geom.nz, geom.nx).T
+    worst = float(np.abs(values - gather_offsets(table, geom)).max())
     return BttbReport(is_bttb=worst <= tol, max_violation=worst)

@@ -20,7 +20,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .geometry import ArrayGeometry, ElementKind
+from .correlation import sinc_offset_table
+from .geometry import ArrayGeometry, ElementKind, gather_offsets
 from .specfun import cosine_integral as Ci
 from .specfun import sine_integral as Si
 
@@ -159,7 +160,7 @@ def impedance_matrix_dipoles(geom: ArrayGeometry,
     """Impedance matrix of a stacked half-wave dipole layout.
 
     Mutual terms depend on the pair displacement only, so they are
-    computed once per distinct (|di|, |dk|) index offset and scattered
+    computed once per distinct (|di|, |dk|) index offset and gathered
     into the full matrix.
     """
     if geom.element_kind is not ElementKind.HALF_WAVE_DIPOLE:
@@ -175,10 +176,7 @@ def impedance_matrix_dipoles(geom: ArrayGeometry,
                 table[di, dk] = dipole_mutual_impedance(
                     di * geom.dx, dk * geom.dz, geom.wavelength
                 )
-    ix = geom.x_index()
-    iz = geom.z_index()
-    values = table[np.abs(ix[:, None] - ix[None, :]), np.abs(iz[:, None] - iz[None, :])]
-    return ImpedanceMatrix(values=values, z_self=complex(z_self))
+    return ImpedanceMatrix(values=gather_offsets(table, geom), z_self=complex(z_self))
 
 
 def impedance_matrix_isotropic(geom: ArrayGeometry,
@@ -189,10 +187,8 @@ def impedance_matrix_isotropic(geom: ArrayGeometry,
     reactive part is assumed matched out)."""
     if not (r_iso > 0 and math.isfinite(r_iso)):
         raise DomainError(f"r_iso must be positive, got {r_iso}")
-    pos = geom.positions
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
-    values = r_iso * np.sinc(2.0 * dist / geom.wavelength)
-    return ImpedanceMatrix(values=values.astype(complex), z_self=complex(r_iso))
+    table = (r_iso * sinc_offset_table(geom)).astype(complex)
+    return ImpedanceMatrix(values=gather_offsets(table, geom), z_self=complex(r_iso))
 
 
 def _normalized_inverse(z: ImpedanceMatrix, shift: complex, numerator: np.ndarray,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError
 
@@ -91,6 +92,26 @@ class ArrayGeometry:
     def z_index(self) -> np.ndarray:
         """Per-element row index along z."""
         return np.repeat(np.arange(self.nz), self.nx)
+
+
+def gather_offsets(table: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
+    """(N, N) matrix whose entry for elements a, b is
+    ``table[|ix_a - ix_b|, |iz_a - iz_b|]``.
+
+    ``table`` has shape (nx, nz) and holds one value per index-offset
+    magnitude; the result is the symmetric block-Toeplitz-with-Toeplitz-
+    blocks (BTTB) matrix it generates on the lattice.
+    """
+    nx, nz = geom.nx, geom.nz
+    if table.shape != (nx, nz):
+        raise DomainError(f"offset table shape {table.shape} does not match lattice ({nx}, {nz})")
+    offset_x = np.abs(np.subtract.outer(np.arange(nx), np.arange(nx)))
+    offset_z = np.abs(np.arange(1 - nz, nz))
+    # x-Toeplitz block for each signed z offset dk = -(nz-1)..nz-1
+    blocks = table.T[offset_z[:, None, None], offset_x]
+    # windows[k1, i1, i2, k2] = blocks[k2 - k1 + nz - 1], a view
+    windows = sliding_window_view(blocks, nz, axis=0)[::-1]
+    return windows.transpose(0, 1, 3, 2).reshape(nx * nz, nx * nz)
 
 
 def _check_positive(**lengths: float) -> None:

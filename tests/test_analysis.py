@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from holoris import (CorrelationKind, CorrelationMatrix, DomainError,
-                     KneeUndefinedError, Normalization, asymptotic_dof,
-                     correlation_matrix_isotropic, coupling_rx, coupling_tx,
-                     dominant_count, effective_correlation, eigen_spectrum,
-                     icsi, impedance_matrix_isotropic, knee_index,
-                     make_dipole_array, make_uniform_grid)
+                     KneeUndefinedError, Normalization, NumericalError,
+                     asymptotic_dof, correlation_matrix_isotropic, coupling_rx,
+                     coupling_tx, dominant_count, effective_correlation,
+                     eigen_spectrum, icsi, impedance_matrix_isotropic,
+                     knee_index, make_dipole_array, make_uniform_grid)
 
 from conftest import Z_MATCH, random_coupling
 
@@ -100,6 +100,27 @@ class TestEigenSpectrum:
                                 kind=CorrelationKind.MC_UNAWARE)
         with pytest.raises(DomainError):
             eigen_spectrum(bad)
+
+    def test_negative_mass_recorded_and_folded(self):
+        r = CorrelationMatrix(values=np.diag([2.0, 1.0, -1e-12]),
+                              kind=CorrelationKind.MC_UNAWARE)
+        spec = eigen_spectrum(r, normalize_by_n=False)
+        assert spec.negative_mass == pytest.approx(5e-13, rel=1e-12)
+        assert spec.values == pytest.approx([2.0, 1.0, 1e-12], rel=1e-12)
+
+    def test_negative_mass_of_receive_coupling_is_round_off(self, dipole_geometries,
+                                                            dipole_correlations):
+        g, r0 = dipole_geometries[0.125], dipole_correlations[0.125]
+        r = effective_correlation(
+            coupling_rx(impedance_matrix_isotropic(g, 73.1), 73.1), r0)
+        spec = eigen_spectrum(r, normalize_by_n=False, geom=g)
+        assert 0.0 <= spec.negative_mass < 1e-11
+
+    def test_non_psd_rejected(self):
+        r = CorrelationMatrix(values=np.diag([1.0, 0.5, -1e-6]),
+                              kind=CorrelationKind.MC_UNAWARE)
+        with pytest.raises(NumericalError, match="negative eigenvalue mass"):
+            eigen_spectrum(r)
 
     def test_geometry_attaches_dof(self, dipole_geometries, dipole_correlations):
         spec = eigen_spectrum(dipole_correlations[0.5],

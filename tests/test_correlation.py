@@ -127,6 +127,14 @@ class TestBttb:
         assert not report.is_bttb
         assert report.max_violation == pytest.approx(1e-3, rel=0.6)
 
+    def test_single_entry_violation_is_exact(self):
+        g = make_uniform_grid(2.0, 1.5, 0.5, 0.5, 1.0)
+        values = correlation_matrix_isotropic(g).values.copy()
+        values[5, 2] += 3e-4
+        report = verify_bttb(values, g, tol=1e-12)
+        assert not report.is_bttb
+        assert report.max_violation == pytest.approx(3e-4, rel=1e-12)
+
     def test_effective_correlation_not_exactly_bttb(self):
         # the coupling normalization involves a matrix inverse, whose
         # boundary effects break exact block-Toeplitz structure; frozen
