@@ -214,7 +214,8 @@ def eigen_spectrum(r: CorrelationMatrix, normalize_by_n: bool = True,
     ``NumericalError`` is raised.
     """
     values = r.values
-    scale = float(np.abs(values).max()) or 1.0
+    # row by row: a whole-matrix abs() would be one more N x N temporary
+    scale = max((float(np.abs(row).max()) for row in values), default=0.0) or 1.0
     blocks = [values] if geom is None else _mirror_blocks(values, geom, scale)
     ev = np.concatenate([np.linalg.eigvalsh(_hermitian_part(b, scale)) for b in blocks])
     top = float(ev.max())

@@ -41,10 +41,30 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _impedance_matrix(cfg: ExperimentConfig, geom):
-    if cfg.impedance.model == "dipole":
-        return coupling.impedance_matrix_dipoles(geom, cfg.impedance.z_antenna)
-    return coupling.impedance_matrix_isotropic(geom, cfg.impedance.r_iso)
+def _impedance(geom, imp, model: str):
+    if model == "dipole":
+        return coupling.impedance_matrix_dipoles(geom, imp.z_antenna)
+    return coupling.impedance_matrix_isotropic(geom, imp.r_iso)
+
+
+def _stack(cfg: ExperimentConfig, spacing: float | None = None):
+    """Geometry at x spacing ``spacing`` (the configured one when None) and
+    its impedance matrix under the configured model."""
+    geom = cfg.geometry.build(spacing_x=spacing)
+    return geom, _impedance(geom, cfg.impedance, cfg.impedance.model)
+
+
+def _square_grid(cfg: ExperimentConfig, aperture: float, spacing: float):
+    """Uniform grid of a square aperture, both given in wavelengths."""
+    lam = cfg.geometry.wavelength
+    return make_uniform_grid(aperture * lam, aperture * lam,
+                             spacing * lam, spacing * lam, lam)
+
+
+def _eigen_csv(path: Path, target: str, spec, note: str) -> Path:
+    return write_csv(path, target,
+                     ["index", "eigenvalue", "eigenvalue_db", "cumulative_fraction"],
+                     eigen_rows(spec.values), notes=[note])
 
 
 def run_correlation(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
@@ -81,23 +101,16 @@ def run_correlation(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 
 def run_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     s = cfg.sweep
-    lam = cfg.geometry.wavelength
     paths = []
     summary = []
     for sp in s.eigen_spacings:
-        geom = make_uniform_grid(
-            lx=s.eigen_aperture * lam, lz=s.eigen_aperture * lam,
-            dx=sp * lam, dz=sp * lam, wavelength=lam,
-        )
+        geom = _square_grid(cfg, s.eigen_aperture, sp)
         r0 = correlation.correlation_matrix_isotropic(geom)
         spec = analysis.eigen_spectrum(r0, normalize_by_n=True, geom=geom)
-        label = spacing_label(sp)
-        paths.append(write_csv(
-            outdir / f"fig3_eigenvalues_dx{label}.csv",
-            "fig3 (eigenvalue decay of the normalized correlation matrix)",
-            ["index", "eigenvalue", "eigenvalue_db", "cumulative_fraction"],
-            eigen_rows(spec.values),
-            notes=[f"aperture: {s.eigen_aperture} wavelengths square, spacing: {sp} wavelengths"],
+        paths.append(_eigen_csv(
+            outdir / f"fig3_eigenvalues_dx{spacing_label(sp)}.csv",
+            "fig3 (eigenvalue decay of the normalized correlation matrix)", spec,
+            f"aperture: {s.eigen_aperture} wavelengths square, spacing: {sp} wavelengths",
         ))
         summary.append((sp, geom.n, spec.dominant_count,
                         -1 if spec.knee_index is None else spec.knee_index,
@@ -144,11 +157,9 @@ def _spectrum_csv(outdir: Path, name: str, target: str, geom, notes) -> tuple[Pa
 
 def run_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     s = cfg.sweep
-    lam = cfg.geometry.wavelength
     paths = []
     for sp in s.eigen_spacings:
-        geom = make_uniform_grid(s.eigen_aperture * lam, s.eigen_aperture * lam,
-                                 sp * lam, sp * lam, lam)
+        geom = _square_grid(cfg, s.eigen_aperture, sp)
         path, _ = _spectrum_csv(
             outdir, f"fig4_spectrum_dx{spacing_label(sp)}.csv",
             "fig4 (wavenumber-domain power spectrum, large aperture)",
@@ -158,9 +169,7 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         paths.append(path)
     checks = []
     for sp in s.spacings:
-        geom = make_uniform_grid(cfg.geometry.aperture_x * lam,
-                                 cfg.geometry.aperture_x * lam,
-                                 sp * lam, sp * lam, lam)
+        geom = _square_grid(cfg, cfg.geometry.aperture_x, sp)
         path, stats = _spectrum_csv(
             outdir, f"fig5_spectrum_dx{spacing_label(sp)}.csv",
             "fig5 (wavenumber-domain power spectrum, overview and zoom source)",
@@ -205,8 +214,7 @@ def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     summary = []
     peak = {}
     for sp in s.gain_spacings:
-        geom = cfg.geometry.build(spacing_x=sp)
-        z = _impedance_matrix(cfg, geom)
+        geom, z = _stack(cfg, sp)
         ct = coupling.coupling_tx(z, cfg.impedance.z_source)
         for scheme in _SCHEMES:
             sweep_vals = response.gain_sweep(geom, ct, scheme, theta, phis)
@@ -256,59 +264,56 @@ def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     return paths
 
 
-def _eigen_csv(outdir: Path, name: str, target: str, corr, geom, note: str) -> Path:
-    spec = analysis.eigen_spectrum(corr, normalize_by_n=False, geom=geom)
-    return write_csv(outdir / name, target,
-                     ["index", "eigenvalue", "eigenvalue_db", "cumulative_fraction"],
-                     eigen_rows(spec.values), notes=[note])
+def _cases(cfg: ExperimentConfig, z, r0):
+    """Effective correlations C^T R0 conj(C) of one geometry, built one at
+    a time: the no-coupling case and then each port impedance, first of
+    the transmit side, then of the receive side.  Yields
+    (side, label, note, matrix); the label names the case in file names
+    and table columns."""
+    imp = cfg.impedance
+    for side, ports, prefix, name in (("tx", imp.z_source_cases, "zs", "z_source"),
+                                      ("rx", imp.z_load_cases, "zl", "z_load")):
+        yield side, "no_mc", "coupling: none", r0
+        solve = coupling.coupling_tx if side == "tx" else coupling.coupling_rx
+        for zp in ports:
+            yield (side, impedance_label(prefix, zp), f"{name}: {zp}",
+                   analysis.effective_correlation(solve(z, zp), r0))
+
+
+_MC_FIGURES = {
+    "tx": ("fig8_tx", "fig8 (transmit effective correlation eigenvalues)"),
+    "rx": ("fig9_rx", "fig9 (receive effective correlation eigenvalues)"),
+}
 
 
 def run_mc_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
-    s = cfg.sweep
+    imp = cfg.impedance
     paths = []
-    for sp in s.spacings:
-        geom = cfg.geometry.build(spacing_x=sp)
+    for sp in cfg.sweep.spacings:
+        geom, z = _stack(cfg, sp)
         r0 = correlation.correlation_matrix_isotropic(geom)
-        z = _impedance_matrix(cfg, geom)
         label = spacing_label(sp)
         note = f"spacing: {sp} wavelengths, elements: {geom.n}"
-        paths.append(_eigen_csv(
-            outdir, f"fig8_tx_dx{label}_no_mc.csv",
-            "fig8 (transmit effective correlation eigenvalues)", r0, geom,
-            note + ", coupling: none"))
-        for zs in cfg.impedance.z_source_cases:
-            ct = coupling.coupling_tx(z, zs)
-            r = analysis.effective_correlation(ct, r0)
+        for side, case, extra, r in _cases(cfg, z, r0):
+            stem, target = _MC_FIGURES[side]
             paths.append(_eigen_csv(
-                outdir, f"fig8_tx_dx{label}_{impedance_label('zs', zs)}.csv",
-                "fig8 (transmit effective correlation eigenvalues)", r, geom,
-                note + f", z_source: {zs}"))
-        paths.append(_eigen_csv(
-            outdir, f"fig9_rx_dx{label}_no_mc.csv",
-            "fig9 (receive effective correlation eigenvalues)", r0, geom,
-            note + ", coupling: none"))
-        for zl in cfg.impedance.z_load_cases:
-            cr = coupling.coupling_rx(z, zl)
-            r = analysis.effective_correlation(cr, r0)
-            paths.append(_eigen_csv(
-                outdir, f"fig9_rx_dx{label}_{impedance_label('zl', zl)}.csv",
-                "fig9 (receive effective correlation eigenvalues)", r, geom,
-                note + f", z_load: {zl}"))
-        # dipole vs isotropic comparison at matched load
+                outdir / f"{stem}_dx{label}_{case}.csv", target,
+                analysis.eigen_spectrum(r, normalize_by_n=False, geom=geom),
+                f"{note}, {extra}"))
+            del r  # free this case's matrix before the next one is built
+        # dipole vs isotropic elements at matched load; the configured
+        # model's matrix is the same build, so it is reused
         if geom.element_kind is ElementKind.HALF_WAVE_DIPOLE:
-            zd = coupling.impedance_matrix_dipoles(geom, cfg.impedance.z_antenna)
-            cr = coupling.coupling_rx(zd, cfg.impedance.z_antenna.conjugate())
-            paths.append(_eigen_csv(
-                outdir, f"fig10_rx_dx{label}_dipole.csv",
-                "fig10 (receive eigenvalues, dipole vs isotropic elements)",
-                analysis.effective_correlation(cr, r0), geom, note + ", elements: dipole"))
-            zi = coupling.impedance_matrix_isotropic(geom, cfg.impedance.r_iso)
-            cri = coupling.coupling_rx(zi, cfg.impedance.r_iso)
-            paths.append(_eigen_csv(
-                outdir, f"fig10_rx_dx{label}_isotropic.csv",
-                "fig10 (receive eigenvalues, dipole vs isotropic elements)",
-                analysis.effective_correlation(cri, r0), geom,
-                note + ", elements: isotropic"))
+            for model, load in (("dipole", imp.z_antenna.conjugate()),
+                                ("isotropic", imp.r_iso)):
+                zm = z if model == imp.model else _impedance(geom, imp, model)
+                r = analysis.effective_correlation(coupling.coupling_rx(zm, load), r0)
+                paths.append(_eigen_csv(
+                    outdir / f"fig10_rx_dx{label}_{model}.csv",
+                    "fig10 (receive eigenvalues, dipole vs isotropic elements)",
+                    analysis.eigen_spectrum(r, normalize_by_n=False, geom=geom),
+                    f"{note}, elements: {model}"))
+                del r
     paths.extend(_matrix_exports(cfg, outdir))
     return paths
 
@@ -316,8 +321,7 @@ def run_mc_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 def _matrix_exports(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     """Impedance and coupling matrices of the configured geometry as
     (row, col, re, im) CSVs."""
-    geom = cfg.geometry.build()
-    z = _impedance_matrix(cfg, geom)
+    geom, z = _stack(cfg)
     ct = coupling.coupling_tx(z, cfg.impedance.z_source)
     cr = coupling.coupling_rx(z, cfg.impedance.z_load)
     note = f"elements: {geom.n}, spacing_x: {geom.dx / geom.wavelength} wavelengths"
@@ -339,35 +343,25 @@ def _matrix_exports(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 
 
 def run_icsi(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
-    s = cfg.sweep
-    tx_rows = []
-    rx_rows = []
-    for sp in s.spacings:
-        geom = cfg.geometry.build(spacing_x=sp)
+    rows = {"tx": [], "rx": []}
+    for sp in cfg.sweep.spacings:
+        geom, z = _stack(cfg, sp)
         r0 = correlation.correlation_matrix_isotropic(geom)
-        z = _impedance_matrix(cfg, geom)
-        base = analysis.icsi(r0)
-        tx = [sp, base]
-        for zs in cfg.impedance.z_source_cases:
-            ct = coupling.coupling_tx(z, zs)
-            tx.append(analysis.icsi(analysis.effective_correlation(ct, r0)))
-        tx_rows.append(tuple(tx))
-        rx = [sp, base]
-        for zl in cfg.impedance.z_load_cases:
-            cr = coupling.coupling_rx(z, zl)
-            rx.append(analysis.icsi(analysis.effective_correlation(cr, r0)))
-        rx_rows.append(tuple(rx))
-    tx_cols = (["spacing_wavelengths", "no_mc"]
-               + [impedance_label("zs", zs) for zs in cfg.impedance.z_source_cases])
-    rx_cols = (["spacing_wavelengths", "no_mc"]
-               + [impedance_label("zl", zl) for zl in cfg.impedance.z_load_cases])
+        columns = {side: ["spacing_wavelengths"] for side in rows}
+        cells = {side: [sp] for side in rows}
+        for side, case, _, r in _cases(cfg, z, r0):
+            columns[side].append(case)
+            cells[side].append(analysis.icsi(r))
+            del r  # free this case's matrix before the next one is built
+        for side in rows:
+            rows[side].append(tuple(cells[side]))
     return [
         write_csv(outdir / "table1_icsi_tx.csv",
                   "table1 (coupling/correlation strength, transmit side)",
-                  tx_cols, tx_rows),
+                  columns["tx"], rows["tx"]),
         write_csv(outdir / "table2_icsi_rx.csv",
                   "table2 (coupling/correlation strength, receive side)",
-                  rx_cols, rx_rows),
+                  columns["rx"], rows["rx"]),
     ]
 
 
@@ -411,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON experiment config (defaults to the packaged setup)")
         p.add_argument("--out", type=Path, default=None,
                        help=f"output directory (default: config value or ${OUTPUT_DIR_ENV})")
-        p.add_argument("--format", choices=["csv"], default="csv")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                        help="parallel experiments for reproduce-all")
     return parser

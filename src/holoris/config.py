@@ -90,7 +90,6 @@ class SweepBlock:
 @dataclass(frozen=True)
 class OutputBlock:
     directory: str
-    formats: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,6 @@ class ExperimentConfig:
     impedance: ImpedanceBlock
     sweep: SweepBlock
     output: OutputBlock
-    raw: dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -142,11 +140,10 @@ class ExperimentConfig:
             correlation_max_separation=s["correlation_max_separation"],
             correlation_points=s["correlation_points"],
         )
-        output = OutputBlock(directory=o["directory"], formats=tuple(o["formats"]))
+        output = OutputBlock(directory=o["directory"])
         if geometry.element_kind is ElementKind.ISOTROPIC and impedance.model == "dipole":
             raise ConfigError("dipole impedance model requires half_wave_dipole elements")
-        return cls(geometry=geometry, impedance=impedance, sweep=sweep,
-                   output=output, raw=merged)
+        return cls(geometry=geometry, impedance=impedance, sweep=sweep, output=output)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":

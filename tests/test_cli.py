@@ -82,6 +82,12 @@ class TestConfig:
         assert rebuilt.n == g.n
         assert np.allclose(rebuilt.positions, g.positions)
 
+    def test_output_formats_key_still_accepted(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**FAST_CONFIG, "output": {"formats": ["csv"]}}))
+        assert main(["icsi", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "table1_icsi_tx.csv").exists()
+
     def test_geometry_build_spacing_override(self):
         cfg = ExperimentConfig.default()
         g = cfg.geometry.build(spacing_x=0.125)
@@ -149,6 +155,21 @@ class TestSubcommands:
         geom = fast_cfg.geometry.build()
         expected = holoris.impedance_matrix_dipoles(geom).values
         assert np.allclose(z, expected, rtol=1e-10)
+
+    def test_mc_eigen_builds_each_impedance_matrix_once(self, fast_cfg, tmp_path,
+                                                        monkeypatch):
+        from holoris import coupling
+        builds = []
+        build = coupling.impedance_matrix_dipoles
+
+        def counting(geom, *args, **kwargs):
+            builds.append(geom.n)
+            return build(geom, *args, **kwargs)
+
+        monkeypatch.setattr(coupling, "impedance_matrix_dipoles", counting)
+        run("mc-eigen", fast_cfg, tmp_path)
+        # one per swept spacing, one for the matrix exports
+        assert len(builds) == len(fast_cfg.sweep.spacings) + 1 == 2
 
     def test_correlation_matrix_export(self, fast_cfg, tmp_path):
         run("correlation", fast_cfg, tmp_path)

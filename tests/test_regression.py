@@ -1,6 +1,6 @@
-"""Output regression: the eigen, spectrum and mc-eigen subcommands,
-run through ``holoris.cli.main`` on a reduced config, against files
-recorded earlier under ``tests/data/regression/`` (gzip-compressed).
+"""Output regression: every subcommand, run through ``holoris.cli.main``
+on a reduced config, against files recorded earlier under
+``tests/data/regression/`` (gzip-compressed).
 
 Float columns match when ``|value - ref| <= RTOL |ref| + FLOOR * scale``,
 with ``scale`` the column's largest reference magnitude; the floor
@@ -10,14 +10,16 @@ encodes, because the dB value of a round-off eigenvalue is itself
 round-off.  Integer and text columns, comment lines and gnuplot scripts
 must match exactly.
 
-Re-record only for an intended change of output:
+Re-record only for an intended change of output, naming the subcommands
+to re-record (all of them when none is named):
 
-    PYTHONPATH=src python tests/test_regression.py
+    PYTHONPATH=src python tests/test_regression.py [SUBCOMMAND ...]
 """
 
 import gzip
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -27,13 +29,13 @@ from holoris.cli import main
 
 DATA = Path(__file__).resolve().parent / "data" / "regression"
 CONFIG = {"sweep": {"eigen_aperture": 4.0, "spacings": [0.5, 0.125]}}
-SUBCOMMANDS = ("eigen", "spectrum", "mc-eigen")
+SUBCOMMANDS = ("correlation", "eigen", "spectrum", "gain", "mc-eigen", "icsi")
 
 RTOL = 1e-10
 FLOOR = 1e-12
 INT_COLUMNS = {"index", "n_elements", "dominant_count", "knee_index", "asymptotic_dof",
                "propagating_count", "row", "col"}
-TEXT_COLUMNS = {"tag"}
+TEXT_COLUMNS = {"tag", "scheme"}
 DB_COLUMNS = {"eigenvalue_db"}
 
 
@@ -106,9 +108,9 @@ def test_outputs_match_recorded(subcommand, tmp_path):
     assert not errors, "\n".join(errors)
 
 
-def record() -> None:
+def record(subcommands=SUBCOMMANDS) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for subcommand in SUBCOMMANDS:
+        for subcommand in subcommands:
             out = _run(subcommand, Path(tmp))
             dest = DATA / subcommand
             dest.mkdir(parents=True, exist_ok=True)
@@ -120,4 +122,4 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:] or SUBCOMMANDS)
