@@ -143,6 +143,9 @@ class ExperimentConfig:
         output = OutputBlock(directory=o["directory"])
         if geometry.element_kind is ElementKind.ISOTROPIC and impedance.model == "dipole":
             raise ConfigError("dipole impedance model requires half_wave_dipole elements")
+        if (geometry.element_kind is ElementKind.HALF_WAVE_DIPOLE
+                and geometry.dipole_rows > 1 and geometry.dipole_gap == 0):
+            raise ConfigError("dipole_gap 0 with several dipole_rows makes stacked dipoles touch")
         return cls(geometry=geometry, impedance=impedance, sweep=sweep, output=output)
 
     @classmethod

@@ -4,14 +4,14 @@ receive side.
 
 Dipole mutual impedances use the induced-EMF closed forms for two
 parallel half-wave dipoles in echelon (horizontal separation dh,
-vertical center offset dv, axes along z), expressed through the sine
-and cosine integrals.  The side-by-side (dv = 0) and collinear (dh = 0)
+vertical center offset dv, axes along z), expressed through
+F = Ci - j Si; they take arrays, so a whole offset table is one
+evaluation.  The side-by-side (dv = 0) and collinear (dh = 0)
 cases are the continuous limits of the echelon expressions; the
 collinear log terms are written out explicitly since the echelon form
 degenerates at dh = 0.
 """
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass, field
@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 FREE_SPACE_IMPEDANCE = 120.0 * math.pi  # ohms
 HALF_WAVE_DIPOLE_SELF_IMPEDANCE = 73.1 + 42.5j  # ohms
 DEFAULT_ISOTROPIC_RESISTANCE = 73.1  # ohms; shares the dipole resistance scale
+_SCALE = FREE_SPACE_IMPEDANCE / (8.0 * math.pi)  # closed-form prefactor, ohms
 
 
 class CouplingSide(Enum):
@@ -104,54 +105,47 @@ def dipole_mutual_impedance(dh: float, dv: float, wavelength: float = 1.0) -> co
         raise DomainError(f"wavelength must be positive, got {wavelength}")
     if dh == 0.0 and dv == 0.0:
         raise DomainError("coincident dipoles: use the self-impedance, not the mutual term")
-    k = 2.0 * math.pi / wavelength
-    half = wavelength / 2.0  # dipole length
-    scale = FREE_SPACE_IMPEDANCE / (8.0 * math.pi)
     if dh == 0.0:
-        if dv <= half:
-            raise DomainError(
-                f"collinear dipoles with dv={dv} <= length {half} touch or overlap"
-            )
-        return _collinear(k, dv, half, scale)
-    return _echelon(k, dh, dv, half, scale)
+        return complex(_collinear(dv, wavelength))
+    return complex(_echelon(dh, dv, wavelength))
 
 
-def _radial_sum_diff(d: float, s: float) -> tuple[float, float]:
-    """(r + s, r - s) with r = hypot(d, s), avoiding the cancellation in
-    r - |s| by using r - |s| = d^2 / (r + |s|)."""
-    r = math.hypot(d, s)
-    near = d * d / (r + abs(s)) if r + abs(s) > 0 else 0.0
-    if s >= 0:
-        return r + s, near
-    return near, r - s
+def _radial_sum_diff(d: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r + s, r - s) with r = hypot(d, s) for d > 0, avoiding the
+    cancellation in r - |s| by using r - |s| = d^2 / (r + |s|)."""
+    r = np.hypot(d, s)
+    near = d * d / (r + np.abs(s))
+    return np.where(s >= 0, r + s, near), np.where(s >= 0, near, r - s)
 
 
-def _echelon(k: float, d: float, h: float, l: float, scale: float) -> complex:
-    s1, d1 = _radial_sum_diff(d, h)
-    s2, d2 = _radial_sum_diff(d, h - l)
-    s3, d3 = _radial_sum_diff(d, h + l)
-    u1, u1p = k * s1, k * d1
-    u2, u2p = k * s2, k * d2
-    u3, u3p = k * s3, k * d3
-    cos0, sin0 = math.cos(k * h), math.sin(k * h)
-    r = (-cos0 * (-2 * Ci(u1) - 2 * Ci(u1p) + Ci(u2) + Ci(u2p) + Ci(u3) + Ci(u3p))
-         + sin0 * (2 * Si(u1) - 2 * Si(u1p) - Si(u2) + Si(u2p) - Si(u3) + Si(u3p)))
-    x = (-cos0 * (2 * Si(u1) + 2 * Si(u1p) - Si(u2) - Si(u2p) - Si(u3) - Si(u3p))
-         + sin0 * (2 * Ci(u1) - 2 * Ci(u1p) - Ci(u2) + Ci(u2p) - Ci(u3) + Ci(u3p)))
-    return scale * complex(r, x)
+def _echelon(d, h, wavelength: float) -> np.ndarray:
+    """Echelon closed form for horizontal separations d > 0 and vertical
+    offsets h (broadcast together), with F = Ci - j Si:
+
+        scale [e^{jkh} (2F(u1) - F(u2) - F(u3)) + e^{-jkh} (2F(u1') - F(u2') - F(u3'))]
+    """
+    k = 2.0 * math.pi / wavelength
+    l = wavelength / 2.0  # dipole length
+    sums, diffs = zip(*(_radial_sum_diff(d, h + t) for t in (0.0, -l, l)))
+    u = k * np.stack(sums + diffs)
+    f = Ci(u) - 1j * Si(u)
+    lead = np.exp(1j * k * h)
+    return _SCALE * (lead * (2 * f[0] - f[1] - f[2]) + lead.conj() * (2 * f[3] - f[4] - f[5]))
 
 
-def _collinear(k: float, h: float, l: float, scale: float) -> complex:
-    # dh -> 0 limit of the echelon form; the diverging Ci terms combine
-    # into the finite log(h^2 / (h^2 - l^2)).
-    log_term = math.log(h * h / (h * h - l * l))
-    ci_sum = -2 * Ci(2 * k * h) + Ci(2 * k * (h - l)) + Ci(2 * k * (h + l))
-    si_sum = 2 * Si(2 * k * h) - Si(2 * k * (h - l)) - Si(2 * k * (h + l))
-    cos0, sin0 = math.cos(k * h), math.sin(k * h)
-    r = -cos0 * (ci_sum + log_term) + sin0 * si_sum
-    x = (-cos0 * si_sum
-         + sin0 * (2 * Ci(2 * k * h) - Ci(2 * k * (h - l)) - Ci(2 * k * (h + l)) + log_term))
-    return scale * complex(r, x)
+def _collinear(h, wavelength: float) -> np.ndarray:
+    """Collinear (d -> 0) limit of the echelon form for h > l: the
+    diverging F(u') terms combine into the finite -log(h^2 / (h^2 - l^2)).
+    Touching or overlapping dipoles (h <= l) raise ``DomainError``."""
+    k = 2.0 * math.pi / wavelength
+    l = wavelength / 2.0
+    if np.any(h <= l):
+        raise DomainError(f"collinear dipoles with dv={np.min(h)} <= length {l} touch or overlap")
+    u = 2.0 * k * np.stack([h, h - l, h + l])
+    f = Ci(u) - 1j * Si(u)
+    lead = np.exp(1j * k * h)
+    log_term = np.log(h * h / (h * h - l * l))
+    return _SCALE * (lead * (2 * f[0] - f[1] - f[2]) - lead.conj() * log_term)
 
 
 def impedance_matrix_dipoles(geom: ArrayGeometry,
@@ -159,23 +153,21 @@ def impedance_matrix_dipoles(geom: ArrayGeometry,
                              ) -> ImpedanceMatrix:
     """Impedance matrix of a stacked half-wave dipole layout.
 
-    Mutual terms depend on the pair displacement only, so they are
-    computed once per distinct (|di|, |dk|) index offset and gathered
-    into the full matrix.
+    Mutual terms depend on the pair displacement only, so the (nx, nz)
+    table of one value per (|di|, |dk|) index offset is evaluated in one
+    pass (echelon for di >= 1, collinear for di = 0) and gathered into
+    the full matrix.
     """
     if geom.element_kind is not ElementKind.HALF_WAVE_DIPOLE:
         raise DomainError(
             f"dipole impedance model needs half_wave_dipole elements, got {geom.element_kind.value}"
         )
+    dh = np.arange(1, geom.nx) * geom.dx
+    dv = np.arange(geom.nz) * geom.dz
     table = np.empty((geom.nx, geom.nz), dtype=complex)
-    for di in range(geom.nx):
-        for dk in range(geom.nz):
-            if di == 0 and dk == 0:
-                table[0, 0] = z_self
-            else:
-                table[di, dk] = dipole_mutual_impedance(
-                    di * geom.dx, dk * geom.dz, geom.wavelength
-                )
+    table[0, 0] = z_self
+    table[0, 1:] = _collinear(dv[1:], geom.wavelength)
+    table[1:] = _echelon(dh[:, None], dv[None, :], geom.wavelength)
     return ImpedanceMatrix(values=gather_offsets(table, geom), z_self=complex(z_self))
 
 

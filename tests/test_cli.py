@@ -61,6 +61,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"geometry": {"spacing_x": -0.5}})
 
+    def test_touching_dipole_rows_rejected(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"geometry": {"dipole_rows": 2, "dipole_gap": 0}})
+        cfg = ExperimentConfig.from_dict({"geometry": {"dipole_rows": 1, "dipole_gap": 0}})
+        assert cfg.geometry.dipole_rows == 1
+
     def test_bad_r_iso_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"impedance": {"r_iso": [73.1, 5.0]}})
@@ -208,6 +214,15 @@ class TestMain:
         code = main(["icsi", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_exit_code_touching_dipole_stack(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**FAST_CONFIG, "geometry": {
+            "element_kind": "half_wave_dipole", "dipole_rows": 2, "dipole_gap": 0}}))
+        code = main(["icsi", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "touch" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "table1_icsi_tx.csv").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["icsi", "--config", str(tmp_path / "nope.json"),

@@ -123,6 +123,26 @@ class TestImpedanceMatrixDipoles:
         with pytest.raises(DomainError):
             impedance_matrix_dipoles(g)
 
+    def test_dense_stack_matches_quadrature_oracle(self):
+        # the table shares its kernels with dipole_mutual_impedance, so
+        # check it against the independent quadrature at a 1/16-wavelength
+        # spacing: the collinear di = 0 column, near neighbours, far corner
+        g = make_dipole_array(4.0, 0.0625, 8, 0.02, 1.0)
+        z = impedance_matrix_dipoles(g).values
+        offsets = [(0, dk) for dk in range(1, g.nz)] + [
+            (1, 0), (1, 1), (2, 3), (17, 0), (40, 5), (g.nx - 1, 0), (g.nx - 1, g.nz - 1)]
+        for di, dk in offsets:
+            oracle = induced_emf_oracle(di * g.dx, dk * g.dz)
+            assert abs(z[0, dk * g.nx + di] - oracle) < 0.05, (di, dk)
+
+    def test_touching_stack_rejected(self):
+        for rows in (2, 8):
+            g = make_dipole_array(4.0, 0.0625, rows, 0.0, 1.0)
+            with pytest.raises(DomainError, match="touch"):
+                impedance_matrix_dipoles(g)
+        single_row = make_dipole_array(4.0, 0.0625, 1, 0.0, 1.0)
+        assert impedance_matrix_dipoles(single_row).dim == 65
+
 
 class TestImpedanceMatrixIsotropic:
     def test_equals_scaled_correlation(self, dipole_geometries):

@@ -1,0 +1,38 @@
+"""The benchmark's span tracer (``perfbench/spans.py``) wraps holoris
+functions by module attribute name.  Running its ``instrument`` here
+makes a renamed or removed traced attribute fail the test suite, not
+only the traced benchmark run."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import collections
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from spans import Tracer, instrument
+from holoris import coupling, make_dipole_array
+
+tracer = Tracer()
+instrument(tracer)
+coupling.impedance_matrix_dipoles(make_dipole_array(1.0, 0.5, 2, 0.02, 1.0))
+print(dict(collections.Counter(span[1] for span in tracer.spans)))
+"""
+
+
+def test_instrument_wraps_every_traced_attribute():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    calls = ast.literal_eval(result.stdout.strip().splitlines()[-1])
+    # one table build: one Si and one Ci array call each for the echelon
+    # and the collinear closed form, all through the wrapped attributes
+    assert calls == {"coupling.impedance_matrix_dipoles": 1, "specfun.si_ci": 4}

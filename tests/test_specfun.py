@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from holoris import DomainError, cosine_integral, rect, sinc, sine_integral
-from holoris.specfun import EULER_GAMMA, _cisi_continued_fraction, _cin_series, _si_series
+from holoris.specfun import EULER_GAMMA, _e1_continued_fraction, _ein_series
 
 # Independent oracles: adaptive quadrature of the defining integrals and
 # arbitrary-precision evaluation via mpmath.
@@ -90,8 +90,8 @@ class TestSineIntegral:
             assert fd == pytest.approx(math.sin(x) / x, abs=1e-6)
 
     def test_branch_agreement_at_boundary(self):
-        series = _si_series(6.0)
-        _, cf = _cisi_continued_fraction(6.0)
+        series = _ein_series(np.array(6.0)).imag
+        cf = math.pi / 2 + _e1_continued_fraction(np.array(6.0)).imag
         assert abs(series - cf) <= 1e-11
 
     def test_quadrature_agreement_random(self, rng):
@@ -118,8 +118,8 @@ class TestCosineIntegral:
         assert val == pytest.approx(ci_oracle(100.0), abs=1e-8)
 
     def test_branch_agreement_at_boundary(self):
-        series = EULER_GAMMA + math.log(6.0) - _cin_series(6.0)
-        cf, _ = _cisi_continued_fraction(6.0)
+        series = EULER_GAMMA + math.log(6.0) - _ein_series(np.array(6.0)).real
+        cf = -_e1_continued_fraction(np.array(6.0)).real
         assert abs(series - cf) <= 1e-11
 
     def test_quadrature_agreement_random(self, rng):
@@ -133,7 +133,44 @@ class TestCosineIntegral:
 
 
 def test_against_mpmath_high_precision():
-    # arbitrary-precision cross-check across both branches
-    for x in (0.25, 1.0, 3.0, 5.999, 6.0, 6.001, 10.0, 31.4, 100.0):
-        assert sine_integral(x) == pytest.approx(float(mpmath.si(x)), abs=1e-12)
-        assert cosine_integral(x) == pytest.approx(float(mpmath.ci(x)), abs=1e-12)
+    # arbitrary-precision cross-check across both branches, over the
+    # range the docstrings state: [1e-8, 1e15], log-spaced
+    xs = np.concatenate([np.logspace(-8, 15, 231),
+                         [0.25, 1.0, 3.0, 5.999, 6.0, 6.001, 10.0, 31.4, 100.0]])
+    assert xs.min() < 6.0 <= xs.max()
+    si, ci = sine_integral(xs), cosine_integral(xs)
+    for x, s, c in zip(xs, si, ci):
+        assert s == pytest.approx(float(mpmath.si(x)), abs=1e-12), x
+        assert c == pytest.approx(float(mpmath.ci(x)), abs=1e-12), x
+
+
+class TestArrayInput:
+    def test_array_equals_elementwise_scalar_calls(self):
+        xs = np.concatenate([np.geomspace(1e-4, 1e4, 13), [6.0]]).reshape(2, 7)
+        for fn in (sine_integral, cosine_integral):
+            out = fn(xs)
+            assert isinstance(out, np.ndarray) and out.shape == xs.shape
+            assert np.array_equal(out, [[fn(float(x)) for x in row] for row in xs])
+        signed = xs * np.array([[1.0], [-1.0]])
+        assert np.array_equal(sine_integral(signed),
+                              [[sine_integral(float(x)) for x in row] for row in signed])
+
+    @pytest.mark.parametrize("fn", [sine_integral, cosine_integral])
+    @pytest.mark.parametrize("x", [2.5, np.float64(7.5), np.array(2.5), np.array(7.5)])
+    def test_scalar_input_returns_float(self, fn, x):
+        assert type(fn(x)) is float
+
+    def test_sine_integral_zero_entries(self):
+        out = sine_integral(np.array([0.0, 1.0, -1.0]))
+        assert out[0] == 0.0 and out[1] == -out[2] == sine_integral(1.0)
+
+    @pytest.mark.parametrize("fn", [sine_integral, cosine_integral])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_one_nonfinite_entry_rejected(self, fn, bad):
+        with pytest.raises(DomainError):
+            fn(np.array([1.0, bad, 7.0]))
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0])
+    def test_cosine_integral_one_nonpositive_entry_rejected(self, bad):
+        with pytest.raises(DomainError):
+            cosine_integral(np.array([[1.0, 7.0], [bad, 3.0]]))
