@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ArrayGeometry, Direction, gather_offsets
+from .geometry import ArrayGeometry, Direction, gather_offsets, read_only_view
 
 _HERMITIAN_TOL = 1e-10
 _PSD_TOL = 1e-8
@@ -40,7 +40,7 @@ class CorrelationMatrix:
         v = self.values
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise DomainError(f"correlation matrix must be square, got {v.shape}")
-        v.setflags(write=False)
+        object.__setattr__(self, "values", read_only_view(v))
 
     @property
     def dim(self) -> int:

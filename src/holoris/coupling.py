@@ -12,7 +12,6 @@ collinear log terms are written out explicitly since the echelon form
 degenerates at dh = 0.
 """
 
-import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,11 +20,9 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .correlation import sinc_offset_table
-from .geometry import ArrayGeometry, ElementKind, gather_offsets
+from .geometry import ArrayGeometry, ElementKind, gather_offsets, read_only_view
 from .specfun import cosine_integral as Ci
 from .specfun import sine_integral as Si
-
-log = logging.getLogger(__name__)
 
 FREE_SPACE_IMPEDANCE = 120.0 * math.pi  # ohms
 HALF_WAVE_DIPOLE_SELF_IMPEDANCE = 73.1 + 42.5j  # ohms
@@ -47,29 +44,43 @@ class ImpedanceMatrix:
     z_self: complex
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        object.__setattr__(self, "values", read_only_view(self.values))
 
     @property
     def dim(self) -> int:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+def _shifted_condition(z: ImpedanceMatrix, shift: complex) -> float:
+    """2-norm condition number of Z + shift I."""
+    return float(np.linalg.cond(z.values + shift * np.eye(z.dim)))
+
+
 class CouplingMatrix:
     """Dimensionless port-domain coupling matrix.
 
     Normalized so that an impedance matrix without mutual terms maps to
     the identity for any admissible port impedance.  ``condition`` is
-    the 2-norm condition number of the matrix that was inverted.
+    the 2-norm condition number of the matrix that was inverted,
+    Z + port_impedance I: either given, or computed from the
+    ``impedance`` matrix Z on first read and cached.
     """
 
-    values: np.ndarray = field(repr=False)
-    side: CouplingSide
-    port_impedance: complex
-    condition: float
+    def __init__(self, values: np.ndarray, side: CouplingSide, port_impedance: complex,
+                 condition: float | None = None, impedance: ImpedanceMatrix | None = None):
+        if condition is None and impedance is None:
+            raise DomainError("a coupling matrix needs a condition number or an impedance matrix")
+        self.values = read_only_view(values)
+        self.side = side
+        self.port_impedance = port_impedance
+        self._condition = condition
+        self._impedance = impedance
 
-    def __post_init__(self):
-        self.values.setflags(write=False)
+    @property
+    def condition(self) -> float:
+        if self._condition is None:
+            self._condition = _shifted_condition(self._impedance, self.port_impedance)
+        return self._condition
 
     @property
     def dim(self) -> int:
@@ -184,24 +195,18 @@ def impedance_matrix_isotropic(geom: ArrayGeometry,
 
 
 def _normalized_inverse(z: ImpedanceMatrix, shift: complex, numerator: np.ndarray,
-                        prefactor: complex, side: CouplingSide,
-                        port: complex) -> CouplingMatrix:
+                        prefactor: complex, side: CouplingSide) -> CouplingMatrix:
     a = z.values + shift * np.eye(z.dim)
-    condition = float(np.linalg.cond(a))
-    log.debug("%s coupling solve: dim=%d cond=%.3e", side.value, z.dim, condition)
     try:
         solved = np.linalg.solve(a.T, numerator.T).T  # numerator @ inv(a)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"singular system in {side.value} coupling (condition {condition:.3e})"
-        ) from exc
+        raise NumericalError(f"singular system in {side.value} coupling "
+                             f"(condition {_shifted_condition(z, shift):.3e})") from exc
     if not np.all(np.isfinite(solved)):
-        raise NumericalError(
-            f"non-finite {side.value} coupling entries (condition {condition:.3e})"
-        )
+        raise NumericalError(f"non-finite {side.value} coupling entries "
+                             f"(condition {_shifted_condition(z, shift):.3e})")
     return CouplingMatrix(
-        values=prefactor * solved, side=side, port_impedance=complex(port),
-        condition=condition,
+        values=prefactor * solved, side=side, port_impedance=shift, impedance=z,
     )
 
 
@@ -212,7 +217,7 @@ def coupling_tx(z: ImpedanceMatrix, z_source: complex) -> CouplingMatrix:
         raise DomainError("z_self + z_source = 0 leaves the normalization undefined")
     return _normalized_inverse(
         z, shift=z_source, numerator=np.asarray(z.values),
-        prefactor=1.0 + z_source / z.z_self, side=CouplingSide.TX, port=z_source,
+        prefactor=1.0 + z_source / z.z_self, side=CouplingSide.TX,
     )
 
 
@@ -221,5 +226,5 @@ def coupling_rx(z: ImpedanceMatrix, z_load: complex) -> CouplingMatrix:
     z_load = complex(z_load)
     return _normalized_inverse(
         z, shift=z_load, numerator=np.eye(z.dim, dtype=complex),
-        prefactor=z.z_self + z_load, side=CouplingSide.RX, port=z_load,
+        prefactor=z.z_self + z_load, side=CouplingSide.RX,
     )

@@ -75,7 +75,7 @@ class ArrayGeometry:
     dipole_length: float = 0.0
 
     def __post_init__(self):
-        self.positions.setflags(write=False)
+        object.__setattr__(self, "positions", read_only_view(self.positions))
 
     @property
     def n(self) -> int:
@@ -92,6 +92,13 @@ class ArrayGeometry:
     def z_index(self) -> np.ndarray:
         """Per-element row index along z."""
         return np.repeat(np.arange(self.nz), self.nx)
+
+
+def read_only_view(values: np.ndarray) -> np.ndarray:
+    """A read-only view of ``values``; the caller's array stays writeable."""
+    view = values.view()
+    view.flags.writeable = False
+    return view
 
 
 def gather_offsets(table: np.ndarray, geom: ArrayGeometry) -> np.ndarray:

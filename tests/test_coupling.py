@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from holoris import (ArrayGeometry, CouplingSide, DomainError, ElementKind,
-                     FREE_SPACE_IMPEDANCE, HALF_WAVE_DIPOLE_SELF_IMPEDANCE,
-                     ImpedanceMatrix, correlation_matrix_isotropic,
+from holoris import (ArrayGeometry, CouplingMatrix, CouplingSide, DomainError,
+                     ElementKind, FREE_SPACE_IMPEDANCE,
+                     HALF_WAVE_DIPOLE_SELF_IMPEDANCE, ImpedanceMatrix,
+                     NumericalError, correlation_matrix_isotropic,
                      coupling_rx, coupling_tx, dipole_mutual_impedance,
                      impedance_matrix_dipoles, impedance_matrix_isotropic,
                      make_dipole_array, make_uniform_grid)
@@ -198,6 +199,47 @@ class TestCouplingMatrices:
     def test_condition_number_reported(self, dipole_impedances):
         c = coupling_tx(dipole_impedances[0.5], Z_A.conjugate())
         assert c.condition > 1.0 and math.isfinite(c.condition)
+
+    @pytest.mark.parametrize("solve, port", [(coupling_tx, Z_A.conjugate()),
+                                             (coupling_rx, Z_A.conjugate()),
+                                             (coupling_rx, 50.0 + 0j)])
+    def test_condition_number_exact_on_read(self, dipole_impedances, solve, port):
+        z = dipole_impedances[0.25]
+        c = solve(z, port)
+        expected = np.linalg.cond(z.values + port * np.eye(z.dim))
+        assert c.condition == pytest.approx(expected, rel=1e-12)
+
+    def test_condition_number_computed_only_when_read(self, dipole_impedances, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+
+        def counting_cond(*args, **kwargs):
+            calls.append(args)
+            return cond(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counting_cond)
+        z = dipole_impedances[0.5]
+        ct = coupling_tx(z, Z_A.conjugate())
+        cr = coupling_rx(z, 50.0)
+        assert calls == []
+        first = ct.condition
+        assert ct.condition == first and len(calls) == 1
+        assert cr.condition > 1.0 and len(calls) == 2
+
+    def test_given_condition_number_kept(self):
+        c = CouplingMatrix(values=np.eye(3, dtype=complex), side=CouplingSide.TX,
+                           port_impedance=50.0 + 0j, condition=2.5)
+        assert c.condition == 2.5
+
+    def test_condition_number_or_impedance_required(self):
+        with pytest.raises(DomainError):
+            CouplingMatrix(values=np.eye(3, dtype=complex), side=CouplingSide.TX,
+                           port_impedance=50.0 + 0j)
+
+    def test_singular_system_reports_condition(self):
+        z = ImpedanceMatrix(values=np.diag([Z_A, Z_A, -50.0]).astype(complex), z_self=Z_A)
+        with pytest.raises(NumericalError, match="condition"):
+            coupling_rx(z, 50.0)
 
     def test_degenerate_normalization_rejected(self):
         z = diagonal_impedance(3)

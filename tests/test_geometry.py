@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from holoris import (ConfigError, Direction, DomainError, ElementKind,
+from holoris import (ArrayGeometry, ConfigError, CorrelationKind,
+                     CorrelationMatrix, CouplingMatrix, CouplingSide, Direction,
+                     DomainError, ElementKind, ImpedanceMatrix,
                      make_dipole_array, make_uniform_grid, unit_direction)
 
 
@@ -119,3 +121,19 @@ def test_positions_immutable():
     g = make_uniform_grid(1.0, 1.0, 0.5, 0.5, 1.0)
     with pytest.raises(ValueError):
         g.positions[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("build, attr", [
+    (lambda a: ArrayGeometry(wavelength=1.0, dx=0.5, dz=0.5, lx=1.0, lz=0.5, nx=3, nz=1,
+                             positions=a, element_kind=ElementKind.ISOTROPIC), "positions"),
+    (lambda a: CorrelationMatrix(values=a, kind=CorrelationKind.MC_UNAWARE), "values"),
+    (lambda a: ImpedanceMatrix(values=a, z_self=73.1 + 0j), "values"),
+    (lambda a: CouplingMatrix(values=a, side=CouplingSide.TX, port_impedance=50.0 + 0j,
+                              condition=1.0), "values"),
+], ids=["geometry", "correlation", "impedance", "coupling"])
+def test_caller_array_stays_writeable(build, attr):
+    caller = np.eye(3)
+    stored = getattr(build(caller), attr)
+    assert caller.flags.writeable
+    assert not stored.flags.writeable
+    assert np.shares_memory(stored, caller)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from holoris import (ArrayGeometry, BeamformingScheme, Direction, DomainError,
-                     ElementKind, array_gain, beamforming_vector, coupling_tx,
-                     effective_response, gain_sweep, impedance_matrix_dipoles,
-                     make_dipole_array, max_gain_closed_form, steering_vector)
+                     ElementKind, NumericalError, array_gain, beamforming_vector,
+                     coupling_tx, effective_response, gain_sweep,
+                     impedance_matrix_dipoles, make_dipole_array,
+                     max_gain_closed_form, steering_vector)
 
 from conftest import random_coupling
 
@@ -17,6 +18,17 @@ END_FIRE = Direction(phi=0.0, theta=math.pi / 2)
 
 def identity_coupling(n):
     return np.eye(n, dtype=complex)
+
+
+def looped_sweep(geom, coupling, scheme, theta, phis):
+    """Reference gain sweep: one steering vector, excitation and gain per azimuth."""
+    if scheme is BeamformingScheme.NO_MC_REFERENCE:
+        coupling = identity_coupling(geom.n)
+    gains = []
+    for phi in phis:
+        a0 = steering_vector(geom, Direction(phi=phi, theta=theta))
+        gains.append(array_gain(coupling, a0, beamforming_vector(scheme, coupling, a0), 1.0))
+    return gains
 
 
 class TestSteeringVector:
@@ -156,3 +168,46 @@ class TestGainSweep:
         with pytest.raises(DomainError):
             gain_sweep(dipole_geometries[0.5], ct,
                        BeamformingScheme.PROPOSED_MC_AWARE, math.pi / 2, [])
+
+    @pytest.mark.parametrize("scheme", list(BeamformingScheme))
+    def test_matches_per_azimuth_loop_random(self, scheme):
+        rng = np.random.default_rng(7)
+        g = make_dipole_array(2.0, 0.25, 3, 0.02, 1.0)
+        phis = np.linspace(0, math.pi, 37)
+        for _ in range(5):
+            c = random_coupling(rng, g.n)
+            theta = float(rng.uniform(0.2, math.pi - 0.2))
+            sweep = gain_sweep(g, c, scheme, theta, phis)
+            assert [phi for phi, _ in sweep] == phis.tolist()
+            np.testing.assert_allclose([gain for _, gain in sweep],
+                                       looped_sweep(g, c, scheme, theta, phis), rtol=1e-12)
+
+    @pytest.mark.parametrize("scheme", list(BeamformingScheme))
+    def test_matches_per_azimuth_loop_dipole_stack(self, scheme, dipole_geometries,
+                                                   dipole_impedances):
+        g = dipole_geometries[0.125]
+        ct = coupling_tx(dipole_impedances[0.125], 73.1 - 42.5j)
+        phis = np.linspace(0, math.pi, 19)
+        sweep = gain_sweep(g, ct, scheme, math.pi / 2, phis)
+        np.testing.assert_allclose([gain for _, gain in sweep],
+                                   looped_sweep(g, ct, scheme, math.pi / 2, phis), rtol=1e-12)
+
+    def test_singular_coupling_rejected(self, dipole_geometries):
+        g = dipole_geometries[0.5]
+        c = identity_coupling(g.n)
+        c[3, 3] = 0.0
+        with pytest.raises(NumericalError):
+            gain_sweep(g, c, BeamformingScheme.DIRECTIVITY_MAX, math.pi / 2, [0.0, 1.0])
+
+    def test_zero_excitation_rejected(self, dipole_geometries):
+        g = dipole_geometries[0.5]
+        with pytest.raises(NumericalError):
+            gain_sweep(g, np.zeros((g.n, g.n)), BeamformingScheme.PROPOSED_MC_AWARE,
+                       math.pi / 2, [0.0, 1.0])
+
+    @pytest.mark.parametrize("phis", [[0.0, 3.2], [-0.1, 1.0], [0.5, math.nan]])
+    def test_azimuth_out_of_range_rejected(self, dipole_geometries, phis):
+        g = dipole_geometries[0.5]
+        with pytest.raises(DomainError):
+            gain_sweep(g, identity_coupling(g.n), BeamformingScheme.CONJUGATE_MC_UNAWARE,
+                       math.pi / 2, phis)
