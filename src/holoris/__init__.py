@@ -10,13 +10,15 @@ from .correlation import (BttbReport, CorrelationKind, CorrelationMatrix,
                           isotropic_scattering_density, verify_bttb)
 from .coupling import (DEFAULT_ISOTROPIC_RESISTANCE, FREE_SPACE_IMPEDANCE,
                        HALF_WAVE_DIPOLE_SELF_IMPEDANCE, CouplingMatrix,
-                       CouplingSide, ImpedanceMatrix, coupling_rx, coupling_tx,
+                       CouplingSide, ImpedanceMatrix, coupling_blocks,
+                       coupling_rx, coupling_tx,
                        dipole_mutual_impedance, impedance_matrix_dipoles,
                        impedance_matrix_isotropic)
 from .errors import (ConfigError, DomainError, HolorisError,
                      KneeUndefinedError, NumericalError)
-from .geometry import (ArrayGeometry, Direction, ElementKind,
-                       make_dipole_array, make_uniform_grid, unit_direction)
+from .geometry import (ArrayGeometry, Direction, ElementKind, ParityBlocks,
+                       make_dipole_array, make_uniform_grid, parity_blocks,
+                       unit_direction)
 from .response import (BeamformingScheme, array_gain, beamforming_vector,
                        effective_response, gain_sweep, max_gain_closed_form,
                        steering_vector)
@@ -34,16 +36,17 @@ __all__ = [
     "EigenSpectrum", "ElementKind", "ExperimentConfig",
     "FREE_SPACE_IMPEDANCE", "GeneratorSequence",
     "HALF_WAVE_DIPOLE_SELF_IMPEDANCE", "HolorisError", "ImpedanceMatrix",
-    "KneeUndefinedError", "Normalization", "NumericalError",
+    "KneeUndefinedError", "Normalization", "NumericalError", "ParityBlocks",
     "SpacingConvention", "WaveKind", "WavenumberSpectrum", "array_gain",
     "asymptotic_dof", "asymptotic_spectrum", "beamforming_vector",
     "classify_wavenumber", "correlation_matrix_isotropic", "cosine_integral",
-    "coupling_rx", "coupling_tx", "dipole_mutual_impedance", "dominant_count",
+    "coupling_blocks", "coupling_rx", "coupling_tx", "dipole_mutual_impedance", "dominant_count",
     "effective_correlation", "effective_response", "eigen_spectrum",
     "gain_sweep", "generator_sequence", "geometry_to_dict", "icsi",
     "impedance_matrix_dipoles", "impedance_matrix_isotropic",
     "isotropic_scattering_density", "knee_index", "make_dipole_array",
-    "make_uniform_grid", "max_gain_closed_form", "power_spectrum", "rect",
+    "make_uniform_grid", "max_gain_closed_form", "parity_blocks", "power_spectrum",
+    "rect",
     "sinc", "sine_integral", "steering_vector", "unit_direction",
     "verify_bttb",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 from .correlation import CorrelationKind, CorrelationMatrix
 from .coupling import CouplingMatrix, CouplingSide
 from .errors import DomainError, KneeUndefinedError, NumericalError
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, ParityBlocks
 
 _HERMITIAN_TOL = 1e-8
 _MIRROR_TOL = 1e-10
@@ -62,9 +62,21 @@ class EigenSpectrum:
         return len(self.values)
 
 
-def effective_correlation(coupling: CouplingMatrix,
-                          r0: CorrelationMatrix) -> CorrelationMatrix:
-    """Effective correlation C^T R0 conj(C) under a coupling matrix."""
+def effective_correlation(coupling: CouplingMatrix | ParityBlocks,
+                          r0: CorrelationMatrix | ParityBlocks
+                          ) -> CorrelationMatrix | ParityBlocks:
+    """Effective correlation C^T R0 conj(C) under a coupling matrix.
+
+    Given the parity blocks of C and of the base correlation R0, it is
+    C_b^T R0_b conj(C_b) for each block: the basis is real and
+    orthogonal, so transposes and conjugates stay inside it.
+    """
+    if isinstance(r0, ParityBlocks):
+        if not isinstance(coupling, ParityBlocks) or coupling.geom is not r0.geom:
+            raise DomainError("blockwise effective correlation needs coupling blocks "
+                              "on the same lattice")
+        return ParityBlocks(tuple(c.T @ r @ c.conj() for c, r in zip(coupling.blocks, r0.blocks)),
+                            r0.geom)
     if r0.kind is not CorrelationKind.MC_UNAWARE:
         raise DomainError(f"base correlation must be mc_unaware, got {r0.kind.value}")
     if coupling.dim != r0.dim:
@@ -194,7 +206,7 @@ def _mirror_blocks(values: np.ndarray, geom: ArrayGeometry, scale: float) -> lis
     return blocks
 
 
-def eigen_spectrum(r: CorrelationMatrix, normalize_by_n: bool = True,
+def eigen_spectrum(r: CorrelationMatrix | ParityBlocks, normalize_by_n: bool = True,
                    geom: ArrayGeometry | None = None) -> EigenSpectrum:
     """Eigenvalues of a correlation matrix, sorted non-increasing.
 
@@ -204,7 +216,10 @@ def eigen_spectrum(r: CorrelationMatrix, normalize_by_n: bool = True,
     correlation, impedance and coupling matrix built on a uniform grid
     does; the even/odd basis of each axis then splits it exactly into
     four Hermitian blocks of about N/4, which are solved separately.
-    Without ``geom`` the full matrix is solved.
+    Without ``geom`` the full matrix is solved.  A matrix given as its
+    ``ParityBlocks`` is solved block by block as it is; its geometry is
+    the blocks' own, and its scale the blocks' ``scale``, or their
+    largest entry when that is not known.
 
     Effective correlation matrices can carry tiny negative round-off
     eigenvalues; magnitudes are reported (matching how eigenvalue decay
@@ -213,10 +228,16 @@ def eigen_spectrum(r: CorrelationMatrix, normalize_by_n: bool = True,
     ``negative_mass``; above 1e-8 the matrix is not PSD and
     ``NumericalError`` is raised.
     """
-    values = r.values
-    # row by row: a whole-matrix abs() would be one more N x N temporary
-    scale = max((float(np.abs(row).max()) for row in values), default=0.0) or 1.0
-    blocks = [values] if geom is None else _mirror_blocks(values, geom, scale)
+    if isinstance(r, ParityBlocks):
+        if geom is not None and geom is not r.geom:
+            raise DomainError("geometry does not match the parity blocks")
+        geom, blocks, dim = r.geom, r.blocks, r.geom.n
+        scale = r.scale or max(float(np.abs(b).max()) for b in blocks) or 1.0
+    else:
+        values, dim = r.values, r.dim
+        # row by row: a whole-matrix abs() would be one more N x N temporary
+        scale = max((float(np.abs(row).max()) for row in values), default=0.0) or 1.0
+        blocks = [values] if geom is None else _mirror_blocks(values, geom, scale)
     ev = np.concatenate([np.linalg.eigvalsh(_hermitian_part(b, scale)) for b in blocks])
     top = float(ev.max())
     negative = float(-ev[ev < 0.0].sum())
@@ -228,7 +249,7 @@ def eigen_spectrum(r: CorrelationMatrix, normalize_by_n: bool = True,
         )
     ev = np.sort(np.abs(ev))[::-1]
     if normalize_by_n:
-        ev = ev / r.dim
+        ev = ev / dim
     knee: int | None
     try:
         knee = knee_index(ev)
@@ -263,5 +284,4 @@ def icsi(q) -> float:
     diag = np.diag(mags)
     if np.any(diag == 0.0):
         raise DomainError("ICSI undefined: zero diagonal entry")
-    ratios = mags / diag[:, None]
-    return float((ratios.sum() - n) / (n * (n - 1)))
+    return float(((mags.sum(axis=1) / diag).sum() - n) / (n * (n - 1)))

@@ -30,7 +30,7 @@ import numpy as np
 from . import analysis, correlation, coupling, response, spectrum
 from .config import ExperimentConfig
 from .errors import ConfigError, HolorisError, NumericalError
-from .geometry import ElementKind, make_uniform_grid
+from .geometry import ElementKind, make_uniform_grid, parity_blocks
 from .outputs import (complex_matrix_rows, eigen_rows, impedance_label,
                       spacing_label, write_csv, write_gnuplot)
 
@@ -105,8 +105,7 @@ def run_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     summary = []
     for sp in s.eigen_spacings:
         geom = _square_grid(cfg, s.eigen_aperture, sp)
-        r0 = correlation.correlation_matrix_isotropic(geom)
-        spec = analysis.eigen_spectrum(r0, normalize_by_n=True, geom=geom)
+        spec = analysis.eigen_spectrum(_r0_blocks(geom), normalize_by_n=True)
         paths.append(_eigen_csv(
             outdir / f"fig3_eigenvalues_dx{spacing_label(sp)}.csv",
             "fig3 (eigenvalue decay of the normalized correlation matrix)", spec,
@@ -264,20 +263,25 @@ def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     return paths
 
 
+def _r0_blocks(geom):
+    """Parity blocks of the isotropic correlation matrix of a geometry."""
+    return parity_blocks(correlation.sinc_offset_table(geom), geom)
+
+
 def _cases(cfg: ExperimentConfig, z, r0):
-    """Effective correlations C^T R0 conj(C) of one geometry, built one at
-    a time: the no-coupling case and then each port impedance, first of
-    the transmit side, then of the receive side.  Yields
-    (side, label, note, matrix); the label names the case in file names
-    and table columns."""
+    """Effective correlations C^T R0 conj(C) of one geometry as parity
+    blocks, built one at a time: the no-coupling case and then each port
+    impedance, first of the transmit side, then of the receive side.
+    Yields (side, label, note, blocks); the label names the case in file
+    names and table columns."""
     imp = cfg.impedance
     for side, ports, prefix, name in (("tx", imp.z_source_cases, "zs", "z_source"),
                                       ("rx", imp.z_load_cases, "zl", "z_load")):
         yield side, "no_mc", "coupling: none", r0
-        solve = coupling.coupling_tx if side == "tx" else coupling.coupling_rx
         for zp in ports:
+            c = coupling.coupling_blocks(z, zp, coupling.CouplingSide(side))
             yield (side, impedance_label(prefix, zp), f"{name}: {zp}",
-                   analysis.effective_correlation(solve(z, zp), r0))
+                   analysis.effective_correlation(c, r0))
 
 
 _MC_FIGURES = {
@@ -291,14 +295,14 @@ def run_mc_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     paths = []
     for sp in cfg.sweep.spacings:
         geom, z = _stack(cfg, sp)
-        r0 = correlation.correlation_matrix_isotropic(geom)
+        r0 = _r0_blocks(geom)
         label = spacing_label(sp)
         note = f"spacing: {sp} wavelengths, elements: {geom.n}"
         for side, case, extra, r in _cases(cfg, z, r0):
             stem, target = _MC_FIGURES[side]
             paths.append(_eigen_csv(
                 outdir / f"{stem}_dx{label}_{case}.csv", target,
-                analysis.eigen_spectrum(r, normalize_by_n=False, geom=geom),
+                analysis.eigen_spectrum(r, normalize_by_n=False),
                 f"{note}, {extra}"))
             del r  # free this case's matrix before the next one is built
         # dipole vs isotropic elements at matched load; the configured
@@ -307,11 +311,12 @@ def run_mc_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
             for model, load in (("dipole", imp.z_antenna.conjugate()),
                                 ("isotropic", imp.r_iso)):
                 zm = z if model == imp.model else _impedance(geom, imp, model)
-                r = analysis.effective_correlation(coupling.coupling_rx(zm, load), r0)
+                c = coupling.coupling_blocks(zm, load, coupling.CouplingSide.RX)
+                r = analysis.effective_correlation(c, r0)
                 paths.append(_eigen_csv(
                     outdir / f"fig10_rx_dx{label}_{model}.csv",
                     "fig10 (receive eigenvalues, dipole vs isotropic elements)",
-                    analysis.eigen_spectrum(r, normalize_by_n=False, geom=geom),
+                    analysis.eigen_spectrum(r, normalize_by_n=False),
                     f"{note}, elements: {model}"))
                 del r
     paths.extend(_matrix_exports(cfg, outdir))
@@ -346,12 +351,12 @@ def run_icsi(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     rows = {"tx": [], "rx": []}
     for sp in cfg.sweep.spacings:
         geom, z = _stack(cfg, sp)
-        r0 = correlation.correlation_matrix_isotropic(geom)
+        r0 = _r0_blocks(geom)
         columns = {side: ["spacing_wavelengths"] for side in rows}
         cells = {side: [sp] for side in rows}
         for side, case, _, r in _cases(cfg, z, r0):
             columns[side].append(case)
-            cells[side].append(analysis.icsi(r))
+            cells[side].append(analysis.icsi(r.dense()))
             del r  # free this case's matrix before the next one is built
         for side in rows:
             rows[side].append(tuple(cells[side]))

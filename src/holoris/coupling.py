@@ -13,14 +13,14 @@ degenerates at dh = 0.
 """
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
 from .correlation import sinc_offset_table
-from .geometry import ArrayGeometry, ElementKind, gather_offsets, read_only_view
+from .geometry import (ArrayGeometry, ElementKind, ParityBlocks, gather_offsets,
+                       parity_blocks, read_only_view)
 from .specfun import cosine_integral as Ci
 from .specfun import sine_integral as Si
 
@@ -35,20 +35,42 @@ class CouplingSide(Enum):
     RX = "rx"
 
 
-@dataclass(frozen=True)
 class ImpedanceMatrix:
     """Symmetric complex impedance matrix with constant self-impedance
-    on the diagonal, in ohms."""
+    on the diagonal, in ohms.
 
-    values: np.ndarray = field(repr=False)
-    z_self: complex
+    Given ``values``, it is that matrix.  Given the (nx, nz) offset
+    ``table`` of a lattice ``geom`` instead, ``values`` is gathered from
+    it on first read, and ``blocks`` holds its mirror-parity blocks,
+    gathered without the dense matrix.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", read_only_view(self.values))
+    def __init__(self, values: np.ndarray | None = None, *, z_self: complex,
+                 table: np.ndarray | None = None, geom: ArrayGeometry | None = None):
+        if (values is None) == (table is None or geom is None):
+            raise DomainError("an impedance matrix needs its values or an offset table and geometry")
+        self.z_self = z_self
+        self._values = None if values is None else read_only_view(values)
+        self._table, self._geom = table, geom
+        self._blocks = None
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = read_only_view(gather_offsets(self._table, self._geom))
+        return self._values
+
+    @property
+    def blocks(self) -> ParityBlocks:
+        if self._table is None:
+            raise DomainError("parity blocks need the impedance offset table")
+        if self._blocks is None:
+            self._blocks = parity_blocks(self._table, self._geom)
+        return self._blocks
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        return self._geom.n if self._values is None else self._values.shape[0]
 
 
 def _shifted_condition(z: ImpedanceMatrix, shift: complex) -> float:
@@ -179,7 +201,7 @@ def impedance_matrix_dipoles(geom: ArrayGeometry,
     table[0, 0] = z_self
     table[0, 1:] = _collinear(dv[1:], geom.wavelength)
     table[1:] = _echelon(dh[:, None], dv[None, :], geom.wavelength)
-    return ImpedanceMatrix(values=gather_offsets(table, geom), z_self=complex(z_self))
+    return ImpedanceMatrix(z_self=complex(z_self), table=table, geom=geom)
 
 
 def impedance_matrix_isotropic(geom: ArrayGeometry,
@@ -191,40 +213,53 @@ def impedance_matrix_isotropic(geom: ArrayGeometry,
     if not (r_iso > 0 and math.isfinite(r_iso)):
         raise DomainError(f"r_iso must be positive, got {r_iso}")
     table = (r_iso * sinc_offset_table(geom)).astype(complex)
-    return ImpedanceMatrix(values=gather_offsets(table, geom), z_self=complex(r_iso))
+    return ImpedanceMatrix(z_self=complex(r_iso), table=table, geom=geom)
 
 
-def _normalized_inverse(z: ImpedanceMatrix, shift: complex, numerator: np.ndarray,
-                        prefactor: complex, side: CouplingSide) -> CouplingMatrix:
-    a = z.values + shift * np.eye(z.dim)
-    try:
-        solved = np.linalg.solve(a.T, numerator.T).T  # numerator @ inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular system in {side.value} coupling "
-                             f"(condition {_shifted_condition(z, shift):.3e})") from exc
-    if not np.all(np.isfinite(solved)):
-        raise NumericalError(f"non-finite {side.value} coupling entries "
-                             f"(condition {_shifted_condition(z, shift):.3e})")
-    return CouplingMatrix(
-        values=prefactor * solved, side=side, port_impedance=shift, impedance=z,
-    )
+def _normalized_inverse(z: ImpedanceMatrix, mats, port: complex,
+                        side: CouplingSide) -> list[np.ndarray]:
+    """The coupling matrix of ``side`` for each of ``mats``: the dense Z,
+    or the parity blocks of Z, which give the parity blocks of C."""
+    if side is CouplingSide.TX:
+        if z.z_self + port == 0:
+            raise DomainError("z_self + z_source = 0 leaves the normalization undefined")
+        prefactor = 1.0 + port / z.z_self
+    else:
+        prefactor = z.z_self + port
+    out = []
+    for zb in mats:
+        eye = np.eye(len(zb), dtype=complex)
+        numerator = zb if side is CouplingSide.TX else eye
+        try:
+            solved = np.linalg.solve((zb + port * eye).T, numerator.T).T  # numerator @ inv(a)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"singular system in {side.value} coupling "
+                                 f"(condition {_shifted_condition(z, port):.3e})") from exc
+        if not np.all(np.isfinite(solved)):
+            raise NumericalError(f"non-finite {side.value} coupling entries "
+                                 f"(condition {_shifted_condition(z, port):.3e})")
+        out.append(prefactor * solved)
+    return out
+
+
+def _coupling(z: ImpedanceMatrix, port: complex, side: CouplingSide) -> CouplingMatrix:
+    port = complex(port)
+    (values,) = _normalized_inverse(z, [z.values], port, side)
+    return CouplingMatrix(values=values, side=side, port_impedance=port, impedance=z)
 
 
 def coupling_tx(z: ImpedanceMatrix, z_source: complex) -> CouplingMatrix:
     """Transmit-side coupling matrix (1 + zS/zA) Z (Z + zS I)^-1."""
-    z_source = complex(z_source)
-    if z.z_self + z_source == 0:
-        raise DomainError("z_self + z_source = 0 leaves the normalization undefined")
-    return _normalized_inverse(
-        z, shift=z_source, numerator=np.asarray(z.values),
-        prefactor=1.0 + z_source / z.z_self, side=CouplingSide.TX,
-    )
+    return _coupling(z, z_source, CouplingSide.TX)
 
 
 def coupling_rx(z: ImpedanceMatrix, z_load: complex) -> CouplingMatrix:
     """Receive-side coupling matrix (zA + zL) (Z + zL I)^-1."""
-    z_load = complex(z_load)
-    return _normalized_inverse(
-        z, shift=z_load, numerator=np.eye(z.dim, dtype=complex),
-        prefactor=z.z_self + z_load, side=CouplingSide.RX,
-    )
+    return _coupling(z, z_load, CouplingSide.RX)
+
+
+def coupling_blocks(z: ImpedanceMatrix, port: complex, side: CouplingSide) -> ParityBlocks:
+    """Parity blocks of the ``coupling_tx`` or ``coupling_rx`` matrix of
+    a lattice impedance matrix, solved block by block from ``z.blocks``."""
+    zb = z.blocks
+    return ParityBlocks(tuple(_normalized_inverse(z, zb.blocks, complex(port), side)), zb.geom)

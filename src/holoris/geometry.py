@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DomainError
 
 _RATIO_TOL = 1e-9
+_SQRT1_2 = math.sqrt(0.5)
 
 
 class ElementKind(Enum):
@@ -119,6 +120,97 @@ def gather_offsets(table: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
     # windows[k1, i1, i2, k2] = blocks[k2 - k1 + nz - 1], a view
     windows = sliding_window_view(blocks, nz, axis=0)[::-1]
     return windows.transpose(0, 1, 3, 2).reshape(nx * nz, nx * nz)
+
+
+@dataclass(frozen=True, eq=False)
+class ParityBlocks:
+    """A lattice matrix that commutes with the x and z reversals, held as
+    its four (z, x) mirror-parity blocks (Cantoni & Butler 1976), each in
+    the orthonormal basis (e_i +/- e_{n-1-i}) / sqrt(2), i < n // 2, of
+    both axes, plus the centre e_{n // 2} in the even half of an odd
+    axis.  Blocks are ordered (even, even), (even, odd), (odd, even),
+    (odd, odd) in (z, x) parity; empty ones are left out.
+
+    ``scale`` is the largest entry magnitude of the matrix when known.
+    """
+
+    blocks: tuple[np.ndarray, ...]
+    geom: ArrayGeometry
+    scale: float | None = None
+
+    def dense(self) -> np.ndarray:
+        """The (N, N) matrix, assembled from the blocks in O(N^2)."""
+        g = self.geom
+        out = np.zeros((g.nz, g.nx, g.nz, g.nx), dtype=np.result_type(*self.blocks))
+        for (pz, px, mz, mx), b in zip(_parities(g), self.blocks):
+            b = b.reshape(mz, mx, mz, mx)
+            for axis, n, odd in ((0, g.nz, pz), (1, g.nx, px), (2, g.nz, pz), (3, g.nx, px)):
+                b = _unmirror(b, axis, n, odd)
+            out += b
+        return out.reshape(g.n, g.n)
+
+
+def _parities(geom: ArrayGeometry):
+    """(z odd, x odd, z size, x size) of each non-empty parity block, in
+    block order."""
+    for pz in (False, True):
+        mz = geom.nz // 2 if pz else geom.nz - geom.nz // 2
+        for px in (False, True):
+            mx = geom.nx // 2 if px else geom.nx - geom.nx // 2
+            if mz * mx:
+                yield pz, px, mz, mx
+
+
+def _mirror_gather(table: np.ndarray, axis: int, odd: bool) -> np.ndarray:
+    """One offset axis of a table (length n) in the even or odd half of
+    its mirror basis: the axis becomes two, (r, c), holding
+    w_r w_c (T(|r - c|) +/- T(n - 1 - r - c)), with w = 1 except
+    1 / sqrt(2) at the centre of the even half of an odd-length axis."""
+    n = table.shape[axis]
+    h = n // 2
+    m = h if odd else n - h
+    i = np.arange(m)
+    b = np.take(table, np.abs(i[:, None] - i), axis)
+    far = np.take(table, n - 1 - i[:, None] - i, axis)
+    if odd:
+        b -= far
+    else:
+        b += far
+    if m > h:
+        w = np.ones(m)
+        w[h] = _SQRT1_2
+        b *= (w[:, None] * w).reshape((m, m) + (1,) * (b.ndim - axis - 2))
+    return b
+
+
+def _unmirror(b: np.ndarray, axis: int, n: int, odd: bool) -> np.ndarray:
+    """Inverse of the split along one axis: the entries, along ``axis``, of
+    the even or odd half of an n-point axis's mirror basis applied to b."""
+    h = n // 2
+    b = np.moveaxis(b, axis, 0)
+    out = np.zeros((n,) + b.shape[1:], dtype=b.dtype)
+    half = b[:h] * _SQRT1_2
+    out[:h] = half
+    out[n - 1:n - 1 - h:-1] = -half if odd else half
+    if n > 2 * h and not odd:
+        out[h] = b[h]
+    return np.moveaxis(out, 0, axis)
+
+
+def parity_blocks(table: np.ndarray, geom: ArrayGeometry) -> ParityBlocks:
+    """The mirror-parity blocks of the matrix ``gather_offsets(table,
+    geom)``, gathered straight from the (nx, nz) offset table, real or
+    complex, without forming the (N, N) matrix."""
+    if table.shape != (geom.nx, geom.nz):
+        raise DomainError(
+            f"offset table shape {table.shape} does not match lattice ({geom.nx}, {geom.nz})"
+        )
+    blocks = []
+    for pz, px, mz, mx in _parities(geom):
+        # (rx, cx, rz, cz) -> (rz, rx, cz, cx): rows are z-major like the lattice
+        b = _mirror_gather(_mirror_gather(table, 1, pz), 0, px)
+        blocks.append(b.transpose(2, 0, 3, 1).reshape(mz * mx, mz * mx))
+    return ParityBlocks(tuple(blocks), geom, scale=float(np.abs(table).max()))
 
 
 def _check_positive(**lengths: float) -> None:

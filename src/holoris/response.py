@@ -62,7 +62,7 @@ def _excitation(scheme: BeamformingScheme, c: np.ndarray, a0: np.ndarray,
     """Excitation of a scheme for a response vector a0, or for each column
     of a matrix a0, scaled to ||w|| = w0_mag (per column)."""
     if scheme is BeamformingScheme.PROPOSED_MC_AWARE:
-        w = c.conj().T @ a0.conj()
+        w = (c.T @ a0).conj()  # C^H conj(a0), without an N x N conjugate copy
     elif scheme is BeamformingScheme.DIRECTIVITY_MAX:
         try:
             w = np.linalg.solve(c, a0.conj())
@@ -121,9 +121,8 @@ def array_gain(coupling, a0: np.ndarray, w: np.ndarray,
 
 def max_gain_closed_form(coupling, a0: np.ndarray) -> float:
     """Gain of the proposed scheme in closed form, |a0^T C C^H conj(a0)|."""
-    c = _coupling_values(coupling)
-    v = c.conj().T @ np.asarray(a0).conj()
-    return float(abs((np.asarray(a0) @ c) @ v))
+    a = _coupling_values(coupling).T @ np.asarray(a0)
+    return float(abs(a @ a.conj()))
 
 
 def _block_gains(geom: ArrayGeometry, c: np.ndarray, scheme: BeamformingScheme,

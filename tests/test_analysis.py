@@ -200,6 +200,20 @@ class TestIcsi:
         v = icsi(dipole_impedances[0.5])
         assert 0.0 < v < 1.0
 
+    def test_row_sums_match_ratio_matrix(self, rng, dipole_correlations, dipole_impedances):
+        def ratio_formula(q):  # the per-entry ratio matrix the row sums replace
+            mags = np.abs(q)
+            n = len(q)
+            return float(((mags / np.diag(mags)[:, None]).sum() - n) / (n * (n - 1)))
+
+        matrices = [dipole_correlations[0.25].values, dipole_impedances[0.125].values,
+                    effective_correlation(coupling_rx(dipole_impedances[0.25], Z_MATCH),
+                                          dipole_correlations[0.25]).values]
+        matrices += [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                     for n in (2, 5, 40)]
+        for q in matrices:
+            assert icsi(q) == pytest.approx(ratio_formula(q), rel=1e-13)
+
 
 class TestOrderingInvariants:
     def test_tx_icsi_ordering_half_wavelength(self, dipole_correlations,

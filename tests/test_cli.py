@@ -177,6 +177,27 @@ class TestSubcommands:
         # one per swept spacing, one for the matrix exports
         assert len(builds) == len(fast_cfg.sweep.spacings) + 1 == 2
 
+    def test_eigen_builds_no_dense_correlation_matrix(self, tmp_path, monkeypatch):
+        import tracemalloc
+        from holoris import cli, correlation
+        calls = []
+        monkeypatch.setattr(correlation, "correlation_matrix_isotropic",
+                            lambda *args: calls.append(args))
+        cfg = ExperimentConfig.from_dict({"sweep": {"eigen_aperture": 10.0,
+                                                    "eigen_spacings": [0.25]}})
+        n = 41 * 41
+        tracemalloc.start()
+        try:
+            cli.run_eigen(cfg, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        # one dense N x N float64 matrix would be n * n * 8 bytes
+        assert peak < 0.75 * n * n * 8
+        _, rows = read_csv(tmp_path / "fig3_summary.csv")
+        assert int(rows[0][1]) == n
+
     def test_correlation_matrix_export(self, fast_cfg, tmp_path):
         run("correlation", fast_cfg, tmp_path)
         header, rows = read_csv(tmp_path / "matrix_r0.csv")

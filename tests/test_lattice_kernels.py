@@ -2,6 +2,9 @@
 definitions, on small lattices with odd and even axis lengths (1 included):
 
 * the mirror-split eigensolve against dense ``eigvalsh``;
+* parity blocks gathered from an offset table against the split of the
+  gathered matrix, their dense assembly, and the blockwise coupling and
+  effective correlation against the dense path;
 * the folded-FFT wavenumber transform against a per-point direct sum;
 * the offset-table gather against the pairwise-distance formula.
 """
@@ -13,11 +16,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from holoris import (ArrayGeometry, CorrelationKind, CorrelationMatrix,
-                     DomainError, ElementKind, SpacingConvention,
-                     correlation_matrix_isotropic, coupling_rx, coupling_tx,
-                     effective_correlation, eigen_spectrum, generator_sequence,
-                     impedance_matrix_dipoles, impedance_matrix_isotropic,
-                     power_spectrum)
+                     CouplingSide, DomainError, ElementKind, ImpedanceMatrix,
+                     NumericalError, SpacingConvention,
+                     correlation_matrix_isotropic, coupling_blocks, coupling_rx,
+                     coupling_tx, effective_correlation, eigen_spectrum,
+                     generator_sequence, icsi, impedance_matrix_dipoles,
+                     impedance_matrix_isotropic, parity_blocks, power_spectrum)
+from holoris.analysis import _mirror_blocks
+from holoris.correlation import sinc_offset_table
+from holoris.geometry import gather_offsets
 from holoris.spectrum import _odd_grid
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -122,3 +129,95 @@ def test_geometry_size_mismatch_rejected():
     r = correlation_matrix_isotropic(lattice(2, 3, 0.25, 0.25))
     with pytest.raises(DomainError):
         eigen_spectrum(r, geom=g)
+
+
+def random_table(rng, nx, nz, complex_entries):
+    t = rng.standard_normal((nx, nz))
+    return t + 1j * rng.standard_normal((nx, nz)) if complex_entries else t
+
+
+@PROPERTY
+@given(axis_len, axis_len, st.booleans(), st.integers(0, 2**32 - 1))
+def test_parity_blocks_match_split_of_gathered_matrix(nx, nz, complex_entries, seed):
+    g = lattice(nx, nz, 0.25, 0.25)
+    t = random_table(np.random.default_rng(seed), nx, nz, complex_entries)
+    gathered = parity_blocks(t, g)
+    split = _mirror_blocks(gather_offsets(t, g), g, 1.0)
+    assert gathered.scale == np.abs(t).max()
+    assert [b.shape for b in gathered.blocks] == [b.shape for b in split]
+    for b, ref in zip(gathered.blocks, split):
+        assert np.iscomplexobj(b) == complex_entries
+        assert np.abs(b - ref).max() <= 1e-13 * np.abs(t).max()
+
+
+@PROPERTY
+@given(axis_len, axis_len, st.booleans(), st.integers(0, 2**32 - 1))
+def test_dense_assembly_round_trips_to_gathered_matrix(nx, nz, complex_entries, seed):
+    g = lattice(nx, nz, 0.25, 0.25)
+    t = random_table(np.random.default_rng(seed), nx, nz, complex_entries)
+    dense = parity_blocks(t, g).dense()
+    assert dense.shape == (g.n, g.n)
+    assert np.abs(dense - gather_offsets(t, g)).max() <= 1e-13 * np.abs(t).max()
+
+
+@PROPERTY
+@given(axis_len, axis_len, spacing, st.floats(0.01, 0.2), ohms, st.booleans())
+def test_blockwise_coupling_matches_dense(nx, nz, dx, gap, port, transmit):
+    g = lattice(nx, nz, dx, 0.5 + gap, ElementKind.HALF_WAVE_DIPOLE)
+    z = impedance_matrix_dipoles(g)
+    r0 = correlation_matrix_isotropic(g)
+    c = coupling_tx(z, port) if transmit else coupling_rx(z, port)
+    cb = coupling_blocks(z, port, CouplingSide.TX if transmit else CouplingSide.RX)
+    assert np.abs(cb.dense() - c.values).max() <= 1e-12 * np.abs(c.values).max()
+    dense = effective_correlation(c, r0)
+    blocks = effective_correlation(cb, parity_blocks(sinc_offset_table(g), g))
+    ref = dense_spectrum(dense.values)
+    got = eigen_spectrum(blocks, normalize_by_n=False).values
+    assert np.abs(got - ref).max() <= 1e-13 * ref[0]
+    if g.n >= 2:
+        assert icsi(blocks.dense()) == pytest.approx(icsi(dense), rel=1e-12)
+
+
+def test_lattice_impedance_gathers_values_on_first_read():
+    g = lattice(4, 3, 0.25, 0.6, ElementKind.HALF_WAVE_DIPOLE)
+    z = impedance_matrix_dipoles(g)
+    assert z._values is None and z.dim == g.n
+    assert np.abs(z.values - z.blocks.dense()).max() <= 1e-13 * np.abs(z.values).max()
+    assert z.values is z.values and not z.values.flags.writeable
+    with pytest.raises(DomainError):
+        ImpedanceMatrix(z_self=73.1 + 0j)
+    with pytest.raises(DomainError, match="offset table"):
+        ImpedanceMatrix(values=np.eye(3, dtype=complex), z_self=73.1 + 0j).blocks
+
+
+def test_blockwise_singular_coupling_raises_as_dense():
+    g = lattice(3, 2, 0.25, 0.25)
+    table = np.zeros((3, 2), dtype=complex)
+    table[0, 0] = -50.0  # Z = -50 I, so Z + 50 I is singular
+    z = ImpedanceMatrix(z_self=73.1 + 0j, table=table, geom=g)
+    with pytest.raises(NumericalError, match="singular system in rx coupling") as dense:
+        coupling_rx(z, 50.0)
+    with pytest.raises(NumericalError, match="singular system in rx coupling") as blocks:
+        coupling_blocks(z, 50.0, CouplingSide.RX)
+    assert str(blocks.value) == str(dense.value)
+
+
+def test_blockwise_non_finite_coupling_raises_as_dense(monkeypatch):
+    g = lattice(3, 2, 0.25, 0.6, ElementKind.HALF_WAVE_DIPOLE)
+    z = impedance_matrix_dipoles(g)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, np.nan + 0j))
+    with pytest.raises(NumericalError, match="non-finite tx coupling") as dense:
+        coupling_tx(z, 50.0)
+    with pytest.raises(NumericalError, match="non-finite tx coupling") as blocks:
+        coupling_blocks(z, 50.0, CouplingSide.TX)
+    assert str(blocks.value) == str(dense.value)
+
+
+def test_blocks_on_another_lattice_rejected():
+    g, other = lattice(3, 3, 0.25, 0.25), lattice(3, 3, 0.25, 0.25)
+    r0 = parity_blocks(sinc_offset_table(g), g)
+    z = impedance_matrix_isotropic(other)
+    with pytest.raises(DomainError):
+        effective_correlation(coupling_blocks(z, 50.0, CouplingSide.RX), r0)
+    with pytest.raises(DomainError):
+        eigen_spectrum(r0, geom=other)

@@ -131,6 +131,18 @@ class TestArrayGain:
             assert array_gain(c, a0, w) == pytest.approx(
                 max_gain_closed_form(c, a0), rel=1e-9)
 
+    def test_proposed_excitation_and_closed_form_match_conjugate_transpose(self, rng):
+        from holoris.response import _excitation
+        for n in (3, 17, 64):
+            c = random_coupling(rng, n).values
+            a0 = np.exp(1j * rng.uniform(0, 2 * math.pi, (n, 5)))
+            w = _excitation(BeamformingScheme.PROPOSED_MC_AWARE, c, a0, 1.0)
+            v = c.conj().T @ a0.conj()  # the N x N copy the excitation no longer makes
+            assert np.allclose(w, v / np.linalg.norm(v, axis=0), rtol=1e-12, atol=0)
+            a = a0[:, 0]
+            old = abs((a @ c) @ (c.conj().T @ a.conj()))
+            assert max_gain_closed_form(c, a) == pytest.approx(old, rel=1e-12)
+
     def test_phase_invariance(self, rng):
         c = random_coupling(rng, 7)
         a0 = np.exp(1j * rng.uniform(0, 2 * math.pi, 7))
