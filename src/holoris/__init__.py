@@ -10,8 +10,8 @@ from .correlation import (BttbReport, CorrelationKind, CorrelationMatrix,
                           isotropic_scattering_density, verify_bttb)
 from .coupling import (DEFAULT_ISOTROPIC_RESISTANCE, FREE_SPACE_IMPEDANCE,
                        HALF_WAVE_DIPOLE_SELF_IMPEDANCE, CouplingMatrix,
-                       CouplingSide, ImpedanceMatrix, coupling_blocks,
-                       coupling_rx, coupling_tx,
+                       CouplingSide, ImpedanceMatrix, coupling_rx,
+                       coupling_tx,
                        dipole_mutual_impedance, impedance_matrix_dipoles,
                        impedance_matrix_isotropic)
 from .errors import (ConfigError, DomainError, HolorisError,
@@ -40,7 +40,7 @@ __all__ = [
     "SpacingConvention", "WaveKind", "WavenumberSpectrum", "array_gain",
     "asymptotic_dof", "asymptotic_spectrum", "beamforming_vector",
     "classify_wavenumber", "correlation_matrix_isotropic", "cosine_integral",
-    "coupling_blocks", "coupling_rx", "coupling_tx", "dipole_mutual_impedance", "dominant_count",
+    "coupling_rx", "coupling_tx", "dipole_mutual_impedance", "dominant_count",
     "effective_correlation", "effective_response", "eigen_spectrum",
     "gain_sweep", "generator_sequence", "geometry_to_dict", "icsi",
     "impedance_matrix_dipoles", "impedance_matrix_isotropic",

@@ -22,8 +22,6 @@ from .errors import DomainError, KneeUndefinedError, NumericalError
 from .geometry import ArrayGeometry, ParityBlocks
 
 _HERMITIAN_TOL = 1e-8
-_MIRROR_TOL = 1e-10
-_SQRT2 = math.sqrt(2.0)
 # Negative eigenvalues of a PSD matrix are round-off; more negative mass
 # than this share of the largest eigenvalue means the input is not PSD.
 _NEGATIVE_MASS_TOL = 1e-8
@@ -62,20 +60,21 @@ class EigenSpectrum:
         return len(self.values)
 
 
-def effective_correlation(coupling: CouplingMatrix | ParityBlocks,
+def effective_correlation(coupling: CouplingMatrix,
                           r0: CorrelationMatrix | ParityBlocks
                           ) -> CorrelationMatrix | ParityBlocks:
     """Effective correlation C^T R0 conj(C) under a coupling matrix.
 
-    Given the parity blocks of C and of the base correlation R0, it is
-    C_b^T R0_b conj(C_b) for each block: the basis is real and
-    orthogonal, so transposes and conjugates stay inside it.
+    Given the parity blocks of the base correlation R0, it is
+    C_b^T R0_b conj(C_b) for each parity block of C: the basis is real
+    and orthogonal, so transposes and conjugates stay inside it.
     """
     if isinstance(r0, ParityBlocks):
-        if not isinstance(coupling, ParityBlocks) or coupling.geom is not r0.geom:
+        cb = coupling.blocks
+        if cb.geom is not r0.geom:
             raise DomainError("blockwise effective correlation needs coupling blocks "
                               "on the same lattice")
-        return ParityBlocks(tuple(c.T @ r @ c.conj() for c, r in zip(coupling.blocks, r0.blocks)),
+        return ParityBlocks(tuple(c.T @ r @ c.conj() for c, r in zip(cb.blocks, r0.blocks)),
                             r0.geom)
     if r0.kind is not CorrelationKind.MC_UNAWARE:
         raise DomainError(f"base correlation must be mc_unaware, got {r0.kind.value}")
@@ -139,87 +138,17 @@ def _hermitian_part(values: np.ndarray, scale: float) -> np.ndarray:
     return values - 0.5 * skew
 
 
-def _mirror_defect(a4: np.ndarray) -> float:
-    """Largest entry change of a (nz, nx, nz, nx) matrix under the x and
-    under the z reversal of the lattice.  A reversal pairs up entries, so
-    half of the rows covers every pair; one block row at a time keeps the
-    temporaries small."""
-    nz, nx = a4.shape[:2]
-    hx = (nx + 1) // 2
-    worst = 0.0
-    for k in range(nz):
-        worst = max(worst, float(np.abs(a4[k, :hx] - a4[k, ::-1, :, ::-1][:hx]).max()))
-    for k in range((nz + 1) // 2):
-        worst = max(worst, float(np.abs(a4[k] - a4[nz - 1 - k, :, ::-1, :]).max()))
-    return worst
-
-
-def _mirror_block(a: np.ndarray, row_axis: int, col_axis: int, odd: bool) -> np.ndarray:
-    """Block of a matrix that commutes with the reversal of one lattice
-    axis, in the even (``odd=False``) or odd (``odd=True``) half of that
-    axis's orthonormal mirror basis: (e_i +/- e_{n-1-i}) / sqrt(2) for
-    i < n // 2, plus the centre e_{n // 2} in the even half when n is odd.
-
-    By the symmetry (Cantoni & Butler 1976) the block needs only the
-    first rows: B[r, c] = A[r, c] +/- A[r, n-1-c] for r, c < n // 2,
-    sqrt(2) A[r, c] where one of r, c is the centre and A[c, c] where
-    both are.
-    """
-    a = np.moveaxis(a, (row_axis, col_axis), (0, 1))
-    n = a.shape[0]
-    h = n // 2
-    m = h if odd else n - h
-    lo, hi = a[:m, :h], a[:m, n - 1:n - 1 - h:-1]
-    if odd:
-        b = lo - hi
-    else:
-        b = np.empty((m, m) + a.shape[2:], dtype=a.dtype)
-        np.add(lo, hi, out=b[:, :h])
-        if m > h:
-            b[:, h] = a[:m, h] * _SQRT2
-            b[h] /= _SQRT2
-    return np.moveaxis(b, (0, 1), (row_axis, col_axis))
-
-
-def _mirror_blocks(values: np.ndarray, geom: ArrayGeometry, scale: float) -> list[np.ndarray]:
-    """The four parity blocks, one per (z, x) mirror parity, of a lattice
-    matrix that commutes with the x and z reversals; their eigenvalues
-    together are those of the matrix."""
-    if values.shape != (geom.n, geom.n):
-        raise DomainError(
-            f"matrix shape {values.shape} does not match geometry with {geom.n} elements"
-        )
-    a4 = values.reshape(geom.nz, geom.nx, geom.nz, geom.nx)
-    defect = _mirror_defect(a4)
-    if defect > _MIRROR_TOL * scale:
-        raise DomainError(
-            f"matrix not mirror-symmetric on the lattice: defect {defect:.3e} at scale {scale:.3e}"
-        )
-    blocks = []
-    for pz in (False, True):
-        zz = _mirror_block(a4, 0, 2, pz)
-        for px in (False, True):
-            b = _mirror_block(zz, 1, 3, px)
-            m = b.shape[0] * b.shape[1]
-            if m:
-                blocks.append(b.reshape(m, m))
-    return blocks
-
-
 def eigen_spectrum(r: CorrelationMatrix | ParityBlocks, normalize_by_n: bool = True,
                    geom: ArrayGeometry | None = None) -> EigenSpectrum:
     """Eigenvalues of a correlation matrix, sorted non-increasing.
 
-    The input must be Hermitian within 1e-8 of its scale.  With ``geom``,
-    the matrix must also commute with the x and z reversals of the
-    lattice (within 1e-10 of its scale, else ``DomainError``), as every
-    correlation, impedance and coupling matrix built on a uniform grid
-    does; the even/odd basis of each axis then splits it exactly into
-    four Hermitian blocks of about N/4, which are solved separately.
-    Without ``geom`` the full matrix is solved.  A matrix given as its
-    ``ParityBlocks`` is solved block by block as it is; its geometry is
-    the blocks' own, and its scale the blocks' ``scale``, or their
-    largest entry when that is not known.
+    The input must be Hermitian within 1e-8 of its scale.  A matrix
+    given as a ``CorrelationMatrix`` is solved whole; ``geom``, when
+    given, must have its size and sets ``asymptotic_dof``.  A matrix
+    given as its ``ParityBlocks`` is solved block by block, which is
+    exact for every lattice matrix that commutes with the x and z
+    reversals; its geometry is the blocks' own, and its scale the
+    blocks' ``scale``, or their largest entry when that is not known.
 
     Effective correlation matrices can carry tiny negative round-off
     eigenvalues; magnitudes are reported (matching how eigenvalue decay
@@ -235,9 +164,11 @@ def eigen_spectrum(r: CorrelationMatrix | ParityBlocks, normalize_by_n: bool = T
         scale = r.scale or max(float(np.abs(b).max()) for b in blocks) or 1.0
     else:
         values, dim = r.values, r.dim
+        if geom is not None and geom.n != dim:
+            raise DomainError(f"matrix dim {dim} does not match geometry with {geom.n} elements")
         # row by row: a whole-matrix abs() would be one more N x N temporary
         scale = max((float(np.abs(row).max()) for row in values), default=0.0) or 1.0
-        blocks = [values] if geom is None else _mirror_blocks(values, geom, scale)
+        blocks = [values]
     ev = np.concatenate([np.linalg.eigvalsh(_hermitian_part(b, scale)) for b in blocks])
     top = float(ev.max())
     negative = float(-ev[ev < 0.0].sum())

@@ -277,9 +277,10 @@ def _cases(cfg: ExperimentConfig, z, r0):
     imp = cfg.impedance
     for side, ports, prefix, name in (("tx", imp.z_source_cases, "zs", "z_source"),
                                       ("rx", imp.z_load_cases, "zl", "z_load")):
+        solve = coupling.coupling_tx if side == "tx" else coupling.coupling_rx
         yield side, "no_mc", "coupling: none", r0
         for zp in ports:
-            c = coupling.coupling_blocks(z, zp, coupling.CouplingSide(side))
+            c = solve(z, zp)
             yield (side, impedance_label(prefix, zp), f"{name}: {zp}",
                    analysis.effective_correlation(c, r0))
 
@@ -311,7 +312,7 @@ def run_mc_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
             for model, load in (("dipole", imp.z_antenna.conjugate()),
                                 ("isotropic", imp.r_iso)):
                 zm = z if model == imp.model else _impedance(geom, imp, model)
-                c = coupling.coupling_blocks(zm, load, coupling.CouplingSide.RX)
+                c = coupling.coupling_rx(zm, load)
                 r = analysis.effective_correlation(c, r0)
                 paths.append(_eigen_csv(
                     outdir / f"fig10_rx_dx{label}_{model}.csv",

@@ -74,29 +74,51 @@ class ImpedanceMatrix:
 
 
 def _shifted_condition(z: ImpedanceMatrix, shift: complex) -> float:
-    """2-norm condition number of Z + shift I."""
-    return float(np.linalg.cond(z.values + shift * np.eye(z.dim)))
+    """2-norm condition number of Z + shift I, or nan when its SVD fails,
+    as it does on non-finite entries."""
+    try:
+        return float(np.linalg.cond(z.values + shift * np.eye(z.dim)))
+    except np.linalg.LinAlgError:
+        return math.nan
 
 
 class CouplingMatrix:
     """Dimensionless port-domain coupling matrix.
 
     Normalized so that an impedance matrix without mutual terms maps to
-    the identity for any admissible port impedance.  ``condition`` is
-    the 2-norm condition number of the matrix that was inverted,
-    Z + port_impedance I: either given, or computed from the
+    the identity for any admissible port impedance.  Given ``values``,
+    it is that matrix.  Given the mirror-parity ``blocks`` of a lattice
+    coupling instead, ``values`` is assembled from them on first read.
+    ``condition`` is the 2-norm condition number of the matrix that was
+    inverted, Z + port_impedance I: either given, or computed from the
     ``impedance`` matrix Z on first read and cached.
     """
 
-    def __init__(self, values: np.ndarray, side: CouplingSide, port_impedance: complex,
-                 condition: float | None = None, impedance: ImpedanceMatrix | None = None):
+    def __init__(self, values: np.ndarray | None = None, *, side: CouplingSide,
+                 port_impedance: complex, condition: float | None = None,
+                 impedance: ImpedanceMatrix | None = None, blocks: ParityBlocks | None = None):
+        if (values is None) == (blocks is None):
+            raise DomainError("a coupling matrix needs its values or its parity blocks")
         if condition is None and impedance is None:
             raise DomainError("a coupling matrix needs a condition number or an impedance matrix")
-        self.values = read_only_view(values)
+        self._values = None if values is None else read_only_view(values)
+        self._blocks = blocks
         self.side = side
         self.port_impedance = port_impedance
         self._condition = condition
         self._impedance = impedance
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = read_only_view(self._blocks.dense())
+        return self._values
+
+    @property
+    def blocks(self) -> ParityBlocks:
+        if self._blocks is None:
+            raise DomainError("parity blocks need a coupling solved from an impedance offset table")
+        return self._blocks
 
     @property
     def condition(self) -> float:
@@ -106,7 +128,7 @@ class CouplingMatrix:
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        return self._blocks.geom.n if self._values is None else self._values.shape[0]
 
 
 def dipole_mutual_impedance(dh: float, dv: float, wavelength: float = 1.0) -> complex:
@@ -216,18 +238,20 @@ def impedance_matrix_isotropic(geom: ArrayGeometry,
     return ImpedanceMatrix(z_self=complex(r_iso), table=table, geom=geom)
 
 
-def _normalized_inverse(z: ImpedanceMatrix, mats, port: complex,
-                        side: CouplingSide) -> list[np.ndarray]:
-    """The coupling matrix of ``side`` for each of ``mats``: the dense Z,
-    or the parity blocks of Z, which give the parity blocks of C."""
+def _normalized_inverse(z: ImpedanceMatrix, port: complex, side: CouplingSide) -> CouplingMatrix:
+    """The coupling matrix of ``side``.  A lattice Z is solved block by
+    block, and its parity blocks give those of C; any other Z is solved
+    whole."""
+    port = complex(port)
     if side is CouplingSide.TX:
         if z.z_self + port == 0:
             raise DomainError("z_self + z_source = 0 leaves the normalization undefined")
         prefactor = 1.0 + port / z.z_self
     else:
         prefactor = z.z_self + port
+    zblocks = None if z._table is None else z.blocks
     out = []
-    for zb in mats:
+    for zb in ([z.values] if zblocks is None else zblocks.blocks):
         eye = np.eye(len(zb), dtype=complex)
         numerator = zb if side is CouplingSide.TX else eye
         try:
@@ -239,27 +263,17 @@ def _normalized_inverse(z: ImpedanceMatrix, mats, port: complex,
             raise NumericalError(f"non-finite {side.value} coupling entries "
                                  f"(condition {_shifted_condition(z, port):.3e})")
         out.append(prefactor * solved)
-    return out
-
-
-def _coupling(z: ImpedanceMatrix, port: complex, side: CouplingSide) -> CouplingMatrix:
-    port = complex(port)
-    (values,) = _normalized_inverse(z, [z.values], port, side)
-    return CouplingMatrix(values=values, side=side, port_impedance=port, impedance=z)
+    if zblocks is None:
+        return CouplingMatrix(out[0], side=side, port_impedance=port, impedance=z)
+    return CouplingMatrix(blocks=ParityBlocks(tuple(out), zblocks.geom), side=side,
+                          port_impedance=port, impedance=z)
 
 
 def coupling_tx(z: ImpedanceMatrix, z_source: complex) -> CouplingMatrix:
     """Transmit-side coupling matrix (1 + zS/zA) Z (Z + zS I)^-1."""
-    return _coupling(z, z_source, CouplingSide.TX)
+    return _normalized_inverse(z, z_source, CouplingSide.TX)
 
 
 def coupling_rx(z: ImpedanceMatrix, z_load: complex) -> CouplingMatrix:
     """Receive-side coupling matrix (zA + zL) (Z + zL I)^-1."""
-    return _coupling(z, z_load, CouplingSide.RX)
-
-
-def coupling_blocks(z: ImpedanceMatrix, port: complex, side: CouplingSide) -> ParityBlocks:
-    """Parity blocks of the ``coupling_tx`` or ``coupling_rx`` matrix of
-    a lattice impedance matrix, solved block by block from ``z.blocks``."""
-    zb = z.blocks
-    return ParityBlocks(tuple(_normalized_inverse(z, zb.blocks, complex(port), side)), zb.geom)
+    return _normalized_inverse(z, z_load, CouplingSide.RX)

@@ -141,13 +141,17 @@ class ParityBlocks:
     def dense(self) -> np.ndarray:
         """The (N, N) matrix, assembled from the blocks in O(N^2)."""
         g = self.geom
-        out = np.zeros((g.nz, g.nx, g.nz, g.nx), dtype=np.result_type(*self.blocks))
+        out = np.zeros((g.n, g.n), dtype=np.result_type(*self.blocks))
         for (pz, px, mz, mx), b in zip(_parities(g), self.blocks):
-            b = b.reshape(mz, mx, mz, mx)
-            for axis, n, odd in ((0, g.nz, pz), (1, g.nx, px), (2, g.nz, pz), (3, g.nx, px)):
-                b = _unmirror(b, axis, n, odd)
-            out += b
-        return out.reshape(g.n, g.n)
+            (rz, wz), (rx, wx) = _unmirror(g.nz, pz), _unmirror(g.nx, px)
+            # lattice point (iz, ix) takes block row (rz[iz], rx[ix]), z-major
+            rows = (rz[:, None] * mx + rx).ravel()
+            w = (wz[:, None] * wx).ravel()
+            part = b.take(rows, axis=0).take(rows, axis=1)
+            part *= w[:, None]
+            part *= w
+            out += part
+        return out
 
 
 def _parities(geom: ArrayGeometry):
@@ -183,18 +187,18 @@ def _mirror_gather(table: np.ndarray, axis: int, odd: bool) -> np.ndarray:
     return b
 
 
-def _unmirror(b: np.ndarray, axis: int, n: int, odd: bool) -> np.ndarray:
-    """Inverse of the split along one axis: the entries, along ``axis``, of
-    the even or odd half of an n-point axis's mirror basis applied to b."""
+def _unmirror(n: int, odd: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of the split along one n-point axis: point i is w[i] times
+    entry r[i] of the even or odd half of the axis's mirror basis, with
+    w = 1 / sqrt(2), negated on the far half of the odd basis, except at
+    the centre of an odd n (1 in the even half, 0 in the odd one)."""
     h = n // 2
-    b = np.moveaxis(b, axis, 0)
-    out = np.zeros((n,) + b.shape[1:], dtype=b.dtype)
-    half = b[:h] * _SQRT1_2
-    out[:h] = half
-    out[n - 1:n - 1 - h:-1] = -half if odd else half
-    if n > 2 * h and not odd:
-        out[h] = b[h]
-    return np.moveaxis(out, 0, axis)
+    i = np.arange(n)
+    r = np.minimum(i, n - 1 - i)
+    w = np.where(odd & (i >= n - h), -_SQRT1_2, _SQRT1_2)
+    if n > 2 * h:
+        r[h], w[h] = (0, 0.0) if odd else (h, 1.0)
+    return r, w
 
 
 def parity_blocks(table: np.ndarray, geom: ArrayGeometry) -> ParityBlocks:

@@ -58,11 +58,14 @@ def _coupling_values(coupling: CouplingMatrix | np.ndarray) -> np.ndarray:
 
 
 def _excitation(scheme: BeamformingScheme, c: np.ndarray, a0: np.ndarray,
-                w0_mag: float) -> np.ndarray:
+                w0_mag: float, a: np.ndarray | None = None) -> np.ndarray:
     """Excitation of a scheme for a response vector a0, or for each column
-    of a matrix a0, scaled to ||w|| = w0_mag (per column)."""
+    of a matrix a0, scaled to ||w|| = w0_mag (per column).  ``a`` is the
+    effective response C^T a0 when the caller already has it."""
     if scheme is BeamformingScheme.PROPOSED_MC_AWARE:
-        w = (c.T @ a0).conj()  # C^H conj(a0), without an N x N conjugate copy
+        if a is None:
+            a = c.T @ a0
+        w = a.conj()  # C^H conj(a0), without an N x N conjugate copy
     elif scheme is BeamformingScheme.DIRECTIVITY_MAX:
         try:
             w = np.linalg.solve(c, a0.conj())
@@ -131,9 +134,9 @@ def _block_gains(geom: ArrayGeometry, c: np.ndarray, scheme: BeamformingScheme,
     st = math.sin(theta)
     d_hat = np.stack([st * np.cos(phis), st * np.sin(phis), np.full_like(phis, math.cos(theta))])
     a0 = np.exp(1j * geom.wavenumber * (geom.positions @ d_hat))
-    w = _excitation(scheme, c, a0, w0_mag)
-    _check_power(np.linalg.norm(w, axis=0), w0_mag)
     a = a0 if scheme is BeamformingScheme.NO_MC_REFERENCE else c.T @ a0
+    w = _excitation(scheme, c, a0, w0_mag, a)
+    _check_power(np.linalg.norm(w, axis=0), w0_mag)
     return np.abs(np.einsum("np,np->p", a, w)) ** 2 / w0_mag**2
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import holoris
 from holoris import (ArrayGeometry, CouplingMatrix, CouplingSide, DomainError,
                      ElementKind, FREE_SPACE_IMPEDANCE,
                      HALF_WAVE_DIPOLE_SELF_IMPEDANCE, ImpedanceMatrix,
@@ -262,3 +263,7 @@ class TestCouplingMatrices:
         c1 = coupling_rx(impedance_matrix_isotropic(g, 73.1), 73.1)
         c2 = coupling_rx(impedance_matrix_isotropic(g, 13.7), 13.7)
         assert np.abs(c1.values - c2.values).max() < 1e-10
+
+
+def test_every_public_name_resolves():
+    assert [name for name in holoris.__all__ if not hasattr(holoris, name)] == []

@@ -1,10 +1,13 @@
 """Property tests of the lattice kernels against their dense or direct
 definitions, on small lattices with odd and even axis lengths (1 included):
 
-* the mirror-split eigensolve against dense ``eigvalsh``;
-* parity blocks gathered from an offset table against the split of the
-  gathered matrix, their dense assembly, and the blockwise coupling and
-  effective correlation against the dense path;
+* parity blocks gathered from an offset table against P_b^T A P_b, with
+  the orthonormal parity basis P built here from its definition, and
+  their dense assembly against the gathered matrix;
+* the blockwise eigensolve of parity blocks, of a correlation and of an
+  effective correlation under ``coupling_tx``/``coupling_rx``, against
+  dense ``eigvalsh``;
+* the blockwise coupling against the closed-form coupling matrices;
 * the folded-FFT wavenumber transform against a per-point direct sum;
 * the offset-table gather against the pairwise-distance formula.
 """
@@ -13,16 +16,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from holoris import (ArrayGeometry, CorrelationKind, CorrelationMatrix,
-                     CouplingSide, DomainError, ElementKind, ImpedanceMatrix,
-                     NumericalError, SpacingConvention,
-                     correlation_matrix_isotropic, coupling_blocks, coupling_rx,
-                     coupling_tx, effective_correlation, eigen_spectrum,
-                     generator_sequence, icsi, impedance_matrix_dipoles,
-                     impedance_matrix_isotropic, parity_blocks, power_spectrum)
-from holoris.analysis import _mirror_blocks
+from holoris import (ArrayGeometry, DomainError, ElementKind, ImpedanceMatrix,
+                     NumericalError, ParityBlocks, SpacingConvention,
+                     correlation_matrix_isotropic, coupling_rx, coupling_tx,
+                     effective_correlation, eigen_spectrum, generator_sequence,
+                     icsi, impedance_matrix_dipoles, impedance_matrix_isotropic,
+                     parity_blocks, power_spectrum)
 from holoris.correlation import sinc_offset_table
 from holoris.geometry import gather_offsets
 from holoris.spectrum import _odd_grid
@@ -45,32 +46,66 @@ def lattice(nx, nz, dx, dz, kind=ElementKind.ISOTROPIC):
                          dipole_length=0.5 if dipole else 0.0)
 
 
+def mirror_basis(n, odd):
+    """(n, m) columns of one axis's even or odd mirror basis:
+    (e_i +/- e_{n-1-i}) / sqrt(2) for i < n // 2, then the centre
+    e_{n // 2} in the even half of an odd n."""
+    cols = []
+    for i in range(n // 2):
+        v = np.zeros(n)
+        v[i], v[n - 1 - i] = 1.0, -1.0 if odd else 1.0
+        cols.append(v / math.sqrt(2.0))
+    if n % 2 and not odd:
+        cols.append(np.eye(n)[n // 2])
+    return np.array(cols).reshape(len(cols), n).T
+
+
+def parity_bases(geom):
+    """Orthonormal basis P_b of each non-empty (z, x) parity block, in
+    block order; lattice rows are z-major, so P_b = P_z (x) P_x."""
+    bases = [np.kron(mirror_basis(geom.nz, pz), mirror_basis(geom.nx, px))
+             for pz in (False, True) for px in (False, True)]
+    return [p for p in bases if p.shape[1]]
+
+
 def dense_spectrum(values):
     return np.sort(np.abs(np.linalg.eigvalsh(values)))[::-1]
 
 
-def assert_split_matches_dense(r, geom):
-    split = eigen_spectrum(r, normalize_by_n=False, geom=geom).values
-    dense = dense_spectrum(r.values)
-    assert np.abs(split - dense).max() <= 1e-13 * dense[0]
+def coupling_formula(z, port, transmit):
+    """(1 + zS/zA) Z (Z + zS I)^-1 or (zA + zL) (Z + zL I)^-1 of a Z."""
+    inv = np.linalg.inv(z.values + port * np.eye(z.dim))
+    return (1.0 + port / z.z_self) * z.values @ inv if transmit else (z.z_self + port) * inv
+
+
+def dipole_coupling(nx, nz, dx, gap, port, transmit):
+    """A dipole lattice, its impedance matrix and its coupling matrix."""
+    g = lattice(nx, nz, dx, 0.5 + gap, ElementKind.HALF_WAVE_DIPOLE)
+    z = impedance_matrix_dipoles(g)
+    return g, z, coupling_tx(z, port) if transmit else coupling_rx(z, port)
+
+
+def assert_split_matches_dense(blocks, dense):
+    split = eigen_spectrum(blocks, normalize_by_n=False).values
+    ref = dense_spectrum(dense)
+    assert np.abs(split - ref).max() <= 1e-13 * ref[0]
 
 
 @PROPERTY
 @given(axis_len, axis_len, spacing, spacing)
 def test_split_eigenvalues_real_correlation(nx, nz, dx, dz):
     g = lattice(nx, nz, dx, dz)
-    assert_split_matches_dense(correlation_matrix_isotropic(g), g)
+    assert_split_matches_dense(parity_blocks(sinc_offset_table(g), g),
+                               correlation_matrix_isotropic(g).values)
 
 
 @PROPERTY
 @given(axis_len, axis_len, spacing, st.floats(0.01, 0.2), ohms, st.booleans())
 def test_split_eigenvalues_effective_correlation(nx, nz, dx, gap, port, transmit):
-    g = lattice(nx, nz, dx, 0.5 + gap, ElementKind.HALF_WAVE_DIPOLE)
-    z = impedance_matrix_dipoles(g)
-    c = coupling_tx(z, port) if transmit else coupling_rx(z, port)
-    r = effective_correlation(c, correlation_matrix_isotropic(g))
-    assert np.iscomplexobj(r.values)
-    assert_split_matches_dense(r, g)
+    g, z, c = dipole_coupling(nx, nz, dx, gap, port, transmit)
+    r = effective_correlation(c, parity_blocks(sinc_offset_table(g), g))
+    cd = coupling_formula(z, port, transmit)
+    assert_split_matches_dense(r, cd.T @ correlation_matrix_isotropic(g).values @ cd.conj())
 
 
 @PROPERTY
@@ -102,28 +137,6 @@ def test_gathered_matrices_match_pairwise_distances(nx, nz, dx, dz, r_iso):
     assert np.abs(z - r_iso * kernel).max() <= 1e-14 * r_iso
 
 
-@PROPERTY
-@given(axis_len, axis_len, st.integers(0, 2**32 - 1))
-def test_matrix_without_mirror_symmetry_rejected(nx, nz, seed):
-    assume(nx * nz >= 2)  # a single element is trivially mirror-symmetric
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((nx * nz, nx * nz))
-    r = CorrelationMatrix(values=x + x.T, kind=CorrelationKind.MC_UNAWARE)
-    with pytest.raises(DomainError, match="mirror"):
-        eigen_spectrum(r, geom=lattice(nx, nz, 0.25, 0.25))
-
-
-def test_small_mirror_defect_rejected_but_hermitian_accepted():
-    g = lattice(5, 4, 0.25, 0.25)
-    values = correlation_matrix_isotropic(g).values.copy()
-    values[0, 1] += 1e-6  # Hermitian, but no longer mirror-symmetric
-    values[1, 0] += 1e-6
-    r = CorrelationMatrix(values=values, kind=CorrelationKind.MC_UNAWARE)
-    assert math.isfinite(eigen_spectrum(r).values[0])
-    with pytest.raises(DomainError, match="mirror"):
-        eigen_spectrum(r, geom=g)
-
-
 def test_geometry_size_mismatch_rejected():
     g = lattice(3, 3, 0.25, 0.25)
     r = correlation_matrix_isotropic(lattice(2, 3, 0.25, 0.25))
@@ -141,12 +154,23 @@ def random_table(rng, nx, nz, complex_entries):
 def test_parity_blocks_match_split_of_gathered_matrix(nx, nz, complex_entries, seed):
     g = lattice(nx, nz, 0.25, 0.25)
     t = random_table(np.random.default_rng(seed), nx, nz, complex_entries)
+    a = gather_offsets(t, g)
+    bases = parity_bases(g)
+    p = np.hstack(bases)
+    assert np.abs(p.T @ p - np.eye(g.n)).max() <= 1e-15
+    # the basis splits the gathered matrix exactly: no cross-parity terms
+    split = p.T @ a @ p
+    edges = np.cumsum([0] + [b.shape[1] for b in bases])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        split[lo:hi, lo:hi] = 0.0
+    assert np.abs(split).max(initial=0.0) <= 1e-13 * np.abs(t).max()
     gathered = parity_blocks(t, g)
-    split = _mirror_blocks(gather_offsets(t, g), g, 1.0)
     assert gathered.scale == np.abs(t).max()
-    assert [b.shape for b in gathered.blocks] == [b.shape for b in split]
-    for b, ref in zip(gathered.blocks, split):
+    assert len(gathered.blocks) == len(bases)
+    for b, pb in zip(gathered.blocks, bases):
+        ref = pb.T @ a @ pb
         assert np.iscomplexobj(b) == complex_entries
+        assert b.shape == ref.shape
         assert np.abs(b - ref).max() <= 1e-13 * np.abs(t).max()
 
 
@@ -163,19 +187,41 @@ def test_dense_assembly_round_trips_to_gathered_matrix(nx, nz, complex_entries, 
 @PROPERTY
 @given(axis_len, axis_len, spacing, st.floats(0.01, 0.2), ohms, st.booleans())
 def test_blockwise_coupling_matches_dense(nx, nz, dx, gap, port, transmit):
-    g = lattice(nx, nz, dx, 0.5 + gap, ElementKind.HALF_WAVE_DIPOLE)
-    z = impedance_matrix_dipoles(g)
-    r0 = correlation_matrix_isotropic(g)
-    c = coupling_tx(z, port) if transmit else coupling_rx(z, port)
-    cb = coupling_blocks(z, port, CouplingSide.TX if transmit else CouplingSide.RX)
-    assert np.abs(cb.dense() - c.values).max() <= 1e-12 * np.abs(c.values).max()
-    dense = effective_correlation(c, r0)
-    blocks = effective_correlation(cb, parity_blocks(sinc_offset_table(g), g))
-    ref = dense_spectrum(dense.values)
-    got = eigen_spectrum(blocks, normalize_by_n=False).values
-    assert np.abs(got - ref).max() <= 1e-13 * ref[0]
+    g, z, c = dipole_coupling(nx, nz, dx, gap, port, transmit)
+    ref = coupling_formula(z, port, transmit)
+    assert np.abs(c.blocks.dense() - ref).max() <= 1e-12 * np.abs(ref).max()
+    r0 = correlation_matrix_isotropic(g).values
+    dense = ref.T @ r0 @ ref.conj()
+    blocks = effective_correlation(c, parity_blocks(sinc_offset_table(g), g)).dense()
+    assert np.abs(blocks - dense).max() <= 1e-12 * np.abs(dense).max()
     if g.n >= 2:
-        assert icsi(blocks.dense()) == pytest.approx(icsi(dense), rel=1e-12)
+        assert icsi(blocks) == pytest.approx(icsi(dense), rel=1e-12)
+
+
+@pytest.mark.parametrize("transmit", [True, False])
+def test_lattice_coupling_assembles_values_on_first_read(transmit, monkeypatch):
+    g = lattice(5, 4, 0.2, 0.55, ElementKind.HALF_WAVE_DIPOLE)
+    z = impedance_matrix_dipoles(g)
+    assembled = []
+    dense = ParityBlocks.dense
+    monkeypatch.setattr(ParityBlocks, "dense", lambda self: assembled.append(self) or dense(self))
+    c = coupling_tx(z, 50.0 + 10j) if transmit else coupling_rx(z, 50.0 + 10j)
+    assert c.dim == g.n and len(c.blocks.blocks) == 4
+    assert assembled == [] and c._values is None and z._values is None
+    values = c.values
+    assert assembled == [c.blocks] and c.values is values and not values.flags.writeable
+    ref = coupling_formula(z, 50.0 + 10j, transmit)
+    assert np.abs(values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_values_only_coupling_has_no_blocks():
+    g = lattice(3, 2, 0.25, 0.6, ElementKind.HALF_WAVE_DIPOLE)
+    z = ImpedanceMatrix(values=impedance_matrix_dipoles(g).values, z_self=73.1 + 42.5j)
+    c = coupling_rx(z, 50.0)
+    with pytest.raises(DomainError, match="parity blocks"):
+        c.blocks
+    with pytest.raises(DomainError, match="parity blocks"):
+        effective_correlation(c, parity_blocks(sinc_offset_table(g), g))
 
 
 def test_lattice_impedance_gathers_values_on_first_read():
@@ -190,15 +236,20 @@ def test_lattice_impedance_gathers_values_on_first_read():
         ImpedanceMatrix(values=np.eye(3, dtype=complex), z_self=73.1 + 0j).blocks
 
 
+def values_only(z):
+    """The same impedance matrix held as its dense values alone."""
+    return ImpedanceMatrix(values=z.values, z_self=z.z_self)
+
+
 def test_blockwise_singular_coupling_raises_as_dense():
     g = lattice(3, 2, 0.25, 0.25)
     table = np.zeros((3, 2), dtype=complex)
     table[0, 0] = -50.0  # Z = -50 I, so Z + 50 I is singular
     z = ImpedanceMatrix(z_self=73.1 + 0j, table=table, geom=g)
-    with pytest.raises(NumericalError, match="singular system in rx coupling") as dense:
-        coupling_rx(z, 50.0)
     with pytest.raises(NumericalError, match="singular system in rx coupling") as blocks:
-        coupling_blocks(z, 50.0, CouplingSide.RX)
+        coupling_rx(z, 50.0)
+    with pytest.raises(NumericalError, match="singular system in rx coupling") as dense:
+        coupling_rx(values_only(z), 50.0)
     assert str(blocks.value) == str(dense.value)
 
 
@@ -206,11 +257,27 @@ def test_blockwise_non_finite_coupling_raises_as_dense(monkeypatch):
     g = lattice(3, 2, 0.25, 0.6, ElementKind.HALF_WAVE_DIPOLE)
     z = impedance_matrix_dipoles(g)
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, np.nan + 0j))
-    with pytest.raises(NumericalError, match="non-finite tx coupling") as dense:
-        coupling_tx(z, 50.0)
     with pytest.raises(NumericalError, match="non-finite tx coupling") as blocks:
-        coupling_blocks(z, 50.0, CouplingSide.TX)
+        coupling_tx(z, 50.0)
+    with pytest.raises(NumericalError, match="non-finite tx coupling") as dense:
+        coupling_tx(values_only(z), 50.0)
     assert str(blocks.value) == str(dense.value)
+
+
+@pytest.mark.parametrize("table_backed", [True, False], ids=["table", "values"])
+@pytest.mark.parametrize("solve, side", [(coupling_tx, "tx"), (coupling_rx, "rx")])
+def test_nan_impedance_raises_numerical_error(solve, side, table_backed):
+    g = lattice(3, 2, 0.25, 0.25)
+    table = 73.1 * sinc_offset_table(g).astype(complex)
+    if table_backed:
+        table[1, 0] = np.nan
+        z = ImpedanceMatrix(z_self=73.1 + 0j, table=table, geom=g)
+    else:
+        values = gather_offsets(table, g)
+        values[0, 1] = np.nan
+        z = ImpedanceMatrix(values=values, z_self=73.1 + 0j)
+    with pytest.raises(NumericalError, match=f"{side} coupling.*condition"):
+        solve(z, 50.0)
 
 
 def test_blocks_on_another_lattice_rejected():
@@ -218,6 +285,6 @@ def test_blocks_on_another_lattice_rejected():
     r0 = parity_blocks(sinc_offset_table(g), g)
     z = impedance_matrix_isotropic(other)
     with pytest.raises(DomainError):
-        effective_correlation(coupling_blocks(z, 50.0, CouplingSide.RX), r0)
+        effective_correlation(coupling_rx(z, 50.0), r0)
     with pytest.raises(DomainError):
         eigen_spectrum(r0, geom=other)
