@@ -19,7 +19,7 @@ import numpy as np
 from .correlation import CorrelationKind, CorrelationMatrix
 from .coupling import CouplingMatrix, CouplingSide
 from .errors import DomainError, KneeUndefinedError, NumericalError
-from .geometry import ArrayGeometry, ParityBlocks
+from .geometry import ArrayGeometry, ParityBlocks, _parities
 
 _HERMITIAN_TOL = 1e-8
 # Negative eigenvalues of a PSD matrix are round-off; more negative mass
@@ -130,12 +130,45 @@ def knee_index(values, floor: float = _KNEE_FLOOR,
 
 def _hermitian_part(values: np.ndarray, scale: float) -> np.ndarray:
     """(A + A^H) / 2 of a matrix that must be Hermitian within 1e-8 of
-    ``scale``."""
+    ``scale``; an exactly Hermitian matrix is returned as it is."""
+    if np.array_equal(values, values.conj().T):
+        return values
     skew = values - values.conj().T
     defect = float(np.abs(skew).max())
     if defect > _HERMITIAN_TOL * scale:
         raise DomainError(f"matrix not Hermitian: defect {defect:.3e} at scale {scale:.3e}")
     return values - 0.5 * skew
+
+
+def _swap_half(b: np.ndarray, m: int, antisymmetric: bool) -> np.ndarray:
+    """Half of a swap-commuting diagonal parity block of m x m points, in
+    the basis (e_ab + e_ba) / sqrt(2) and e_aa, or (e_ab - e_ba) / sqrt(2),
+    a < b; terms are paired so that it is exactly Hermitian if b is."""
+    a, c = np.triu_indices(m, k=int(antisymmetric))
+    i, j = a * m + c, c * m + a
+    h = b[np.ix_(i, i)]
+    h += b[np.ix_(j, j)]
+    cross = b[np.ix_(i, j)]
+    cross += b[np.ix_(j, i)]
+    (np.subtract if antisymmetric else np.add)(h, cross, out=h)
+    w = np.where(a == c, 0.5, math.sqrt(0.5))
+    h *= np.outer(w, w)
+    return h
+
+
+def _parity_eigenvalues(r: ParityBlocks, scale: float):
+    """Eigenvalues of the parity blocks of ``r``, one array per solve;
+    under ``r.swap`` each half is built only after the last was solved."""
+    for (odd_z, odd_x, m, _), b in zip(_parities(r.geom), r.blocks):
+        if not r.swap:
+            yield np.linalg.eigvalsh(_hermitian_part(b, scale))
+        elif odd_z == odd_x:
+            b = _hermitian_part(b, scale)
+            yield np.linalg.eigvalsh(_swap_half(b, m, False))
+            if m > 1:
+                yield np.linalg.eigvalsh(_swap_half(b, m, True))
+        elif odd_x:  # (odd, even) is this block's swap image
+            yield np.tile(np.linalg.eigvalsh(_hermitian_part(b, scale)), 2)
 
 
 def eigen_spectrum(r: CorrelationMatrix | ParityBlocks, normalize_by_n: bool = True,
@@ -149,6 +182,8 @@ def eigen_spectrum(r: CorrelationMatrix | ParityBlocks, normalize_by_n: bool = T
     exact for every lattice matrix that commutes with the x and z
     reversals; its geometry is the blocks' own, and its scale the
     blocks' ``scale``, or their largest entry when that is not known.
+    Under ``swap`` the (even, odd) block counts twice and each m^2 diagonal
+    block is solved as swap halves of sizes m (m + 1) / 2 and m (m - 1) / 2.
 
     Effective correlation matrices can carry tiny negative round-off
     eigenvalues; magnitudes are reported (matching how eigenvalue decay
@@ -160,16 +195,16 @@ def eigen_spectrum(r: CorrelationMatrix | ParityBlocks, normalize_by_n: bool = T
     if isinstance(r, ParityBlocks):
         if geom is not None and geom is not r.geom:
             raise DomainError("geometry does not match the parity blocks")
-        geom, blocks, dim = r.geom, r.blocks, r.geom.n
-        scale = r.scale or max(float(np.abs(b).max()) for b in blocks) or 1.0
+        geom, dim = r.geom, r.geom.n
+        scale = r.scale or max(float(np.abs(b).max()) for b in r.blocks) or 1.0
+        ev = np.concatenate(list(_parity_eigenvalues(r, scale)))
     else:
         values, dim = r.values, r.dim
         if geom is not None and geom.n != dim:
             raise DomainError(f"matrix dim {dim} does not match geometry with {geom.n} elements")
         # row by row: a whole-matrix abs() would be one more N x N temporary
         scale = max((float(np.abs(row).max()) for row in values), default=0.0) or 1.0
-        blocks = [values]
-    ev = np.concatenate([np.linalg.eigvalsh(_hermitian_part(b, scale)) for b in blocks])
+        ev = np.linalg.eigvalsh(_hermitian_part(values, scale))
     top = float(ev.max())
     negative = float(-ev[ev < 0.0].sum())
     negative_mass = negative / top if top > 0.0 else (math.inf if negative else 0.0)

@@ -132,11 +132,14 @@ class ParityBlocks:
     (odd, odd) in (z, x) parity; empty ones are left out.
 
     ``scale`` is the largest entry magnitude of the matrix when known.
+    ``swap`` marks a square-lattice matrix that also commutes with the
+    x <-> z transpose, which maps the (even, odd) block onto (odd, even).
     """
 
     blocks: tuple[np.ndarray, ...]
     geom: ArrayGeometry
     scale: float | None = None
+    swap: bool = False
 
     def dense(self) -> np.ndarray:
         """The (N, N) matrix, assembled from the blocks in O(N^2)."""
@@ -204,7 +207,8 @@ def _unmirror(n: int, odd: bool) -> tuple[np.ndarray, np.ndarray]:
 def parity_blocks(table: np.ndarray, geom: ArrayGeometry) -> ParityBlocks:
     """The mirror-parity blocks of the matrix ``gather_offsets(table,
     geom)``, gathered straight from the (nx, nz) offset table, real or
-    complex, without forming the (N, N) matrix."""
+    complex, without forming the (N, N) matrix.  ``swap`` is set when
+    the lattice is square and the table exactly symmetric."""
     if table.shape != (geom.nx, geom.nz):
         raise DomainError(
             f"offset table shape {table.shape} does not match lattice ({geom.nx}, {geom.nz})"
@@ -214,7 +218,8 @@ def parity_blocks(table: np.ndarray, geom: ArrayGeometry) -> ParityBlocks:
         # (rx, cx, rz, cz) -> (rz, rx, cz, cx): rows are z-major like the lattice
         b = _mirror_gather(_mirror_gather(table, 1, pz), 0, px)
         blocks.append(b.transpose(2, 0, 3, 1).reshape(mz * mx, mz * mx))
-    return ParityBlocks(tuple(blocks), geom, scale=float(np.abs(table).max()))
+    return ParityBlocks(tuple(blocks), geom, scale=float(np.abs(table).max()),
+                        swap=geom.nx == geom.nz and np.array_equal(table, table.T))
 
 
 def _check_positive(**lengths: float) -> None:

@@ -6,7 +6,8 @@ definitions, on small lattices with odd and even axis lengths (1 included):
   their dense assembly against the gathered matrix;
 * the blockwise eigensolve of parity blocks, of a correlation and of an
   effective correlation under ``coupling_tx``/``coupling_rx``, against
-  dense ``eigvalsh``;
+  dense ``eigvalsh``, and the x <-> z swap split of a square lattice's
+  correlation against dense ``eigvalsh`` and against the four-block solve;
 * the blockwise coupling against the closed-form coupling matrices;
 * the folded-FFT wavenumber transform against a per-point direct sum;
 * the offset-table gather against the pairwise-distance formula.
@@ -16,14 +17,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holoris import (ArrayGeometry, DomainError, ElementKind, ImpedanceMatrix,
                      NumericalError, ParityBlocks, SpacingConvention,
                      correlation_matrix_isotropic, coupling_rx, coupling_tx,
                      effective_correlation, eigen_spectrum, generator_sequence,
                      icsi, impedance_matrix_dipoles, impedance_matrix_isotropic,
-                     parity_blocks, power_spectrum)
+                     make_uniform_grid, parity_blocks, power_spectrum)
+from holoris.analysis import _hermitian_part
 from holoris.correlation import sinc_offset_table
 from holoris.geometry import gather_offsets
 from holoris.spectrum import _odd_grid
@@ -97,6 +99,85 @@ def test_split_eigenvalues_real_correlation(nx, nz, dx, dz):
     g = lattice(nx, nz, dx, dz)
     assert_split_matches_dense(parity_blocks(sinc_offset_table(g), g),
                                correlation_matrix_isotropic(g).values)
+
+
+@PROPERTY
+@given(axis_len, spacing)
+@example(1, 0.25)  # the (even, even) block alone
+@example(2, 0.5)  # every antisymmetric half empty
+def test_swap_split_eigenvalues_real_correlation(n, d):
+    g = lattice(n, n, d, d)
+    r0 = parity_blocks(sinc_offset_table(g), g)
+    assert r0.swap
+    assert_split_matches_dense(r0, correlation_matrix_isotropic(g).values)
+
+
+@pytest.mark.parametrize("n, sizes", [(1, [1]), (2, [1, 1, 1]), (5, [6, 3, 6, 3, 1]),
+                                      (6, [6, 3, 9, 6, 3])])
+def test_swap_split_solves_each_half_once(n, sizes, monkeypatch):
+    g = lattice(n, n, 0.25, 0.25)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        assert np.array_equal(a, a.T)
+        solved.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    spec = eigen_spectrum(parity_blocks(sinc_offset_table(g), g))
+    assert solved == sizes and spec.n == g.n
+
+
+def test_swap_flag_only_on_symmetric_square_tables():
+    square, wide, stretched = (lattice(4, 4, 0.25, 0.25), lattice(4, 3, 0.25, 0.25),
+                               lattice(4, 4, 0.25, 0.3))
+    assert parity_blocks(sinc_offset_table(square), square).swap
+    assert not parity_blocks(sinc_offset_table(wide), wide).swap
+    assert not parity_blocks(sinc_offset_table(stretched), stretched).swap
+    t = random_table(np.random.default_rng(7), 4, 4, True)
+    assert not parity_blocks(t, square).swap
+    assert parity_blocks(t + t.T, square).swap
+
+
+def test_swap_flag_not_carried_into_effective_correlation():
+    g, _, c = dipole_coupling(3, 3, 0.75, 0.25, 50.0, True)
+    r0 = parity_blocks(sinc_offset_table(g), g)
+    assert r0.swap  # dx = dz = 0.75
+    assert not c.blocks.swap
+    assert not effective_correlation(c, r0).swap
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+def test_swap_flagged_dense_assembly_matches_gathered_matrix(n):
+    g = lattice(n, n, 0.2, 0.2)
+    r0 = parity_blocks(sinc_offset_table(g), g)
+    assert r0.swap
+    assert np.abs(r0.dense() - correlation_matrix_isotropic(g).values).max() <= 1e-13
+
+
+@pytest.mark.parametrize("spacing", [0.5, 1 / 3, 0.25])
+def test_swap_split_keeps_eigen_summary(spacing):
+    g = make_uniform_grid(12.0, 12.0, spacing, spacing, 1.0)
+    r0 = parity_blocks(sinc_offset_table(g), g)
+    assert r0.swap
+    split = eigen_spectrum(r0)
+    four = eigen_spectrum(ParityBlocks(r0.blocks, r0.geom, r0.scale))
+    assert split.dominant_count == four.dominant_count
+    assert split.knee_index == four.knee_index
+    assert abs(split.negative_mass - four.negative_mass) <= 1e-13
+    assert np.abs(split.values - four.values).max() <= 1e-13 * four.values[0]
+
+
+def test_exactly_hermitian_matrix_is_not_copied():
+    a = correlation_matrix_isotropic(lattice(3, 4, 0.25, 0.3)).values
+    assert _hermitian_part(a, 1.0) is a
+    b = a.copy()
+    b[0, 1] += 1e-12
+    h = _hermitian_part(b, 1.0)
+    assert np.array_equal(h, h.T) and h[0, 1] == pytest.approx(a[0, 1] + 0.5e-12, abs=1e-15)
+    with pytest.raises(DomainError, match="not Hermitian"):
+        _hermitian_part(b + np.triu(np.ones_like(b), 1), 1.0)
 
 
 @PROPERTY
