@@ -158,17 +158,22 @@ def _swap_half(b: np.ndarray, m: int, antisymmetric: bool) -> np.ndarray:
 
 def _parity_eigenvalues(r: ParityBlocks, scale: float):
     """Eigenvalues of the parity blocks of ``r``, one array per solve;
-    under ``r.swap`` each half is built only after the last was solved."""
-    for (odd_z, odd_x, m, _), b in zip(_parities(r.geom), r.blocks):
+    a block is read only after the last was released, so lazy blocks are
+    gathered one at a time, and under ``r.swap`` each half is built only
+    after the last was solved."""
+    for k, (odd_z, odd_x, m, _) in enumerate(_parities(r.geom)):
+        if r.swap and odd_z and not odd_x:
+            continue  # (odd, even) is the swap image of (even, odd)
+        b = _hermitian_part(r.blocks[k], scale)
         if not r.swap:
-            yield np.linalg.eigvalsh(_hermitian_part(b, scale))
+            yield np.linalg.eigvalsh(b)
         elif odd_z == odd_x:
-            b = _hermitian_part(b, scale)
             yield np.linalg.eigvalsh(_swap_half(b, m, False))
             if m > 1:
                 yield np.linalg.eigvalsh(_swap_half(b, m, True))
-        elif odd_x:  # (odd, even) is this block's swap image
-            yield np.tile(np.linalg.eigvalsh(_hermitian_part(b, scale)), 2)
+        else:
+            yield np.tile(np.linalg.eigvalsh(b), 2)
+        del b
 
 
 def eigen_spectrum(r: CorrelationMatrix | ParityBlocks, normalize_by_n: bool = True,

@@ -105,7 +105,9 @@ def run_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     summary = []
     for sp in s.eigen_spacings:
         geom = _square_grid(cfg, s.eigen_aperture, sp)
-        spec = analysis.eigen_spectrum(_r0_blocks(geom), normalize_by_n=True)
+        # lazy: the solve gathers and holds one block at a time, so the
+        # peak memory of this runner is small beside the other runners'
+        spec = analysis.eigen_spectrum(_r0_blocks(geom, lazy=True), normalize_by_n=True)
         paths.append(_eigen_csv(
             outdir / f"fig3_eigenvalues_dx{spacing_label(sp)}.csv",
             "fig3 (eigenvalue decay of the normalized correlation matrix)", spec,
@@ -263,9 +265,9 @@ def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     return paths
 
 
-def _r0_blocks(geom):
+def _r0_blocks(geom, lazy: bool = False):
     """Parity blocks of the isotropic correlation matrix of a geometry."""
-    return parity_blocks(correlation.sinc_offset_table(geom), geom)
+    return parity_blocks(correlation.sinc_offset_table(geom), geom, lazy)
 
 
 def _cases(cfg: ExperimentConfig, z, r0):

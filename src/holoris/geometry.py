@@ -8,6 +8,7 @@ with the x index fastest.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -131,12 +132,14 @@ class ParityBlocks:
     axis.  Blocks are ordered (even, even), (even, odd), (odd, even),
     (odd, odd) in (z, x) parity; empty ones are left out.
 
+    ``blocks`` is a tuple, or for ``parity_blocks(..., lazy=True)`` a
+    sequence that gathers a block each time it is read and keeps none.
     ``scale`` is the largest entry magnitude of the matrix when known.
     ``swap`` marks a square-lattice matrix that also commutes with the
     x <-> z transpose, which maps the (even, odd) block onto (odd, even).
     """
 
-    blocks: tuple[np.ndarray, ...]
+    blocks: Sequence[np.ndarray]
     geom: ArrayGeometry
     scale: float | None = None
     swap: bool = False
@@ -204,21 +207,36 @@ def _unmirror(n: int, odd: bool) -> tuple[np.ndarray, np.ndarray]:
     return r, w
 
 
-def parity_blocks(table: np.ndarray, geom: ArrayGeometry) -> ParityBlocks:
+class _TableBlocks(Sequence):
+    """The parity blocks of an offset table, each gathered when read."""
+
+    def __init__(self, table: np.ndarray, geom: ArrayGeometry):
+        self._table, self._parities = table, tuple(_parities(geom))
+
+    def __len__(self) -> int:
+        return len(self._parities)
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        pz, px, mz, mx = self._parities[k]
+        # (rx, cx, rz, cz) -> (rz, rx, cz, cx): rows are z-major like the lattice
+        b = _mirror_gather(_mirror_gather(self._table, 1, pz), 0, px)
+        return b.transpose(2, 0, 3, 1).reshape(mz * mx, mz * mx)
+
+
+def parity_blocks(table: np.ndarray, geom: ArrayGeometry, lazy: bool = False) -> ParityBlocks:
     """The mirror-parity blocks of the matrix ``gather_offsets(table,
     geom)``, gathered straight from the (nx, nz) offset table, real or
     complex, without forming the (N, N) matrix.  ``swap`` is set when
-    the lattice is square and the table exactly symmetric."""
+    the lattice is square and the table exactly symmetric.  With
+    ``lazy`` a block is gathered only when read, so a caller that reads
+    each block once holds one at a time."""
     if table.shape != (geom.nx, geom.nz):
         raise DomainError(
             f"offset table shape {table.shape} does not match lattice ({geom.nx}, {geom.nz})"
         )
-    blocks = []
-    for pz, px, mz, mx in _parities(geom):
-        # (rx, cx, rz, cz) -> (rz, rx, cz, cx): rows are z-major like the lattice
-        b = _mirror_gather(_mirror_gather(table, 1, pz), 0, px)
-        blocks.append(b.transpose(2, 0, 3, 1).reshape(mz * mx, mz * mx))
-    return ParityBlocks(tuple(blocks), geom, scale=float(np.abs(table).max()),
+    blocks = _TableBlocks(table, geom)
+    return ParityBlocks(blocks if lazy else tuple(blocks), geom,
+                        scale=float(np.abs(table).max()),
                         swap=geom.nx == geom.nz and np.array_equal(table, table.T))
 
 

@@ -7,13 +7,16 @@ definitions, on small lattices with odd and even axis lengths (1 included):
 * the blockwise eigensolve of parity blocks, of a correlation and of an
   effective correlation under ``coupling_tx``/``coupling_rx``, against
   dense ``eigvalsh``, and the x <-> z swap split of a square lattice's
-  correlation against dense ``eigvalsh`` and against the four-block solve;
+  correlation against dense ``eigvalsh`` and against the four-block solve,
+  and lazily gathered blocks read one at a time;
 * the blockwise coupling against the closed-form coupling matrices;
 * the folded-FFT wavenumber transform against a per-point direct sum;
 * the offset-table gather against the pairwise-distance formula.
 """
 
 import math
+import weakref
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -167,6 +170,41 @@ def test_swap_split_keeps_eigen_summary(spacing):
     assert split.knee_index == four.knee_index
     assert abs(split.negative_mass - four.negative_mass) <= 1e-13
     assert np.abs(split.values - four.values).max() <= 1e-13 * four.values[0]
+
+
+class RecordingBlocks(Sequence):
+    """Blocks that record which are read, and check on each read that
+    no block read before is still alive."""
+
+    def __init__(self, blocks):
+        self.blocks, self.reads, self.refs = blocks, [], []
+
+    def __len__(self):
+        return len(self.blocks)
+
+    def __getitem__(self, k):
+        assert all(ref() is None for ref in self.refs)
+        b = self.blocks[k]
+        self.reads.append(k)
+        self.refs.append(weakref.ref(b))
+        return b
+
+
+@pytest.mark.parametrize("n, swap_reads", [(1, [0]), (2, [0, 1, 3]), (7, [0, 1, 3]),
+                                           (8, [0, 1, 3])])
+def test_lazy_blocks_are_gathered_and_solved_one_at_a_time(n, swap_reads):
+    g = lattice(n, n, 0.25, 0.25)
+    table = sinc_offset_table(g)
+    kept, lazy = parity_blocks(table, g), parity_blocks(table, g, lazy=True)
+    assert lazy.swap and len(lazy.blocks) == len(kept.blocks)
+    assert all(np.array_equal(a, b) for a, b in zip(kept.blocks, lazy.blocks))
+    assert np.array_equal(lazy.dense(), kept.dense())
+    for swap, reads in ((True, swap_reads), (False, list(range(len(kept.blocks))))):
+        blocks = RecordingBlocks(lazy.blocks)
+        spec = eigen_spectrum(ParityBlocks(blocks, g, lazy.scale, swap))
+        assert blocks.reads == reads
+        expected = eigen_spectrum(ParityBlocks(kept.blocks, g, kept.scale, swap))
+        assert np.array_equal(spec.values, expected.values)
 
 
 def test_exactly_hermitian_matrix_is_not_copied():
