@@ -211,7 +211,7 @@ def eigen_spectrum(r: CorrelationMatrix | ParityBlocks, normalize_by_n: bool = T
         scale = max((float(np.abs(row).max()) for row in values), default=0.0) or 1.0
         ev = np.linalg.eigvalsh(_hermitian_part(values, scale))
     top = float(ev.max())
-    negative = float(-ev[ev < 0.0].sum())
+    negative = float(np.abs(ev[ev < 0.0]).sum())  # +0.0, not -0.0, when there is none
     negative_mass = negative / top if top > 0.0 else (math.inf if negative else 0.0)
     if negative_mass > _NEGATIVE_MASS_TOL:
         raise NumericalError(

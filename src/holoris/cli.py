@@ -31,7 +31,7 @@ from . import analysis, correlation, coupling, response, spectrum
 from .config import ExperimentConfig
 from .errors import ConfigError, HolorisError, NumericalError
 from .geometry import ElementKind, make_uniform_grid, parity_blocks
-from .outputs import (complex_matrix_rows, eigen_rows, impedance_label,
+from .outputs import (complex_matrix_rows, decibels, eigen_rows, impedance_label,
                       spacing_label, write_csv, write_gnuplot)
 
 OUTPUT_DIR_ENV = "HOLORIS_OUT"
@@ -70,10 +70,9 @@ def _eigen_csv(path: Path, target: str, spec, note: str) -> Path:
 def run_correlation(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     s = cfg.sweep
     seps = np.linspace(0.0, s.correlation_max_separation, s.correlation_points)
-    rows = []
-    for dz in seps:
-        for dx in seps:
-            rows.append((dx, dz, float(np.sinc(2.0 * math.hypot(dx, dz)))))
+    dx, dz = np.meshgrid(seps, seps)
+    corr = np.sinc(2.0 * np.hypot(dx, dz))
+    rows = list(zip(dx.ravel().tolist(), dz.ravel().tolist(), corr.ravel().tolist()))
     csv = write_csv(
         outdir / "fig2_correlation.csv",
         "fig2 (spatial correlation vs element separation, isotropic scattering)",
@@ -93,7 +92,7 @@ def run_correlation(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         outdir / "matrix_r0.csv",
         "matrix export (correlation matrix of the configured geometry)",
         ["row", "col", "re", "im"],
-        complex_matrix_rows(r0.values.astype(complex)),
+        complex_matrix_rows(r0.values),
         notes=[f"elements: {geom.n}, spacing_x: {geom.dx / geom.wavelength} wavelengths"],
     )
     return [csv, gp, matrix]
@@ -139,12 +138,11 @@ def run_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 def _spectrum_csv(outdir: Path, name: str, target: str, geom, notes) -> tuple[Path, dict]:
     seq = spectrum.generator_sequence(geom)
     spec = spectrum.power_spectrum(seq, geom)
-    kappa = spec.wavenumber
-    rows = []
-    for i, kx in enumerate(spec.kx_grid):
-        for j, kz in enumerate(spec.kz_grid):
-            tag = "propagating" if spec.propagating[i, j] else "evanescent"
-            rows.append((kx / kappa, kz / kappa, float(spec.values[i, j]), tag))
+    kx, kz = np.meshgrid(spec.kx_grid / spec.wavenumber, spec.kz_grid / spec.wavenumber,
+                         indexing="ij")
+    tags = np.where(spec.propagating, "propagating", "evanescent")
+    rows = list(zip(kx.ravel().tolist(), kz.ravel().tolist(), spec.values.ravel().tolist(),
+                    tags.ravel().tolist()))
     path = write_csv(outdir / name, target,
                      ["kx_over_kappa", "kz_over_kappa", "g", "tag"], rows,
                      notes=notes)
@@ -218,9 +216,8 @@ def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         geom, z = _stack(cfg, sp)
         ct = coupling.coupling_tx(z, cfg.impedance.z_source)
         for scheme in _SCHEMES:
-            sweep_vals = response.gain_sweep(geom, ct, scheme, theta, phis)
-            rows = [(math.degrees(phi), g, 10.0 * math.log10(g) if g > 0 else float("-inf"))
-                    for phi, g in sweep_vals]
+            phi, gains = np.array(response.gain_sweep(geom, ct, scheme, theta, phis)).T
+            rows = list(zip(np.degrees(phi).tolist(), gains.tolist(), decibels(gains).tolist()))
             label = spacing_label(sp)
             paths.append(write_csv(
                 outdir / f"fig7_gain_dx{label}_{scheme.value}.csv",
@@ -230,7 +227,6 @@ def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
                 notes=[f"spacing: {sp} wavelengths, elements: {geom.n}, "
                        f"zenith: {s.zenith_deg} deg, scheme: {scheme.value}"],
             ))
-            gains = np.array([g for _, g in sweep_vals])
             peak[(sp, scheme)] = gains
             summary.append((sp, scheme.value, geom.n, float(gains.max()),
                             float(gains.max()) / geom.n))

@@ -1,35 +1,27 @@
 """Deterministic CSV and gnuplot-script emission for experiment results.
 
 Every CSV starts with comment lines naming the reference figure or table
-it mirrors and the column order; floats are formatted with %.12g so
-re-running an experiment reproduces files byte for byte.
+it mirrors and the column order.  Numeric cells are written with %.12g
+(an integer below 10^12 as its digits, a bool as 1 or 0), text as it
+is, so re-running an experiment reproduces files byte for byte.
 """
 
-import math
 from pathlib import Path
+
+import numpy as np
 
 _FLOAT_FMT = "%.12g"
 
 
-def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _FLOAT_FMT % value
-    return str(value)
-
-
 def write_csv(path: Path, target: str, columns: list[str], rows,
               notes: list[str] | None = None) -> Path:
-    lines = [f"# target: {target}"]
-    for note in notes or []:
-        lines.append(f"# {note}")
-    lines.append("# columns: " + ", ".join(columns))
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+    """Write ``rows``, a sequence of tuples, with one row template taken
+    from the first row: %s for a str cell, %.12g for any other."""
+    lines = [f"# target: {target}", *(f"# {note}" for note in notes or []),
+             "# columns: " + ", ".join(columns), ",".join(columns)]
+    if rows:
+        template = ",".join("%s" if isinstance(v, str) else _FLOAT_FMT for v in rows[0])
+        lines.extend(template % row for row in rows)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -59,30 +51,22 @@ def write_gnuplot(path: Path, title: str, lines: list[str]) -> Path:
     return path
 
 
+def decibels(values) -> np.ndarray:
+    """10 log10 of each value, -inf where a value is not positive."""
+    return 10.0 * np.log10(values, out=np.full(values.shape, -np.inf), where=values > 0.0)
+
+
 def complex_matrix_rows(values) -> list[tuple]:
-    """Rows (row, col, re, im) for a complex matrix, row-major order."""
-    rows = []
-    for i in range(values.shape[0]):
-        for j in range(values.shape[1]):
-            v = complex(values[i, j])
-            rows.append((i, j, v.real, v.imag))
-    return rows
+    """Rows (row, col, re, im) of a matrix in row-major order; im is 0 if it is real."""
+    i, j = np.indices(values.shape)
+    return list(zip(i.ravel().tolist(), j.ravel().tolist(),
+                    values.real.ravel().tolist(), values.imag.ravel().tolist()))
 
 
 def eigen_rows(values) -> list[tuple]:
     """Rows (index, eigenvalue, eigenvalue_db, cumulative_fraction) for a
-    non-increasing eigenvalue list."""
+    non-increasing eigenvalue array; the cumulative sum runs in order."""
     total = float(values.sum())
-    rows = []
-    cum = 0.0
-    for i, v in enumerate(values):
-        cum += float(v)
-        db = 10.0 * _safe_log10(float(v))
-        rows.append((i, float(v), db, cum / total if total else 0.0))
-    return rows
-
-
-def _safe_log10(v: float) -> float:
-    if v <= 0.0:
-        return float("-inf")
-    return math.log10(v)
+    cum = np.cumsum(values) / total if total else np.zeros_like(values)
+    return list(zip(range(values.size), values.tolist(), decibels(values).tolist(),
+                    cum.tolist()))

@@ -8,7 +8,9 @@ from holoris import (CorrelationKind, CorrelationMatrix, DomainError,
                      asymptotic_dof, correlation_matrix_isotropic, coupling_rx,
                      coupling_tx, dominant_count, effective_correlation,
                      eigen_spectrum, icsi, impedance_matrix_isotropic,
-                     knee_index, make_dipole_array, make_uniform_grid)
+                     knee_index, make_dipole_array, make_uniform_grid,
+                     parity_blocks)
+from holoris.correlation import sinc_offset_table
 
 from conftest import Z_MATCH, random_coupling
 
@@ -107,6 +109,12 @@ class TestEigenSpectrum:
         spec = eigen_spectrum(r, normalize_by_n=False)
         assert spec.negative_mass == pytest.approx(5e-13, rel=1e-12)
         assert spec.values == pytest.approx([2.0, 1.0, 1e-12], rel=1e-12)
+
+    def test_negative_mass_is_positive_zero_without_negative_eigenvalues(self):
+        g = make_uniform_grid(4.0, 4.0, 0.5, 0.5, 1.0)
+        spec = eigen_spectrum(parity_blocks(sinc_offset_table(g), g))
+        assert spec.negative_mass == 0.0
+        assert math.copysign(1.0, spec.negative_mass) == 1.0
 
     def test_negative_mass_of_receive_coupling_is_round_off(self, dipole_geometries,
                                                             dipole_correlations):

@@ -1,7 +1,8 @@
 """The benchmark's span tracer (``perfbench/spans.py``) wraps holoris
 functions by module attribute name.  Running its ``instrument`` here
 makes a renamed or removed traced attribute fail the test suite, not
-only the traced benchmark run."""
+only the traced benchmark run; so does a ``write_csv`` call whose rows
+the tracer cannot count (rows passed by keyword, or not sized)."""
 
 import ast
 import os
@@ -16,23 +17,34 @@ import collections
 import sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from spans import Tracer, instrument
-from holoris import coupling, make_dipole_array
+from holoris import cli, coupling, make_dipole_array
 
 tracer = Tracer()
 instrument(tracer)
 coupling.impedance_matrix_dipoles(make_dipole_array(1.0, 0.5, 2, 0.02, 1.0))
-print(dict(collections.Counter(span[1] for span in tracer.spans)))
+calls = dict(collections.Counter(span[1] for span in tracer.spans))
+assert cli.main(["correlation", "--out", sys.argv[3]]) == 0
+print((calls, int(tracer.counts["outputs.rows"])))
 """
 
 
-def test_instrument_wraps_every_traced_attribute():
+def test_instrument_wraps_every_traced_attribute(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     result = subprocess.run(
-        [sys.executable, "-B", "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src")],
+        [sys.executable, "-B", "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src"),
+         str(tmp_path)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    calls = ast.literal_eval(result.stdout.strip().splitlines()[-1])
+    calls, rows = ast.literal_eval(result.stdout.strip().splitlines()[-1])
     # one table build: one Si and one Ci array call each for the echelon
     # and the collinear closed form, all through the wrapped attributes
     assert calls == {"coupling.impedance_matrix_dipoles": 1, "specfun.si_ci": 4}
+    # the tracer's row count is the number of data lines written: each CSV
+    # has comment lines and one header line before its rows
+    csvs = sorted(tmp_path.glob("*.csv"))
+    assert [p.name for p in csvs] == ["fig2_correlation.csv", "matrix_r0.csv"]
+    written = sum(
+        sum(1 for line in p.read_text().splitlines() if not line.startswith("#")) - 1
+        for p in csvs)
+    assert rows == written > 0
