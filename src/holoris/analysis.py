@@ -244,15 +244,32 @@ def asymptotic_dof(geom: ArrayGeometry) -> int:
 
 def icsi(q) -> float:
     """Inter-element correlation/coupling strength indicator of a square
-    matrix (accepts raw arrays or any of the matrix wrapper types)."""
-    values = np.asarray(getattr(q, "values", q))
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise DomainError(f"ICSI needs a square matrix, got shape {values.shape}")
-    n = values.shape[0]
+    matrix (accepts raw arrays, any of the matrix wrapper types, or the
+    ``ParityBlocks`` of a lattice matrix).
+
+    A lattice matrix commutes with both lattice reversals, so the row
+    ratios of a point and of its mirror images are equal: given its
+    parity blocks, only the rows of one lattice quarter are assembled,
+    each weighted by its count of mirror images (1, 2 or 4).  A dense
+    matrix is the one-block case: every row, weight 1.
+    """
+    if isinstance(q, ParityBlocks):
+        g = q.geom
+        iz, ix = np.arange(g.nz - g.nz // 2), np.arange(g.nx - g.nx // 2)
+        points = (iz[:, None] * g.nx + ix).ravel()
+        weights = np.outer(np.where(2 * iz == g.nz - 1, 1.0, 2.0),
+                           np.where(2 * ix == g.nx - 1, 1.0, 2.0)).ravel()
+        values, n = q.rows(points), g.n
+    else:
+        values = np.asarray(getattr(q, "values", q))
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise DomainError(f"ICSI needs a square matrix, got shape {values.shape}")
+        n = values.shape[0]
+        points, weights = np.arange(n), 1.0
     if n < 2:
         raise DomainError("ICSI needs at least two elements")
     mags = np.abs(values)
-    diag = np.diag(mags)
+    diag = mags[np.arange(len(points)), points]
     if np.any(diag == 0.0):
         raise DomainError("ICSI undefined: zero diagonal entry")
-    return float(((mags.sum(axis=1) / diag).sum() - n) / (n * (n - 1)))
+    return float(((weights * mags.sum(axis=1) / diag).sum() - n) / (n * (n - 1)))

@@ -216,8 +216,8 @@ def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         geom, z = _stack(cfg, sp)
         ct = coupling.coupling_tx(z, cfg.impedance.z_source)
         for scheme in _SCHEMES:
-            phi, gains = np.array(response.gain_sweep(geom, ct, scheme, theta, phis)).T
-            rows = list(zip(np.degrees(phi).tolist(), gains.tolist(), decibels(gains).tolist()))
+            gains = response.gain_sweep(geom, ct, scheme, theta, phis)
+            rows = list(zip(np.degrees(phis).tolist(), gains.tolist(), decibels(gains).tolist()))
             label = spacing_label(sp)
             paths.append(write_csv(
                 outdir / f"fig7_gain_dx{label}_{scheme.value}.csv",
@@ -355,7 +355,7 @@ def run_icsi(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         cells = {side: [sp] for side in rows}
         for side, case, _, r in _cases(cfg, z, r0):
             columns[side].append(case)
-            cells[side].append(analysis.icsi(r.dense()))
+            cells[side].append(analysis.icsi(r))
             del r  # free this case's matrix before the next one is built
         for side in rows:
             rows[side].append(tuple(cells[side]))

@@ -146,18 +146,31 @@ class ParityBlocks:
 
     def dense(self) -> np.ndarray:
         """The (N, N) matrix, assembled from the blocks in O(N^2)."""
+        return self.rows(np.arange(self.geom.n))
+
+    def rows(self, points: np.ndarray) -> np.ndarray:
+        """The rows of the matrix at lattice points ``points``, (len(points), N),
+        assembled from the blocks."""
         g = self.geom
-        out = np.zeros((g.n, g.n), dtype=np.result_type(*self.blocks))
+        out = np.zeros((len(points), g.n), dtype=np.result_type(*self.blocks))
         for (pz, px, mz, mx), b in zip(_parities(g), self.blocks):
             (rz, wz), (rx, wx) = _unmirror(g.nz, pz), _unmirror(g.nx, px)
             # lattice point (iz, ix) takes block row (rz[iz], rx[ix]), z-major
-            rows = (rz[:, None] * mx + rx).ravel()
+            r = (rz[:, None] * mx + rx).ravel()
             w = (wz[:, None] * wx).ravel()
-            part = b.take(rows, axis=0).take(rows, axis=1)
-            part *= w[:, None]
+            part = b.take(r[points], axis=0).take(r, axis=1)
+            part *= w[points, None]
             part *= w
             out += part
         return out
+
+    def split(self, v: np.ndarray) -> list[np.ndarray]:
+        """P_b^T v for each block b: the lattice vectors held as the (N, ...)
+        array ``v``, in the basis of each block, in block order."""
+        g = self.geom
+        grid = v.reshape((g.nz, g.nx) + v.shape[1:])
+        return [_mirror_split(_mirror_split(grid, 0, pz), 1, px).reshape((mz * mx,) + v.shape[1:])
+                for pz, px, mz, mx in _parities(g)]
 
 
 def _parities(geom: ArrayGeometry):
@@ -191,6 +204,19 @@ def _mirror_gather(table: np.ndarray, axis: int, odd: bool) -> np.ndarray:
         w[h] = _SQRT1_2
         b *= (w[:, None] * w).reshape((m, m) + (1,) * (b.ndim - axis - 2))
     return b
+
+
+def _mirror_split(v: np.ndarray, axis: int, odd: bool) -> np.ndarray:
+    """One n-point lattice axis of ``v`` in the even or odd half of its
+    mirror basis: (v[i] +/- v[n-1-i]) / sqrt(2), i < n // 2, then the
+    centre v[n // 2] in the even half of an odd n."""
+    n = v.shape[axis]
+    h = n // 2
+    v = np.moveaxis(v, axis, 0)
+    part = (v[:h] - v[:n - h - 1:-1] if odd else v[:h] + v[:n - h - 1:-1]) * _SQRT1_2
+    if not odd and n > 2 * h:
+        part = np.concatenate([part, v[h:h + 1]])
+    return np.moveaxis(part, 0, axis)
 
 
 def _unmirror(n: int, odd: bool) -> tuple[np.ndarray, np.ndarray]:

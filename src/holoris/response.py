@@ -22,10 +22,6 @@ from .errors import DomainError, NumericalError
 from .geometry import ArrayGeometry, Direction, unit_direction
 
 _POWER_TOL = 1e-9
-# Azimuths per block of a gain sweep, so that its temporaries stay a few
-# (N, 16) arrays: whole-grid (N, 181) ones raised the peak RSS of a
-# threaded reproduce-all on the default config by about 2 MiB.
-_AZIMUTH_BLOCK = 16
 
 
 class BeamformingScheme(Enum):
@@ -57,26 +53,37 @@ def _coupling_values(coupling: CouplingMatrix | np.ndarray) -> np.ndarray:
     return coupling.values if isinstance(coupling, CouplingMatrix) else np.asarray(coupling)
 
 
-def _excitation(scheme: BeamformingScheme, c: np.ndarray, a0: np.ndarray,
-                w0_mag: float, a: np.ndarray | None = None) -> np.ndarray:
+def _unscaled_excitation(scheme: BeamformingScheme, c: np.ndarray, a0: np.ndarray,
+                         a: np.ndarray | None = None) -> np.ndarray:
     """Excitation of a scheme for a response vector a0, or for each column
-    of a matrix a0, scaled to ||w|| = w0_mag (per column).  ``a`` is the
-    effective response C^T a0 when the caller already has it."""
+    of a matrix a0, before power scaling; ``a`` is the effective response
+    C^T a0 when the caller already has it.  In the parity basis of a
+    lattice C the same formulas hold block by block."""
     if scheme is BeamformingScheme.PROPOSED_MC_AWARE:
         if a is None:
             a = c.T @ a0
-        w = a.conj()  # C^H conj(a0), without an N x N conjugate copy
-    elif scheme is BeamformingScheme.DIRECTIVITY_MAX:
+        return a.conj()  # C^H conj(a0), without an N x N conjugate copy
+    if scheme is BeamformingScheme.DIRECTIVITY_MAX:
         try:
-            w = np.linalg.solve(c, a0.conj())
+            return np.linalg.solve(c, a0.conj())
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular coupling matrix in directivity_max") from exc
-    else:
-        w = a0.conj()
-    norm = np.linalg.norm(w, axis=0)
+    return a0.conj()
+
+
+def _power_scale(scheme: BeamformingScheme, norm, w0_mag: float):
+    """Factor that scales excitations of norm ``norm`` to ||w|| = w0_mag."""
     if np.any(norm == 0):
         raise NumericalError(f"{scheme.value} produced a zero excitation vector")
-    return (w0_mag / norm) * w
+    return w0_mag / norm
+
+
+def _excitation(scheme: BeamformingScheme, c: np.ndarray, a0: np.ndarray,
+                w0_mag: float) -> np.ndarray:
+    """Excitation of a scheme for a response vector a0, or for each column
+    of a matrix a0, scaled to ||w|| = w0_mag (per column)."""
+    w = _unscaled_excitation(scheme, c, a0)
+    return _power_scale(scheme, np.linalg.norm(w, axis=0), w0_mag) * w
 
 
 def _check_power(norm, w0_mag: float) -> None:
@@ -128,26 +135,37 @@ def max_gain_closed_form(coupling, a0: np.ndarray) -> float:
     return float(abs(a @ a.conj()))
 
 
-def _block_gains(geom: ArrayGeometry, c: np.ndarray, scheme: BeamformingScheme,
-                 theta: float, phis: np.ndarray, w0_mag: float) -> np.ndarray:
-    """Gains of a block of azimuths, one steering and excitation column each."""
-    st = math.sin(theta)
-    d_hat = np.stack([st * np.cos(phis), st * np.sin(phis), np.full_like(phis, math.cos(theta))])
-    a0 = np.exp(1j * geom.wavenumber * (geom.positions @ d_hat))
-    a = a0 if scheme is BeamformingScheme.NO_MC_REFERENCE else c.T @ a0
-    w = _excitation(scheme, c, a0, w0_mag, a)
-    _check_power(np.linalg.norm(w, axis=0), w0_mag)
-    return np.abs(np.einsum("np,np->p", a, w)) ** 2 / w0_mag**2
+def _norm(columns) -> np.ndarray:
+    """Column norms of a matrix given as its row blocks."""
+    return np.sqrt(sum((w.real**2 + w.imag**2).sum(axis=0) for w in columns))
+
+
+def _parts(geom: ArrayGeometry, coupling):
+    """The coupling matrix as blocks with the map of lattice vectors into
+    each block's basis: the parity blocks C_b of a lattice coupling with
+    v -> P_b^T v, or a dense C as its one block with the identity."""
+    blocks = coupling._blocks if isinstance(coupling, CouplingMatrix) else None
+    if blocks is None:
+        return (_coupling_values(coupling),), lambda v: (v,)
+    if blocks.geom is not geom:
+        raise DomainError("gain sweep needs coupling blocks on the same lattice")
+    return blocks.blocks, blocks.split
 
 
 def gain_sweep(geom: ArrayGeometry, coupling, scheme: BeamformingScheme,
-               theta: float, phi_grid, w0_mag: float = 1.0) -> list[tuple[float, float]]:
+               theta: float, phi_grid, w0_mag: float = 1.0) -> np.ndarray:
     """Array gain versus azimuth at a fixed zenith angle.
 
-    Returns (phi, gain) pairs.  For the no-coupling reference scheme the
-    gain is evaluated with the identity coupling, so it is flat at the
-    element count.  Azimuths are evaluated in blocks, one column each,
+    Returns the gains as an array shaped like the azimuth grid.  For the
+    no-coupling reference scheme the gain is evaluated with the identity
+    coupling, so it is flat at the element count.  The whole grid is
+    evaluated at once, one steering and excitation column per azimuth,
     and every excitation column passes the power check of ``array_gain``.
+
+    A lattice coupling is used as its parity blocks: P is real and
+    orthogonal, so with a0_b = P_b^T a0 the response is a_b = C_b^T a0_b,
+    the excitations are found block by block, and ||w||^2 and a^T w are
+    sums over the blocks.  A dense C is the one-block case.
     """
     phis = np.array(list(phi_grid), dtype=float)
     if phis.size == 0:
@@ -156,7 +174,17 @@ def gain_sweep(geom: ArrayGeometry, coupling, scheme: BeamformingScheme,
         raise DomainError(f"w0_mag must be positive, got {w0_mag}")
     for phi in (phis.min(), phis.max()):  # range and finiteness of the whole grid
         Direction(phi=float(phi), theta=theta)
-    c = _coupling_values(coupling)
-    blocks = [phis[lo:lo + _AZIMUTH_BLOCK] for lo in range(0, phis.size, _AZIMUTH_BLOCK)]
-    gains = np.concatenate([_block_gains(geom, c, scheme, theta, b, w0_mag) for b in blocks])
-    return list(zip(phis.tolist(), gains.tolist()))
+    blocks, split = _parts(geom, coupling)
+    st = math.sin(theta)
+    d_hat = np.stack([st * np.cos(phis), st * np.sin(phis), np.full_like(phis, math.cos(theta))])
+    a0 = split(np.exp(1j * geom.wavenumber * (geom.positions @ d_hat)))
+    ws, aw = [], 0.0
+    for c, a0b in zip(blocks, a0):
+        a = a0b if scheme is BeamformingScheme.NO_MC_REFERENCE else c.T @ a0b
+        ws.append(_unscaled_excitation(scheme, c, a0b, a))
+        aw = aw + np.einsum("np,np->p", a, ws[-1])
+    scale = _power_scale(scheme, _norm(ws), w0_mag)
+    for w in ws:
+        w *= scale
+    _check_power(_norm(ws), w0_mag)
+    return np.abs(scale * aw) ** 2 / w0_mag**2

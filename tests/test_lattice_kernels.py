@@ -10,6 +10,8 @@ definitions, on small lattices with odd and even axis lengths (1 included):
   correlation against dense ``eigvalsh`` and against the four-block solve,
   and lazily gathered blocks read one at a time;
 * the blockwise coupling against the closed-form coupling matrices;
+* the gain sweep and the ICSI of parity blocks against the same
+  operation on the assembled dense matrix, errors included;
 * the folded-FFT wavenumber transform against a per-point direct sum;
 * the offset-table gather against the pairwise-distance formula.
 """
@@ -22,12 +24,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from holoris import (ArrayGeometry, DomainError, ElementKind, ImpedanceMatrix,
-                     NumericalError, ParityBlocks, SpacingConvention,
-                     correlation_matrix_isotropic, coupling_rx, coupling_tx,
-                     effective_correlation, eigen_spectrum, generator_sequence,
-                     icsi, impedance_matrix_dipoles, impedance_matrix_isotropic,
-                     make_uniform_grid, parity_blocks, power_spectrum)
+from holoris import (ArrayGeometry, BeamformingScheme, CouplingMatrix, CouplingSide,
+                     DomainError, ElementKind, ImpedanceMatrix, NumericalError,
+                     ParityBlocks, SpacingConvention, correlation_matrix_isotropic,
+                     coupling_rx, coupling_tx, effective_correlation, eigen_spectrum,
+                     gain_sweep, generator_sequence, icsi, impedance_matrix_dipoles,
+                     impedance_matrix_isotropic, make_uniform_grid, parity_blocks,
+                     power_spectrum)
 from holoris.analysis import _hermitian_part
 from holoris.correlation import sinc_offset_table
 from holoris.geometry import gather_offsets
@@ -407,3 +410,70 @@ def test_blocks_on_another_lattice_rejected():
         effective_correlation(coupling_rx(z, 50.0), r0)
     with pytest.raises(DomainError):
         eigen_spectrum(r0, geom=other)
+
+
+def random_tx_coupling(nx, nz, seed):
+    """A lattice, and the transmit coupling of a random complex offset
+    table whose self term makes Z strictly diagonally dominant."""
+    g = lattice(nx, nz, 0.25, 0.3)
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(-1.0, 1.0, (nx, nz)) + 1j * rng.uniform(-1.0, 1.0, (nx, nz))
+    table[0, 0] = 2.0 * g.n * (1.0 + 0.3j)
+    z = ImpedanceMatrix(z_self=complex(table[0, 0]), table=table, geom=g)
+    return g, coupling_tx(z, complex(rng.uniform(20.0, 400.0), rng.uniform(-100.0, 100.0)))
+
+
+@PROPERTY
+@given(axis_len, axis_len, st.integers(0, 2**32 - 1), st.floats(0.2, math.pi - 0.2))
+@example(1, 1, 0, 1.0)  # one element, the (even, even) block alone
+@example(2, 1, 0, 1.0)  # the (odd, *) blocks empty
+def test_block_gain_sweep_matches_dense(nx, nz, seed, theta):
+    g, c = random_tx_coupling(nx, nz, seed)
+    phis = np.linspace(0.0, math.pi, 13)
+    for scheme in BeamformingScheme:
+        blocks = gain_sweep(g, c, scheme, theta, phis)
+        assert blocks.shape == phis.shape
+        np.testing.assert_allclose(blocks, gain_sweep(g, c.values, scheme, theta, phis),
+                                   rtol=1e-12)
+
+
+@PROPERTY
+@given(axis_len, axis_len, st.booleans(), st.integers(0, 2**32 - 1))
+def test_block_icsi_matches_dense(nx, nz, complex_entries, seed):
+    g = lattice(nx, nz, 0.25, 0.25)
+    pb = parity_blocks(random_table(np.random.default_rng(seed), nx, nz, complex_entries), g)
+    if g.n < 2:
+        with pytest.raises(DomainError, match="two elements"):
+            icsi(pb)
+        with pytest.raises(DomainError, match="two elements"):
+            icsi(pb.dense())
+    else:
+        assert icsi(pb) == pytest.approx(icsi(pb.dense()), rel=1e-12)
+
+
+def zeroed_coupling(nx, nz, count):
+    """A lattice and a transmit coupling whose last ``count`` parity
+    blocks are zero (all of them when there are fewer)."""
+    g, c = random_tx_coupling(nx, nz, 5)
+    blocks = list(c.blocks.blocks)
+    keep = max(len(blocks) - count, 0)
+    blocks[keep:] = [np.zeros_like(b) for b in blocks[keep:]]
+    return g, CouplingMatrix(blocks=ParityBlocks(tuple(blocks), g), side=CouplingSide.TX,
+                             port_impedance=50.0 + 0j, condition=math.inf)
+
+
+@pytest.mark.parametrize("nx, nz", [(3, 2), (2, 3), (3, 3), (4, 1)])
+def test_block_gain_sweep_errors_match_dense(nx, nz):
+    phis = [0.0, 1.0]
+    g, c = zeroed_coupling(nx, nz, 1)
+    with pytest.raises(NumericalError, match="singular coupling matrix"):
+        gain_sweep(g, c, BeamformingScheme.DIRECTIVITY_MAX, math.pi / 2, phis)
+    g, c = zeroed_coupling(nx, nz, 4)
+    for coupling in (c, c.values):
+        with pytest.raises(NumericalError, match="singular coupling matrix"):
+            gain_sweep(g, coupling, BeamformingScheme.DIRECTIVITY_MAX, math.pi / 2, phis)
+        with pytest.raises(NumericalError, match="zero excitation"):
+            gain_sweep(g, coupling, BeamformingScheme.PROPOSED_MC_AWARE, math.pi / 2, phis)
+    other = lattice(nx, nz, 0.25, 0.3)
+    with pytest.raises(DomainError, match="same lattice"):
+        gain_sweep(other, c, BeamformingScheme.CONJUGATE_MC_UNAWARE, math.pi / 2, phis)
