@@ -12,7 +12,7 @@ plus standalone gnuplot scripts:
 * ``mc-eigen``: eigenvalue decay of the effective correlation with
   transmit/receive coupling (fig8, fig9, fig10).
 * ``icsi``: coupling/correlation strength tables (table1, table2).
-* ``reproduce-all``: all of the above.
+* ``reproduce-all``: all of the above, one after another.
 
 Everything is deterministic: re-running a subcommand rewrites the same
 bytes.  Exit codes: 0 success, 2 configuration error, 3 numerical error.
@@ -22,7 +22,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -379,17 +378,12 @@ SUBCOMMANDS = {
 }
 
 
-def run(subcommand: str, cfg: ExperimentConfig, outdir: Path,
-        jobs: int = 1) -> list[Path]:
-    """Run one subcommand (or all of them) and return the written paths."""
+def run(subcommand: str, cfg: ExperimentConfig, outdir: Path) -> list[Path]:
+    """Run one subcommand (or all of them, in ``SUBCOMMANDS`` order) and
+    return the written paths."""
     outdir = Path(outdir)
     if subcommand == "reproduce-all":
-        results = []
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            futures = [pool.submit(fn, cfg, outdir) for fn in SUBCOMMANDS.values()]
-            for fut in futures:
-                results.extend(fut.result())
-        return results
+        return [path for fn in SUBCOMMANDS.values() for path in fn(cfg, outdir)]
     try:
         fn = SUBCOMMANDS[subcommand]
     except KeyError:
@@ -409,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON experiment config (defaults to the packaged setup)")
         p.add_argument("--out", type=Path, default=None,
                        help=f"output directory (default: config value or ${OUTPUT_DIR_ENV})")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="parallel experiments for reproduce-all")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted and ignored: reproduce-all runs its experiments in order")
     return parser
 
 
@@ -421,7 +415,7 @@ def main(argv=None) -> int:
                else ExperimentConfig.default())
         outdir = args.out or Path(os.environ.get(OUTPUT_DIR_ENV, "")
                                   or cfg.output.directory)
-        paths = run(args.subcommand, cfg, outdir, jobs=args.jobs)
+        paths = run(args.subcommand, cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

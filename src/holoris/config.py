@@ -6,6 +6,7 @@ impedances in ohms as [re, im] pairs.  Unknown keys are rejected.  The
 packaged default configuration reproduces the reference experiment set.
 """
 
+import functools
 import importlib.resources
 import json
 from dataclasses import dataclass
@@ -16,15 +17,16 @@ import jsonschema
 from .errors import ConfigError
 from .geometry import ArrayGeometry, ElementKind, make_dipole_array, make_uniform_grid
 
-_SCHEMA = None
 
-
-def _schema() -> dict:
-    global _SCHEMA
-    if _SCHEMA is None:
-        ref = importlib.resources.files("holoris.data") / "config_schema.json"
-        _SCHEMA = json.loads(ref.read_text())
-    return _SCHEMA
+@functools.cache
+def _validator():
+    """The config schema's validator, built once per process: the schema
+    is checked against its metaschema here, not on every load."""
+    ref = importlib.resources.files("holoris.data") / "config_schema.json"
+    schema = json.loads(ref.read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def default_config_dict() -> dict:
@@ -101,11 +103,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        try:
-            jsonschema.validate(data, _schema())
-        except jsonschema.ValidationError as exc:
-            path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+        error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
+        if error is not None:
+            path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+            raise ConfigError(f"config invalid at {path}: {error.message}") from error
         merged = _merge_defaults(default_config_dict(), data)
         g = merged["geometry"]
         i = merged["impedance"]

@@ -164,13 +164,14 @@ class ParityBlocks:
             out += part
         return out
 
-    def split(self, v: np.ndarray) -> list[np.ndarray]:
-        """P_b^T v for each block b: the lattice vectors held as the (N, ...)
-        array ``v``, in the basis of each block, in block order."""
-        g = self.geom
-        grid = v.reshape((g.nz, g.nx) + v.shape[1:])
-        return [_mirror_split(_mirror_split(grid, 0, pz), 1, px).reshape((mz * mx,) + v.shape[1:])
-                for pz, px, mz, mx in _parities(g)]
+    def split_product(self, vz: np.ndarray, vx: np.ndarray) -> list[np.ndarray]:
+        """P_b^T v for each block b, in block order, of the lattice vectors
+        v[iz * nx + ix, ...] = vz[iz] * vx[ix, ...], without forming v:
+        the parity basis is a product of per-axis bases, so each block's
+        part is the outer product of the split z and x factors."""
+        return [np.multiply.outer(_mirror_split(vz, 0, pz), _mirror_split(vx, 0, px))
+                .reshape((mz * mx,) + vx.shape[1:])
+                for pz, px, mz, mx in _parities(self.geom)]
 
 
 def _parities(geom: ArrayGeometry):

@@ -141,15 +141,17 @@ def _norm(columns) -> np.ndarray:
 
 
 def _parts(geom: ArrayGeometry, coupling):
-    """The coupling matrix as blocks with the map of lattice vectors into
-    each block's basis: the parity blocks C_b of a lattice coupling with
-    v -> P_b^T v, or a dense C as its one block with the identity."""
+    """The coupling matrix as blocks with the map of lattice vectors
+    v = vz (x) vx, given by their per-axis factors, into each block's
+    basis: the parity blocks C_b of a lattice coupling with
+    v -> P_b^T v, or a dense C as its one block with the full v."""
     blocks = coupling._blocks if isinstance(coupling, CouplingMatrix) else None
     if blocks is None:
-        return (_coupling_values(coupling),), lambda v: (v,)
+        return ((_coupling_values(coupling),),
+                lambda vz, vx: (np.multiply.outer(vz, vx).reshape((geom.n,) + vx.shape[1:]),))
     if blocks.geom is not geom:
         raise DomainError("gain sweep needs coupling blocks on the same lattice")
-    return blocks.blocks, blocks.split
+    return blocks.blocks, blocks.split_product
 
 
 def gain_sweep(geom: ArrayGeometry, coupling, scheme: BeamformingScheme,
@@ -175,9 +177,12 @@ def gain_sweep(geom: ArrayGeometry, coupling, scheme: BeamformingScheme,
     for phi in (phis.min(), phis.max()):  # range and finiteness of the whole grid
         Direction(phi=float(phi), theta=theta)
     blocks, split = _parts(geom, coupling)
-    st = math.sin(theta)
-    d_hat = np.stack([st * np.cos(phis), st * np.sin(phis), np.full_like(phis, math.cos(theta))])
-    a0 = split(np.exp(1j * geom.wavenumber * (geom.positions @ d_hat)))
+    # steering exp(j kappa (x sin(theta) cos(phi) + z cos(theta))) of the
+    # lattice point (iz, ix) is the product of one z and one x factor
+    kappa = geom.wavenumber
+    a0 = split(np.exp(1j * kappa * np.arange(geom.nz) * geom.dz * math.cos(theta)),
+               np.exp(1j * kappa * np.multiply.outer(np.arange(geom.nx) * geom.dx,
+                                                     math.sin(theta) * np.cos(phis))))
     ws, aw = [], 0.0
     for c, a0b in zip(blocks, a0):
         a = a0b if scheme is BeamformingScheme.NO_MC_REFERENCE else c.T @ a0b

@@ -1,10 +1,13 @@
+import importlib.resources
 import json
 import math
+import threading
 
+import jsonschema
 import numpy as np
 import pytest
 
-from holoris import ConfigError, ExperimentConfig, geometry_to_dict, make_dipole_array
+from holoris import ConfigError, ExperimentConfig, cli, config, geometry_to_dict, make_dipole_array
 from holoris.cli import main, run
 
 FAST_CONFIG = {
@@ -98,6 +101,42 @@ class TestConfig:
         cfg = ExperimentConfig.default()
         g = cfg.geometry.build(spacing_x=0.125)
         assert g.n == 264
+
+    def test_schema_checked_once_per_process(self, monkeypatch):
+        cls = type(config._validator())
+        check_schema = cls.check_schema
+        calls = []
+
+        def counted(schema, *args, **kwargs):
+            calls.append(schema)
+            return check_schema(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", counted)
+        config._validator.cache_clear()
+        try:
+            for _ in range(3):
+                ExperimentConfig.from_dict(FAST_CONFIG)
+        finally:
+            config._validator.cache_clear()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("data", [
+        {"geomtry": {}},
+        {"geometry": {"apertures": 4.0}},
+        {"geometry": {"spacing_x": -0.5, "dipole_rows": 0}},
+        {"sweep": {"azimuth_points": "many", "spacings": "none"}},
+        {"impedance": {"model": "patch", "z_source": [50.0]}},
+        {"output": {"directory": 3}},
+        [],
+    ])
+    def test_config_error_text_matches_jsonschema_validate(self, data):
+        ref = importlib.resources.files("holoris.data") / "config_schema.json"
+        with pytest.raises(jsonschema.ValidationError) as old:
+            jsonschema.validate(data, json.loads(ref.read_text()))
+        path = "/".join(str(p) for p in old.value.absolute_path) or "<root>"
+        with pytest.raises(ConfigError) as new:
+            ExperimentConfig.from_dict(data)
+        assert str(new.value) == f"config invalid at {path}: {old.value.message}"
 
 
 class TestSubcommands:
@@ -219,13 +258,25 @@ class TestSubcommands:
         assert all(float(r[3]) == 0.0 for r in rows[:200])
 
     def test_reproduce_all_and_determinism(self, fast_cfg, tmp_path):
-        first = run("reproduce-all", fast_cfg, tmp_path / "a", jobs=2)
-        again = run("reproduce-all", fast_cfg, tmp_path / "b", jobs=1)
+        first = run("reproduce-all", fast_cfg, tmp_path / "a")
+        again = run("reproduce-all", fast_cfg, tmp_path / "b")
         by_name_a = {p.name: p for p in first}
         by_name_b = {p.name: p for p in again}
         assert set(by_name_a) == set(by_name_b)
         for name, pa in by_name_a.items():
             assert pa.read_bytes() == by_name_b[name].read_bytes(), name
+
+    def test_reproduce_all_runs_in_order_on_calling_thread(self, fast_cfg, tmp_path,
+                                                           monkeypatch):
+        calls = []
+        for name in cli.SUBCOMMANDS:
+            def record(cfg, outdir, name=name):
+                calls.append((name, threading.get_ident()))
+                return [outdir / name]
+            monkeypatch.setitem(cli.SUBCOMMANDS, name, record)
+        paths = run("reproduce-all", fast_cfg, tmp_path)
+        assert calls == [(name, threading.get_ident()) for name in cli.SUBCOMMANDS]
+        assert paths == [tmp_path / name for name in cli.SUBCOMMANDS]
 
     def test_unknown_subcommand(self, fast_cfg, tmp_path):
         with pytest.raises(ConfigError):
@@ -256,6 +307,19 @@ class TestMain:
         assert code == 2
         assert "touch" in capsys.readouterr().err
         assert not (tmp_path / "o" / "table1_icsi_tx.csv").exists()
+
+    def test_jobs_flag_changes_nothing(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(FAST_CONFIG))
+        outs = {}
+        for label, extra in (("plain", []), ("jobs", ["--jobs", "4"])):
+            out = tmp_path / label
+            assert main(["reproduce-all", "--config", str(cfg_path), "--out", str(out)]
+                        + extra) == 0
+            outs[label] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert outs["jobs"] == outs["plain"]
+        assert len(outs["plain"]) > 0
+        assert cli.build_parser().parse_args(["reproduce-all"]).jobs == 1
 
     def test_missing_config_file(self, tmp_path):
         assert main(["icsi", "--config", str(tmp_path / "nope.json"),

@@ -11,7 +11,9 @@ definitions, on small lattices with odd and even axis lengths (1 included):
   and lazily gathered blocks read one at a time;
 * the blockwise coupling against the closed-form coupling matrices;
 * the gain sweep and the ICSI of parity blocks against the same
-  operation on the assembled dense matrix, errors included;
+  operation on the assembled dense matrix, errors included, and the gain
+  sweep's per-axis steering against per-azimuth ``steering_vector``
+  gains;
 * the folded-FFT wavenumber transform against a per-point direct sum;
 * the offset-table gather against the pairwise-distance formula.
 """
@@ -25,16 +27,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from holoris import (ArrayGeometry, BeamformingScheme, CouplingMatrix, CouplingSide,
-                     DomainError, ElementKind, ImpedanceMatrix, NumericalError,
-                     ParityBlocks, SpacingConvention, correlation_matrix_isotropic,
-                     coupling_rx, coupling_tx, effective_correlation, eigen_spectrum,
-                     gain_sweep, generator_sequence, icsi, impedance_matrix_dipoles,
-                     impedance_matrix_isotropic, make_uniform_grid, parity_blocks,
-                     power_spectrum)
+                     Direction, DomainError, ElementKind, ImpedanceMatrix, NumericalError,
+                     ParityBlocks, SpacingConvention, array_gain, beamforming_vector,
+                     correlation_matrix_isotropic, coupling_rx, coupling_tx,
+                     effective_correlation, eigen_spectrum, gain_sweep, generator_sequence,
+                     icsi, impedance_matrix_dipoles, impedance_matrix_isotropic,
+                     make_uniform_grid, parity_blocks, power_spectrum, steering_vector)
 from holoris.analysis import _hermitian_part
 from holoris.correlation import sinc_offset_table
 from holoris.geometry import gather_offsets
 from holoris.spectrum import _odd_grid
+
+from conftest import random_coupling
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -435,6 +439,29 @@ def test_block_gain_sweep_matches_dense(nx, nz, seed, theta):
         assert blocks.shape == phis.shape
         np.testing.assert_allclose(blocks, gain_sweep(g, c.values, scheme, theta, phis),
                                    rtol=1e-12)
+
+
+@PROPERTY
+@given(axis_len, axis_len, st.integers(0, 2**32 - 1),
+       st.floats(0.2, math.pi - 0.2).filter(lambda t: abs(math.cos(t)) > 0.05))
+@example(1, 9, 0, 1.0)  # a single column: the steering varies along z only
+@example(8, 7, 0, 2.5)  # even x, odd z, past broadside
+def test_gain_sweep_matches_per_azimuth_steering(nx, nz, seed, theta):
+    g, c = random_tx_coupling(nx, nz, seed)
+    # a general C has no mirror symmetry, so its gains also tell the
+    # zenith theta from pi - theta, which a lattice coupling's cannot
+    general = random_coupling(np.random.default_rng(seed), g.n)
+    phis = np.linspace(0.0, math.pi, 11)
+    for scheme in BeamformingScheme:
+        for coupling, dense in ((c, c.values), (c.values, c.values), (general, general.values)):
+            if scheme is BeamformingScheme.NO_MC_REFERENCE:
+                dense = np.eye(g.n)
+            looped = []
+            for phi in phis:
+                a0 = steering_vector(g, Direction(phi=float(phi), theta=theta))
+                looped.append(array_gain(dense, a0, beamforming_vector(scheme, dense, a0)))
+            np.testing.assert_allclose(gain_sweep(g, coupling, scheme, theta, phis), looped,
+                                       rtol=1e-12)
 
 
 @PROPERTY
