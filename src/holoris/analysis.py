@@ -19,7 +19,7 @@ import numpy as np
 from .correlation import CorrelationKind, CorrelationMatrix
 from .coupling import CouplingMatrix, CouplingSide
 from .errors import DomainError, KneeUndefinedError, NumericalError
-from .geometry import ArrayGeometry, ParityBlocks, _parities
+from .geometry import ArrayGeometry, ParityBlocks, _parities, as_blocks
 
 _HERMITIAN_TOL = 1e-8
 # Negative eigenvalues of a PSD matrix are round-off; more negative mass
@@ -61,32 +61,23 @@ class EigenSpectrum:
 
 
 def effective_correlation(coupling: CouplingMatrix,
-                          r0: CorrelationMatrix | ParityBlocks
-                          ) -> CorrelationMatrix | ParityBlocks:
-    """Effective correlation C^T R0 conj(C) under a coupling matrix.
-
-    Given the parity blocks of the base correlation R0, it is
-    C_b^T R0_b conj(C_b) for each parity block of C: the basis is real
-    and orthogonal, so transposes and conjugates stay inside it.
-    """
-    if isinstance(r0, ParityBlocks):
-        cb = coupling.blocks
-        if cb.geom is not r0.geom:
-            raise DomainError("blockwise effective correlation needs coupling blocks "
-                              "on the same lattice")
-        return ParityBlocks(tuple(c.T @ r @ c.conj() for c, r in zip(cb.blocks, r0.blocks)),
-                            r0.geom)
-    if r0.kind is not CorrelationKind.MC_UNAWARE:
+                          r0: CorrelationMatrix | ParityBlocks) -> CorrelationMatrix:
+    """Effective correlation C^T R0 conj(C) under a coupling matrix,
+    C_b^T R0_b conj(C_b) for each parity block: the basis is real and
+    orthogonal, so transposes and conjugates stay inside it.  When only
+    one of C and R0 has a lattice, both are taken whole, as one block."""
+    if getattr(r0, "kind", CorrelationKind.MC_UNAWARE) is not CorrelationKind.MC_UNAWARE:
         raise DomainError(f"base correlation must be mc_unaware, got {r0.kind.value}")
-    if coupling.dim != r0.dim:
-        raise DomainError(
-            f"coupling dim {coupling.dim} does not match correlation dim {r0.dim}"
-        )
-    c = coupling.values
-    values = c.T @ r0.values @ c.conj()
+    cb, rb = as_blocks(coupling), as_blocks(r0)
+    if (cb.geom is None) != (rb.geom is None):
+        cb, rb = as_blocks(cb.dense()), as_blocks(rb.dense())
+    if cb.geom is not rb.geom or cb.n != rb.n:
+        raise DomainError(f"coupling dim {cb.n} and correlation dim {rb.n} must match, "
+                          "on the same lattice")
     kind = (CorrelationKind.EFFECTIVE_TX if coupling.side is CouplingSide.TX
             else CorrelationKind.EFFECTIVE_RX)
-    return CorrelationMatrix(values=values, kind=kind)
+    return CorrelationMatrix(blocks=ParityBlocks(
+        tuple(c.T @ r @ c.conj() for c, r in zip(cb.blocks, rb.blocks)), rb.geom), kind=kind)
 
 
 def dominant_count(values: np.ndarray,
@@ -157,11 +148,13 @@ def _swap_half(b: np.ndarray, m: int, antisymmetric: bool) -> np.ndarray:
 
 
 def _parity_eigenvalues(r: ParityBlocks, scale: float):
-    """Eigenvalues of the parity blocks of ``r``, one array per solve;
-    a block is read only after the last was released, so lazy blocks are
+    """Eigenvalues of the blocks of ``r``, one array per solve; a block
+    is read only after the last was released, so lazy blocks are
     gathered one at a time, and under ``r.swap`` each half is built only
     after the last was solved."""
-    for k, (odd_z, odd_x, m, _) in enumerate(_parities(r.geom)):
+    # the parities matter only under swap, which needs a lattice
+    parities = _parities(r.geom) if r.swap else [(False, False, 0, 0)] * len(r.blocks)
+    for k, (odd_z, odd_x, m, _) in enumerate(parities):
         if r.swap and odd_z and not odd_x:
             continue  # (odd, even) is the swap image of (even, odd)
         b = _hermitian_part(r.blocks[k], scale)
@@ -180,15 +173,13 @@ def eigen_spectrum(r: CorrelationMatrix | ParityBlocks, normalize_by_n: bool = T
                    geom: ArrayGeometry | None = None) -> EigenSpectrum:
     """Eigenvalues of a correlation matrix, sorted non-increasing.
 
-    The input must be Hermitian within 1e-8 of its scale.  A matrix
-    given as a ``CorrelationMatrix`` is solved whole; ``geom``, when
-    given, must have its size and sets ``asymptotic_dof``.  A matrix
-    given as its ``ParityBlocks`` is solved block by block, which is
-    exact for every lattice matrix that commutes with the x and z
-    reversals; its geometry is the blocks' own, and its scale the
-    blocks' ``scale``, or their largest entry when that is not known.
-    Under ``swap`` the (even, odd) block counts twice and each m^2 diagonal
-    block is solved as swap halves of sizes m (m + 1) / 2 and m (m - 1) / 2.
+    The input must be Hermitian within 1e-8 of its scale: the blocks'
+    ``scale``, or their largest entry.  It is solved block by block, exact
+    for every lattice matrix that commutes with the x and z reversals.
+    ``geom``, when given, must be the matrix's lattice, or have its size
+    if it has none; it sets ``asymptotic_dof``.  Under ``swap`` the
+    (even, odd) block counts twice and each m^2 diagonal block is solved
+    as swap halves of sizes m (m + 1) / 2 and m (m - 1) / 2.
 
     Effective correlation matrices can carry tiny negative round-off
     eigenvalues; magnitudes are reported (matching how eigenvalue decay
@@ -197,19 +188,17 @@ def eigen_spectrum(r: CorrelationMatrix | ParityBlocks, normalize_by_n: bool = T
     ``negative_mass``; above 1e-8 the matrix is not PSD and
     ``NumericalError`` is raised.
     """
-    if isinstance(r, ParityBlocks):
-        if geom is not None and geom is not r.geom:
-            raise DomainError("geometry does not match the parity blocks")
-        geom, dim = r.geom, r.geom.n
-        scale = r.scale or max(float(np.abs(b).max()) for b in r.blocks) or 1.0
-        ev = np.concatenate(list(_parity_eigenvalues(r, scale)))
-    else:
-        values, dim = r.values, r.dim
-        if geom is not None and geom.n != dim:
-            raise DomainError(f"matrix dim {dim} does not match geometry with {geom.n} elements")
-        # row by row: a whole-matrix abs() would be one more N x N temporary
-        scale = max((float(np.abs(row).max()) for row in values), default=0.0) or 1.0
-        ev = np.linalg.eigvalsh(_hermitian_part(values, scale))
+    blocks = as_blocks(r)
+    dim = blocks.n
+    if geom is not None and geom.n != dim:
+        raise DomainError(f"matrix dim {dim} does not match geometry with {geom.n} elements")
+    if geom is not None and blocks.geom is not None and geom is not blocks.geom:
+        raise DomainError("geometry does not match the parity blocks")
+    geom = geom or blocks.geom
+    # 256 rows at a time: a whole dense matrix's abs() would be one more N x N temporary
+    scale = blocks.scale or max(float(np.abs(b[i:i + 256]).max())
+                                for b in blocks.blocks for i in range(0, len(b), 256)) or 1.0
+    ev = np.concatenate(list(_parity_eigenvalues(blocks, scale)))
     top = float(ev.max())
     negative = float(np.abs(ev[ev < 0.0]).sum())  # +0.0, not -0.0, when there is none
     negative_mass = negative / top if top > 0.0 else (math.inf if negative else 0.0)
@@ -244,32 +233,20 @@ def asymptotic_dof(geom: ArrayGeometry) -> int:
 
 def icsi(q) -> float:
     """Inter-element correlation/coupling strength indicator of a square
-    matrix (accepts raw arrays, any of the matrix wrapper types, or the
-    ``ParityBlocks`` of a lattice matrix).
+    matrix: a raw array, any of the matrix wrapper types, or blocks.
 
     A lattice matrix commutes with both lattice reversals, so the row
-    ratios of a point and of its mirror images are equal: given its
-    parity blocks, only the rows of one lattice quarter are assembled,
-    each weighted by its count of mirror images (1, 2 or 4).  A dense
-    matrix is the one-block case: every row, weight 1.
+    ratios of a point and of its mirror images are equal: only the rows
+    of one lattice quarter are assembled, each weighted by its count of
+    mirror images (1, 2 or 4).  A matrix with no lattice is the one-block
+    case: every row, weight 1.
     """
-    if isinstance(q, ParityBlocks):
-        g = q.geom
-        iz, ix = np.arange(g.nz - g.nz // 2), np.arange(g.nx - g.nx // 2)
-        points = (iz[:, None] * g.nx + ix).ravel()
-        weights = np.outer(np.where(2 * iz == g.nz - 1, 1.0, 2.0),
-                           np.where(2 * ix == g.nx - 1, 1.0, 2.0)).ravel()
-        values, n = q.rows(points), g.n
-    else:
-        values = np.asarray(getattr(q, "values", q))
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise DomainError(f"ICSI needs a square matrix, got shape {values.shape}")
-        n = values.shape[0]
-        points, weights = np.arange(n), 1.0
-    if n < 2:
+    q = as_blocks(q)
+    points, weights = q.quarter()
+    if q.n < 2:
         raise DomainError("ICSI needs at least two elements")
-    mags = np.abs(values)
+    mags = np.abs(q.rows(points))
     diag = mags[np.arange(len(points)), points]
     if np.any(diag == 0.0):
         raise DomainError("ICSI undefined: zero diagonal entry")
-    return float(((weights * mags.sum(axis=1) / diag).sum() - n) / (n * (n - 1)))
+    return float(((weights * mags.sum(axis=1) / diag).sum() - q.n) / (q.n * (q.n - 1)))

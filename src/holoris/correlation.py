@@ -11,13 +11,13 @@ with Toeplitz blocks (BTTB).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ArrayGeometry, Direction, gather_offsets, read_only_view
+from .geometry import ArrayGeometry, BlockMatrix, Direction, ParityBlocks, gather_offsets
 
 _HERMITIAN_TOL = 1e-10
 _PSD_TOL = 1e-8
@@ -29,22 +29,17 @@ class CorrelationKind(Enum):
     EFFECTIVE_RX = "effective_rx"
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Hermitian positive-semidefinite correlation matrix."""
+class CorrelationMatrix(BlockMatrix):
+    """Hermitian positive-semidefinite correlation matrix: its ``values``,
+    the mirror-parity ``blocks`` of a lattice matrix, or the (nx, nz)
+    offset ``table`` of a lattice ``geom``."""
 
-    values: np.ndarray = field(repr=False)
-    kind: CorrelationKind
-
-    def __post_init__(self):
-        v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise DomainError(f"correlation matrix must be square, got {v.shape}")
-        object.__setattr__(self, "values", read_only_view(v))
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
+    def __init__(self, values: np.ndarray | None = None,
+                 kind: CorrelationKind = CorrelationKind.MC_UNAWARE, *,
+                 blocks: ParityBlocks | None = None, table: np.ndarray | None = None,
+                 geom: ArrayGeometry | None = None):
+        super().__init__(values, blocks, table, geom)
+        self.kind = kind
 
     def hermiticity_defect(self) -> float:
         return float(np.abs(self.values - self.values.conj().T).max())
@@ -86,13 +81,14 @@ def correlation_matrix_isotropic(geom: ArrayGeometry) -> CorrelationMatrix:
     """Correlation matrix of a geometry under isotropic scattering.
 
     Entries are the closed-form sinc kernel of pairwise distances,
-    evaluated once per lattice offset and gathered into the matrix; the
-    result is real with unit diagonal.
+    evaluated once per lattice offset; the matrix and its parity blocks
+    are gathered from that table when first read.  It is real with unit
+    diagonal.
     """
     if geom.n == 0:
         raise DomainError("geometry has no elements")
-    values = gather_offsets(sinc_offset_table(geom), geom)
-    return CorrelationMatrix(values=values, kind=CorrelationKind.MC_UNAWARE)
+    return CorrelationMatrix(table=sinc_offset_table(geom), geom=geom,
+                             kind=CorrelationKind.MC_UNAWARE)
 
 
 def verify_bttb(matrix, geom: ArrayGeometry, tol: float = 1e-10) -> BttbReport:

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .correlation import sinc_offset_table
-from .geometry import (ArrayGeometry, ElementKind, ParityBlocks, gather_offsets,
-                       parity_blocks, read_only_view)
+from .geometry import ArrayGeometry, BlockMatrix, ElementKind, ParityBlocks, as_blocks
 from .specfun import cosine_integral as Ci
 from .specfun import sine_integral as Si
 
@@ -35,100 +34,62 @@ class CouplingSide(Enum):
     RX = "rx"
 
 
-class ImpedanceMatrix:
+class ImpedanceMatrix(BlockMatrix):
     """Symmetric complex impedance matrix with constant self-impedance
-    on the diagonal, in ohms.
+    on the diagonal, in ohms: its ``values``, or the (nx, nz) offset
+    ``table`` of a lattice ``geom``."""
 
-    Given ``values``, it is that matrix.  Given the (nx, nz) offset
-    ``table`` of a lattice ``geom`` instead, ``values`` is gathered from
-    it on first read, and ``blocks`` holds its mirror-parity blocks,
-    gathered without the dense matrix.
-    """
+    _NEEDS = "an impedance matrix needs its values or an offset table and geometry"
+    _NO_BLOCKS = "parity blocks need the impedance offset table"
 
     def __init__(self, values: np.ndarray | None = None, *, z_self: complex,
                  table: np.ndarray | None = None, geom: ArrayGeometry | None = None):
-        if (values is None) == (table is None or geom is None):
-            raise DomainError("an impedance matrix needs its values or an offset table and geometry")
+        super().__init__(values, table=table, geom=geom)
         self.z_self = z_self
-        self._values = None if values is None else read_only_view(values)
-        self._table, self._geom = table, geom
-        self._blocks = None
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = read_only_view(gather_offsets(self._table, self._geom))
-        return self._values
-
-    @property
-    def blocks(self) -> ParityBlocks:
-        if self._table is None:
-            raise DomainError("parity blocks need the impedance offset table")
-        if self._blocks is None:
-            self._blocks = parity_blocks(self._table, self._geom)
-        return self._blocks
-
-    @property
-    def dim(self) -> int:
-        return self._geom.n if self._values is None else self._values.shape[0]
 
 
 def _shifted_condition(z: ImpedanceMatrix, shift: complex) -> float:
-    """2-norm condition number of Z + shift I, or nan when its SVD fails,
-    as it does on non-finite entries."""
+    """2-norm condition number of Z + shift I, the largest over the
+    smallest singular value of its blocks (the basis is orthonormal), or
+    nan when an SVD fails, as it does on non-finite entries."""
     try:
-        return float(np.linalg.cond(z.values + shift * np.eye(z.dim)))
+        s = np.concatenate([np.linalg.svd(b + shift * np.eye(len(b)), compute_uv=False)
+                            for b in as_blocks(z).blocks])
     except np.linalg.LinAlgError:
         return math.nan
+    return float(s.max() / s.min()) if s.min() != 0 else math.inf
 
 
-class CouplingMatrix:
+class CouplingMatrix(BlockMatrix):
     """Dimensionless port-domain coupling matrix.
 
     Normalized so that an impedance matrix without mutual terms maps to
-    the identity for any admissible port impedance.  Given ``values``,
-    it is that matrix.  Given the mirror-parity ``blocks`` of a lattice
-    coupling instead, ``values`` is assembled from them on first read.
+    the identity for any admissible port impedance.  Given by its
+    ``values``, or by the mirror-parity ``blocks`` of a lattice coupling.
     ``condition`` is the 2-norm condition number of the matrix that was
     inverted, Z + port_impedance I: either given, or computed from the
     ``impedance`` matrix Z on first read and cached.
     """
 
+    _NEEDS = "a coupling matrix needs its values or its parity blocks"
+    _NO_BLOCKS = "parity blocks need a coupling solved from an impedance offset table"
+
     def __init__(self, values: np.ndarray | None = None, *, side: CouplingSide,
                  port_impedance: complex, condition: float | None = None,
                  impedance: ImpedanceMatrix | None = None, blocks: ParityBlocks | None = None):
-        if (values is None) == (blocks is None):
-            raise DomainError("a coupling matrix needs its values or its parity blocks")
+        super().__init__(values, blocks)
         if condition is None and impedance is None:
             raise DomainError("a coupling matrix needs a condition number or an impedance matrix")
-        self._values = None if values is None else read_only_view(values)
-        self._blocks = blocks
         self.side = side
         self.port_impedance = port_impedance
         self._condition = condition
         self._impedance = impedance
 
     @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = read_only_view(self._blocks.dense())
-        return self._values
-
-    @property
-    def blocks(self) -> ParityBlocks:
-        if self._blocks is None:
-            raise DomainError("parity blocks need a coupling solved from an impedance offset table")
-        return self._blocks
-
-    @property
     def condition(self) -> float:
         if self._condition is None:
             self._condition = _shifted_condition(self._impedance, self.port_impedance)
         return self._condition
-
-    @property
-    def dim(self) -> int:
-        return self._blocks.geom.n if self._values is None else self._values.shape[0]
 
 
 def dipole_mutual_impedance(dh: float, dv: float, wavelength: float = 1.0) -> complex:
@@ -239,19 +200,16 @@ def impedance_matrix_isotropic(geom: ArrayGeometry,
 
 
 def _normalized_inverse(z: ImpedanceMatrix, port: complex, side: CouplingSide) -> CouplingMatrix:
-    """The coupling matrix of ``side``.  A lattice Z is solved block by
-    block, and its parity blocks give those of C; any other Z is solved
-    whole."""
+    """The coupling matrix of ``side``, solved block by block: the blocks
+    of Z give those of C, in the same basis."""
     port = complex(port)
-    if side is CouplingSide.TX:
-        if z.z_self + port == 0:
-            raise DomainError("z_self + z_source = 0 leaves the normalization undefined")
-        prefactor = 1.0 + port / z.z_self
-    else:
-        prefactor = z.z_self + port
-    zblocks = None if z._table is None else z.blocks
+    if z.z_self + port == 0:
+        name = "z_source" if side is CouplingSide.TX else "z_load"
+        raise DomainError(f"z_self + {name} = 0 leaves the normalization undefined")
+    prefactor = 1.0 + port / z.z_self if side is CouplingSide.TX else z.z_self + port
+    zblocks = as_blocks(z)
     out = []
-    for zb in ([z.values] if zblocks is None else zblocks.blocks):
+    for zb in zblocks.blocks:
         eye = np.eye(len(zb), dtype=complex)
         numerator = zb if side is CouplingSide.TX else eye
         try:
@@ -263,8 +221,6 @@ def _normalized_inverse(z: ImpedanceMatrix, port: complex, side: CouplingSide) -
             raise NumericalError(f"non-finite {side.value} coupling entries "
                                  f"(condition {_shifted_condition(z, port):.3e})")
         out.append(prefactor * solved)
-    if zblocks is None:
-        return CouplingMatrix(out[0], side=side, port_impedance=port, impedance=z)
     return CouplingMatrix(blocks=ParityBlocks(tuple(out), zblocks.geom), side=side,
                           port_impedance=port, impedance=z)
 

@@ -130,7 +130,8 @@ class ParityBlocks:
     the orthonormal basis (e_i +/- e_{n-1-i}) / sqrt(2), i < n // 2, of
     both axes, plus the centre e_{n // 2} in the even half of an odd
     axis.  Blocks are ordered (even, even), (even, odd), (odd, even),
-    (odd, odd) in (z, x) parity; empty ones are left out.
+    (odd, odd) in (z, x) parity; empty ones are left out.  With no
+    lattice (``geom`` None), the one block is the matrix.
 
     ``blocks`` is a tuple, or for ``parity_blocks(..., lazy=True)`` a
     sequence that gathers a block each time it is read and keeps none.
@@ -140,18 +141,24 @@ class ParityBlocks:
     """
 
     blocks: Sequence[np.ndarray]
-    geom: ArrayGeometry
+    geom: ArrayGeometry | None = None
     scale: float | None = None
     swap: bool = False
 
+    @property
+    def n(self) -> int:
+        return len(self.blocks[0]) if self.geom is None else self.geom.n
+
     def dense(self) -> np.ndarray:
         """The (N, N) matrix, assembled from the blocks in O(N^2)."""
-        return self.rows(np.arange(self.geom.n))
+        return self.blocks[0] if self.geom is None else self.rows(np.arange(self.n))
 
     def rows(self, points: np.ndarray) -> np.ndarray:
         """The rows of the matrix at lattice points ``points``, (len(points), N),
         assembled from the blocks."""
         g = self.geom
+        if g is None:
+            return self.blocks[0][points]
         out = np.zeros((len(points), g.n), dtype=np.result_type(*self.blocks))
         for (pz, px, mz, mx), b in zip(_parities(g), self.blocks):
             (rz, wz), (rx, wx) = _unmirror(g.nz, pz), _unmirror(g.nx, px)
@@ -164,11 +171,24 @@ class ParityBlocks:
             out += part
         return out
 
+    def quarter(self) -> tuple[np.ndarray, np.ndarray | float]:
+        """One lattice point of each set of mirror images, whose rows the
+        reversals permute, and the set's size (1, 2 or 4), or all N at 1."""
+        g = self.geom
+        if g is None:
+            return np.arange(self.n), 1.0
+        iz, ix = np.arange(g.nz - g.nz // 2), np.arange(g.nx - g.nx // 2)
+        weights = np.outer(2 - (2 * iz == g.nz - 1), 2 - (2 * ix == g.nx - 1))
+        return (iz[:, None] * g.nx + ix).ravel(), weights.ravel()
+
     def split_product(self, vz: np.ndarray, vx: np.ndarray) -> list[np.ndarray]:
         """P_b^T v for each block b, in block order, of the lattice vectors
         v[iz * nx + ix, ...] = vz[iz] * vx[ix, ...], without forming v:
         the parity basis is a product of per-axis bases, so each block's
-        part is the outer product of the split z and x factors."""
+        part is the outer product of the split z and x factors (v itself
+        with no lattice)."""
+        if self.geom is None:
+            return [np.multiply.outer(vz, vx).reshape((-1,) + vx.shape[1:])]
         return [np.multiply.outer(_mirror_split(vz, 0, pz), _mirror_split(vx, 0, px))
                 .reshape((mz * mx,) + vx.shape[1:])
                 for pz, px, mz, mx in _parities(self.geom)]
@@ -265,6 +285,57 @@ def parity_blocks(table: np.ndarray, geom: ArrayGeometry, lazy: bool = False) ->
     return ParityBlocks(blocks if lazy else tuple(blocks), geom,
                         scale=float(np.abs(table).max()),
                         swap=geom.nx == geom.nz and np.array_equal(table, table.T))
+
+
+def as_blocks(matrix) -> ParityBlocks:
+    """Any square matrix as blocks: ``ParityBlocks`` as they are, one of
+    the matrix types as the blocks it holds, and an array as one block."""
+    if isinstance(matrix, ParityBlocks):
+        return matrix
+    if isinstance(matrix, BlockMatrix):
+        return matrix._blocks if matrix._geom is None else matrix.blocks
+    values = np.asarray(matrix)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise DomainError(f"matrix must be square, got shape {values.shape}")
+    return ParityBlocks((values,))
+
+
+class BlockMatrix:
+    """Base of the matrix types: a square matrix held as ``ParityBlocks``.
+    ``values`` are held as one block.  The ``blocks`` of a lattice matrix
+    give ``values`` on first read; the (nx, nz) offset ``table`` of a
+    lattice ``geom`` gives both on first read, without forming the other."""
+
+    _NEEDS = "a matrix needs its values, its parity blocks, or an offset table and geometry"
+    _NO_BLOCKS = "parity blocks need a lattice matrix"
+
+    def __init__(self, values: np.ndarray | None = None, blocks: ParityBlocks | None = None,
+                 table: np.ndarray | None = None, geom: ArrayGeometry | None = None):
+        if (values is None) == (blocks is None and (table is None or geom is None)):
+            raise DomainError(self._NEEDS)
+        self._values = None if values is None else read_only_view(values)
+        self._blocks = blocks if values is None else as_blocks(self._values)
+        self._table, self._geom = table, (geom if self._blocks is None else self._blocks.geom)
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = read_only_view(self._blocks.dense() if self._table is None
+                                          else gather_offsets(self._table, self._geom))
+        return self._values
+
+    @property
+    def blocks(self) -> ParityBlocks:
+        """The mirror-parity blocks of a lattice matrix, gathered on first read."""
+        if self._geom is None:
+            raise DomainError(self._NO_BLOCKS)
+        if self._blocks is None:
+            self._blocks = parity_blocks(self._table, self._geom)
+        return self._blocks
+
+    @property
+    def dim(self) -> int:
+        return self.values.shape[0] if self._geom is None else self._geom.n
 
 
 def _check_positive(**lengths: float) -> None:

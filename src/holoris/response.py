@@ -19,7 +19,7 @@ import numpy as np
 
 from .coupling import CouplingMatrix
 from .errors import DomainError, NumericalError
-from .geometry import ArrayGeometry, Direction, unit_direction
+from .geometry import ArrayGeometry, Direction, as_blocks, unit_direction
 
 _POWER_TOL = 1e-9
 
@@ -140,20 +140,6 @@ def _norm(columns) -> np.ndarray:
     return np.sqrt(sum((w.real**2 + w.imag**2).sum(axis=0) for w in columns))
 
 
-def _parts(geom: ArrayGeometry, coupling):
-    """The coupling matrix as blocks with the map of lattice vectors
-    v = vz (x) vx, given by their per-axis factors, into each block's
-    basis: the parity blocks C_b of a lattice coupling with
-    v -> P_b^T v, or a dense C as its one block with the full v."""
-    blocks = coupling._blocks if isinstance(coupling, CouplingMatrix) else None
-    if blocks is None:
-        return ((_coupling_values(coupling),),
-                lambda vz, vx: (np.multiply.outer(vz, vx).reshape((geom.n,) + vx.shape[1:]),))
-    if blocks.geom is not geom:
-        raise DomainError("gain sweep needs coupling blocks on the same lattice")
-    return blocks.blocks, blocks.split_product
-
-
 def gain_sweep(geom: ArrayGeometry, coupling, scheme: BeamformingScheme,
                theta: float, phi_grid, w0_mag: float = 1.0) -> np.ndarray:
     """Array gain versus azimuth at a fixed zenith angle.
@@ -176,15 +162,18 @@ def gain_sweep(geom: ArrayGeometry, coupling, scheme: BeamformingScheme,
         raise DomainError(f"w0_mag must be positive, got {w0_mag}")
     for phi in (phis.min(), phis.max()):  # range and finiteness of the whole grid
         Direction(phi=float(phi), theta=theta)
-    blocks, split = _parts(geom, coupling)
+    blocks = as_blocks(coupling)
+    if blocks.geom is not None and blocks.geom is not geom:
+        raise DomainError("gain sweep needs coupling blocks on the same lattice")
     # steering exp(j kappa (x sin(theta) cos(phi) + z cos(theta))) of the
     # lattice point (iz, ix) is the product of one z and one x factor
     kappa = geom.wavenumber
-    a0 = split(np.exp(1j * kappa * np.arange(geom.nz) * geom.dz * math.cos(theta)),
-               np.exp(1j * kappa * np.multiply.outer(np.arange(geom.nx) * geom.dx,
-                                                     math.sin(theta) * np.cos(phis))))
+    a0 = blocks.split_product(
+        np.exp(1j * kappa * np.arange(geom.nz) * geom.dz * math.cos(theta)),
+        np.exp(1j * kappa * np.multiply.outer(np.arange(geom.nx) * geom.dx,
+                                              math.sin(theta) * np.cos(phis))))
     ws, aw = [], 0.0
-    for c, a0b in zip(blocks, a0):
+    for c, a0b in zip(blocks.blocks, a0):
         a = a0b if scheme is BeamformingScheme.NO_MC_REFERENCE else c.T @ a0b
         ws.append(_unscaled_excitation(scheme, c, a0b, a))
         aw = aw + np.einsum("np,np->p", a, ws[-1])

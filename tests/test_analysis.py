@@ -1,9 +1,11 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from holoris import (CorrelationKind, CorrelationMatrix, DomainError,
+from holoris import (CorrelationKind, CorrelationMatrix, DomainError, ParityBlocks,
                      KneeUndefinedError, Normalization, NumericalError,
                      asymptotic_dof, correlation_matrix_isotropic, coupling_rx,
                      coupling_tx, dominant_count, effective_correlation,
@@ -57,6 +59,24 @@ class TestEffectiveCorrelation:
         c = random_coupling(rng, 5)
         with pytest.raises(DomainError):
             effective_correlation(c, dipole_correlations[0.5])
+
+    def test_readme_library_example_assembles_no_dense_coupling(self, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        code = readme.split("## Library example")[1].split("```python\n")[1].split("```")[0]
+        assembled = []
+        dense = ParityBlocks.dense
+        monkeypatch.setattr(ParityBlocks, "dense",
+                            lambda self: assembled.append(self) or dense(self))
+        names = {}
+        exec(code, names)
+        # no dense() at all, so none for the coupling C
+        assert assembled == []
+        assert isinstance(names["r"], CorrelationMatrix)
+        assert names["r"].kind is CorrelationKind.EFFECTIVE_TX
+        # the figures the example's comments quote
+        printed = capsys.readouterr().out.split()
+        quoted = re.search(r"# ([\d.]+) -> ([\d.]+)", code).groups()
+        assert [f"{float(v):.4f}" for v in printed[:2]] == list(quoted)
 
 
 class TestEigenSpectrum:

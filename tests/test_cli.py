@@ -1,7 +1,11 @@
 import importlib.resources
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -308,6 +312,15 @@ class TestMain:
         assert "touch" in capsys.readouterr().err
         assert not (tmp_path / "o" / "table1_icsi_tx.csv").exists()
 
+    def test_exit_code_load_cancelling_self_impedance(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**FAST_CONFIG,
+                                        "impedance": {"z_load_cases": [[-73.1, -42.5]]}}))
+        code = main(["mc-eigen", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "z_load" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "fig9_rx_dx0p5_zl_m73p1_m42p5.csv").exists()
+
     def test_jobs_flag_changes_nothing(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(FAST_CONFIG))
@@ -338,3 +351,16 @@ class TestMain:
         assert main(["icsi", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
         text = (tmp_path / "o" / "table1_icsi_tx.csv").read_text()
         assert text.startswith("# target: table1")
+
+
+def test_runtime_imports_only_numpy_and_jsonschema():
+    """The package and its CLI run on numpy and jsonschema alone; scipy
+    and mpmath are test oracles, hypothesis and pytest test tools."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, holoris, holoris.cli; "
+             "print(sorted(set(m.split('.')[0] for m in sys.modules) & "
+             "{'scipy', 'mpmath', 'hypothesis', 'pytest'}))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

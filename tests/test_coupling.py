@@ -211,21 +211,23 @@ class TestCouplingMatrices:
         assert c.condition == pytest.approx(expected, rel=1e-12)
 
     def test_condition_number_computed_only_when_read(self, dipole_impedances, monkeypatch):
+        # one SVD per parity block of Z + port I, on the first read only
         calls = []
-        cond = np.linalg.cond
+        svd = np.linalg.svd
 
-        def counting_cond(*args, **kwargs):
+        def counting_svd(*args, **kwargs):
             calls.append(args)
-            return cond(*args, **kwargs)
+            return svd(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "cond", counting_cond)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         z = dipole_impedances[0.5]
+        blocks = len(z.blocks.blocks)
         ct = coupling_tx(z, Z_A.conjugate())
         cr = coupling_rx(z, 50.0)
         assert calls == []
         first = ct.condition
-        assert ct.condition == first and len(calls) == 1
-        assert cr.condition > 1.0 and len(calls) == 2
+        assert ct.condition == first and len(calls) == blocks == 4
+        assert cr.condition > 1.0 and len(calls) == 2 * blocks
 
     def test_given_condition_number_kept(self):
         c = CouplingMatrix(values=np.eye(3, dtype=complex), side=CouplingSide.TX,
@@ -246,6 +248,14 @@ class TestCouplingMatrices:
         z = diagonal_impedance(3)
         with pytest.raises(DomainError):
             coupling_tx(z, -Z_A)
+
+    @pytest.mark.parametrize("solve, name", [(coupling_tx, "z_source"), (coupling_rx, "z_load")])
+    def test_port_cancelling_self_impedance_rejected_on_each_side(self, dipole_impedances,
+                                                                 solve, name):
+        # the receive side once solved this and returned C = 0
+        for z in (diagonal_impedance(3), dipole_impedances[0.5]):
+            with pytest.raises(DomainError, match=rf"z_self \+ {name} = 0"):
+                solve(z, -z.z_self)
 
     def test_tx_sparsity_grows_with_density(self, dipole_impedances):
         fractions = []

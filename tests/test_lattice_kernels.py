@@ -14,6 +14,8 @@ definitions, on small lattices with odd and even axis lengths (1 included):
   operation on the assembled dense matrix, errors included, and the gain
   sweep's per-axis steering against per-azimuth ``steering_vector``
   gains;
+* every block operation on a lattice matrix against the same operation on
+  its values-only twin, held as one block, mixed pairs included;
 * the folded-FFT wavenumber transform against a per-point direct sum;
 * the offset-table gather against the pairwise-distance formula.
 """
@@ -26,8 +28,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from holoris import (ArrayGeometry, BeamformingScheme, CouplingMatrix, CouplingSide,
-                     Direction, DomainError, ElementKind, ImpedanceMatrix, NumericalError,
+from holoris import (ArrayGeometry, BeamformingScheme, CorrelationMatrix, CouplingMatrix,
+                     CouplingSide, Direction, DomainError, ElementKind, ImpedanceMatrix, NumericalError,
                      ParityBlocks, SpacingConvention, array_gain, beamforming_vector,
                      correlation_matrix_isotropic, coupling_rx, coupling_tx,
                      effective_correlation, eigen_spectrum, gain_sweep, generator_sequence,
@@ -155,7 +157,7 @@ def test_swap_flag_not_carried_into_effective_correlation():
     r0 = parity_blocks(sinc_offset_table(g), g)
     assert r0.swap  # dx = dz = 0.75
     assert not c.blocks.swap
-    assert not effective_correlation(c, r0).swap
+    assert not effective_correlation(c, r0).blocks.swap
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8])
@@ -318,7 +320,7 @@ def test_blockwise_coupling_matches_dense(nx, nz, dx, gap, port, transmit):
     assert np.abs(c.blocks.dense() - ref).max() <= 1e-12 * np.abs(ref).max()
     r0 = correlation_matrix_isotropic(g).values
     dense = ref.T @ r0 @ ref.conj()
-    blocks = effective_correlation(c, parity_blocks(sinc_offset_table(g), g)).dense()
+    blocks = effective_correlation(c, parity_blocks(sinc_offset_table(g), g)).values
     assert np.abs(blocks - dense).max() <= 1e-12 * np.abs(dense).max()
     if g.n >= 2:
         assert icsi(blocks) == pytest.approx(icsi(dense), rel=1e-12)
@@ -346,8 +348,12 @@ def test_values_only_coupling_has_no_blocks():
     c = coupling_rx(z, 50.0)
     with pytest.raises(DomainError, match="parity blocks"):
         c.blocks
+    # with lattice blocks of R0, both are taken whole
+    r = effective_correlation(c, parity_blocks(sinc_offset_table(g), g))
+    dense = c.values.T @ correlation_matrix_isotropic(g).values @ c.values.conj()
+    assert np.abs(r.values - dense).max() <= 1e-12 * np.abs(dense).max()
     with pytest.raises(DomainError, match="parity blocks"):
-        effective_correlation(c, parity_blocks(sinc_offset_table(g), g))
+        r.blocks
 
 
 def test_lattice_impedance_gathers_values_on_first_read():
@@ -476,6 +482,46 @@ def test_block_icsi_matches_dense(nx, nz, complex_entries, seed):
             icsi(pb.dense())
     else:
         assert icsi(pb) == pytest.approx(icsi(pb.dense()), rel=1e-12)
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+@example(1, 1, 0, True)  # one element: the (even, even) block alone
+def test_lattice_form_matches_one_block_twin(nx, nz, seed, transmit):
+    g = lattice(nx, nz, 0.25, 0.3)
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(-1.0, 1.0, (nx, nz)) + 1j * rng.uniform(-1.0, 1.0, (nx, nz))
+    table[0, 0] = 2.0 * g.n * (1.0 + 0.3j)  # Z strictly diagonally dominant
+    z = ImpedanceMatrix(z_self=complex(table[0, 0]), table=table, geom=g)
+    port = complex(rng.uniform(20.0, 400.0), rng.uniform(-100.0, 100.0))
+    solve = coupling_tx if transmit else coupling_rx
+    c, c1 = solve(z, port), solve(values_only(z), port)
+    assert np.abs(c.values - c1.values).max() <= 1e-12 * np.abs(c1.values).max()
+    cond = np.linalg.cond(z.values + port * np.eye(g.n))
+    assert c.condition == pytest.approx(cond, rel=1e-12)
+    assert c1.condition == pytest.approx(cond, rel=1e-12)
+    r0 = correlation_matrix_isotropic(g)
+    r01 = CorrelationMatrix(values=r0.values, kind=r0.kind)
+    ref = effective_correlation(c1, r01)
+    ref_spec = eigen_spectrum(ref, normalize_by_n=False)
+    top = ref_spec.values[0]
+    # both on the lattice, then the mixed pairs
+    for cc, rr in ((c, r0), (c, r01), (c1, r0)):
+        r = effective_correlation(cc, rr)
+        assert isinstance(r, CorrelationMatrix) and r.kind is ref.kind
+        assert np.abs(r.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
+        spec = eigen_spectrum(r, normalize_by_n=False)
+        np.testing.assert_allclose(spec.values, ref_spec.values, rtol=1e-12, atol=1e-12 * top)
+        assert abs(spec.negative_mass - ref_spec.negative_mass) <= 1e-12
+        if g.n >= 2:
+            assert icsi(r) == pytest.approx(icsi(ref), rel=1e-12)
+    if g.n >= 2:
+        for m, m1 in ((z, values_only(z)), (c, c1), (r0, r01)):
+            assert icsi(m) == pytest.approx(icsi(m1), rel=1e-12)
+    phis = np.linspace(0.0, math.pi, 7)
+    for scheme in BeamformingScheme:
+        np.testing.assert_allclose(gain_sweep(g, c, scheme, 1.0, phis),
+                                   gain_sweep(g, c1, scheme, 1.0, phis), rtol=1e-12)
 
 
 def zeroed_coupling(nx, nz, count):
