@@ -89,15 +89,14 @@ def dominant_count(values: np.ndarray,
     return int((values > threshold * values.max()).sum())
 
 
-def knee_index(values, floor: float = _KNEE_FLOOR,
-               start: int = _KNEE_SEARCH_START) -> int:
+def knee_index(values) -> int:
     """Index where a non-increasing eigenvalue list starts to drop rapidly.
 
     Maximizes the discrete second difference of log10(values), i.e. the
     downward bend 2 y[i] - y[i-1] - y[i+1], over the positive-eigenvalue
-    range, searching from ``start`` onward and only at indices whose
-    value is within ``floor`` of the maximum (entries below that are
-    numerical floor).  Ties resolve to the smallest index.
+    range, searching from index 4 onward and only at indices whose value
+    is within 1e-6 of the maximum (entries below that are numerical
+    floor).  Ties resolve to the smallest index.
     """
     ev = np.asarray(getattr(values, "values", values), dtype=float)
     ev = ev[ev > 0.0]
@@ -108,26 +107,27 @@ def knee_index(values, floor: float = _KNEE_FLOOR,
         raise KneeUndefinedError("knee undefined for an all-equal spectrum")
     y = np.log10(ev)
     last = len(ev) - 2
-    while last > 0 and ev[last] < floor * ev[0]:
+    while last > 0 and ev[last] < _KNEE_FLOOR * ev[0]:
         last -= 1
-    if last < start:
+    if last < _KNEE_SEARCH_START:
         raise KneeUndefinedError(
             "knee undefined: no searchable indices within the dynamic range"
         )
-    idx = np.arange(start, last + 1)
+    idx = np.arange(_KNEE_SEARCH_START, last + 1)
     bend = 2.0 * y[idx] - y[idx - 1] - y[idx + 1]
     return int(idx[np.argmax(bend)])
 
 
-def _hermitian_part(values: np.ndarray, scale: float) -> np.ndarray:
+def _hermitian_part(values: np.ndarray) -> np.ndarray:
     """(A + A^H) / 2 of a matrix that must be Hermitian within 1e-8 of
-    ``scale``; an exactly Hermitian matrix is returned as it is."""
+    its largest entry; an exactly Hermitian matrix is returned as it is."""
     if np.array_equal(values, values.conj().T):
         return values
     skew = values - values.conj().T
     defect = float(np.abs(skew).max())
-    if defect > _HERMITIAN_TOL * scale:
-        raise DomainError(f"matrix not Hermitian: defect {defect:.3e} at scale {scale:.3e}")
+    top = float(np.abs(values).max())
+    if defect > _HERMITIAN_TOL * top:
+        raise DomainError(f"matrix not Hermitian: defect {defect:.3e} at scale {top:.3e}")
     return values - 0.5 * skew
 
 
@@ -147,7 +147,7 @@ def _swap_half(b: np.ndarray, m: int, antisymmetric: bool) -> np.ndarray:
     return h
 
 
-def _parity_eigenvalues(r: ParityBlocks, scale: float):
+def _parity_eigenvalues(r: ParityBlocks):
     """Eigenvalues of the blocks of ``r``, one array per solve; a block
     is read only after the last was released, so lazy blocks are
     gathered one at a time, and under ``r.swap`` each half is built only
@@ -157,7 +157,7 @@ def _parity_eigenvalues(r: ParityBlocks, scale: float):
     for k, (odd_z, odd_x, m, _) in enumerate(parities):
         if r.swap and odd_z and not odd_x:
             continue  # (odd, even) is the swap image of (even, odd)
-        b = _hermitian_part(r.blocks[k], scale)
+        b = _hermitian_part(r.blocks[k])
         if not r.swap:
             yield np.linalg.eigvalsh(b)
         elif odd_z == odd_x:
@@ -169,17 +169,18 @@ def _parity_eigenvalues(r: ParityBlocks, scale: float):
         del b
 
 
-def eigen_spectrum(r: CorrelationMatrix | ParityBlocks, normalize_by_n: bool = True,
-                   geom: ArrayGeometry | None = None) -> EigenSpectrum:
-    """Eigenvalues of a correlation matrix, sorted non-increasing.
+def eigen_spectrum(r: CorrelationMatrix | ParityBlocks,
+                   normalize_by_n: bool = True) -> EigenSpectrum:
+    """Eigenvalues of a correlation matrix, sorted non-increasing: the
+    package's one check that a matrix is Hermitian PSD.
 
-    The input must be Hermitian within 1e-8 of its scale: the blocks'
-    ``scale``, or their largest entry.  It is solved block by block, exact
-    for every lattice matrix that commutes with the x and z reversals.
-    ``geom``, when given, must be the matrix's lattice, or have its size
-    if it has none; it sets ``asymptotic_dof``.  Under ``swap`` the
-    (even, odd) block counts twice and each m^2 diagonal block is solved
-    as swap halves of sizes m (m + 1) / 2 and m (m - 1) / 2.
+    Each block must be Hermitian within 1e-8 of its largest entry, or
+    ``DomainError`` is raised.  It is solved block by block, exact for
+    every lattice matrix that commutes with the x and z reversals.  The
+    matrix's lattice, if it has one, sets ``asymptotic_dof``.  Under
+    ``swap`` the (even, odd) block counts twice and each m^2 diagonal
+    block is solved as swap halves of sizes m (m + 1) / 2 and
+    m (m - 1) / 2.
 
     Effective correlation matrices can carry tiny negative round-off
     eigenvalues; magnitudes are reported (matching how eigenvalue decay
@@ -189,16 +190,7 @@ def eigen_spectrum(r: CorrelationMatrix | ParityBlocks, normalize_by_n: bool = T
     ``NumericalError`` is raised.
     """
     blocks = as_blocks(r)
-    dim = blocks.n
-    if geom is not None and geom.n != dim:
-        raise DomainError(f"matrix dim {dim} does not match geometry with {geom.n} elements")
-    if geom is not None and blocks.geom is not None and geom is not blocks.geom:
-        raise DomainError("geometry does not match the parity blocks")
-    geom = geom or blocks.geom
-    # 256 rows at a time: a whole dense matrix's abs() would be one more N x N temporary
-    scale = blocks.scale or max(float(np.abs(b[i:i + 256]).max())
-                                for b in blocks.blocks for i in range(0, len(b), 256)) or 1.0
-    ev = np.concatenate(list(_parity_eigenvalues(blocks, scale)))
+    ev = np.concatenate(list(_parity_eigenvalues(blocks)))
     top = float(ev.max())
     negative = float(np.abs(ev[ev < 0.0]).sum())  # +0.0, not -0.0, when there is none
     negative_mass = negative / top if top > 0.0 else (math.inf if negative else 0.0)
@@ -209,7 +201,7 @@ def eigen_spectrum(r: CorrelationMatrix | ParityBlocks, normalize_by_n: bool = T
         )
     ev = np.sort(np.abs(ev))[::-1]
     if normalize_by_n:
-        ev = ev / dim
+        ev = ev / blocks.n
     knee: int | None
     try:
         knee = knee_index(ev)
@@ -220,7 +212,7 @@ def eigen_spectrum(r: CorrelationMatrix | ParityBlocks, normalize_by_n: bool = T
         normalization=Normalization.BY_N if normalize_by_n else Normalization.RAW,
         dominant_count=dominant_count(ev),
         knee_index=knee,
-        asymptotic_dof=asymptotic_dof(geom) if geom is not None else None,
+        asymptotic_dof=None if blocks.geom is None else asymptotic_dof(blocks.geom),
         negative_mass=negative_mass,
     )
 

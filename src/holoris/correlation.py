@@ -19,9 +19,6 @@ import numpy as np
 from .errors import DomainError
 from .geometry import ArrayGeometry, BlockMatrix, Direction, ParityBlocks, gather_offsets
 
-_HERMITIAN_TOL = 1e-10
-_PSD_TOL = 1e-8
-
 
 class CorrelationKind(Enum):
     MC_UNAWARE = "mc_unaware"
@@ -30,9 +27,9 @@ class CorrelationKind(Enum):
 
 
 class CorrelationMatrix(BlockMatrix):
-    """Hermitian positive-semidefinite correlation matrix: its ``values``,
-    the mirror-parity ``blocks`` of a lattice matrix, or the (nx, nz)
-    offset ``table`` of a lattice ``geom``."""
+    """Hermitian positive-semidefinite correlation matrix (``eigen_spectrum``
+    checks both): its ``values``, the mirror-parity ``blocks`` of a lattice
+    matrix, or the (nx, nz) offset ``table`` of a lattice ``geom``."""
 
     def __init__(self, values: np.ndarray | None = None,
                  kind: CorrelationKind = CorrelationKind.MC_UNAWARE, *,
@@ -40,19 +37,6 @@ class CorrelationMatrix(BlockMatrix):
                  geom: ArrayGeometry | None = None):
         super().__init__(values, blocks, table, geom)
         self.kind = kind
-
-    def hermiticity_defect(self) -> float:
-        return float(np.abs(self.values - self.values.conj().T).max())
-
-    def check_invariants(self, hermitian_tol: float = _HERMITIAN_TOL,
-                         psd_tol: float = _PSD_TOL) -> None:
-        """Raise if the matrix is not Hermitian PSD (within tolerances)."""
-        defect = self.hermiticity_defect()
-        if defect > hermitian_tol:
-            raise DomainError(f"matrix not Hermitian: defect {defect:.3e}")
-        ev = np.linalg.eigvalsh(0.5 * (self.values + self.values.conj().T))
-        if ev[0] < -psd_tol * max(ev[-1], 0.0):
-            raise DomainError(f"matrix not PSD: min eigenvalue {ev[0]:.3e}")
 
 
 @dataclass(frozen=True)

@@ -135,14 +135,12 @@ class ParityBlocks:
 
     ``blocks`` is a tuple, or for ``parity_blocks(..., lazy=True)`` a
     sequence that gathers a block each time it is read and keeps none.
-    ``scale`` is the largest entry magnitude of the matrix when known.
     ``swap`` marks a square-lattice matrix that also commutes with the
     x <-> z transpose, which maps the (even, odd) block onto (odd, even).
     """
 
     blocks: Sequence[np.ndarray]
     geom: ArrayGeometry | None = None
-    scale: float | None = None
     swap: bool = False
 
     @property
@@ -283,7 +281,6 @@ def parity_blocks(table: np.ndarray, geom: ArrayGeometry, lazy: bool = False) ->
         )
     blocks = _TableBlocks(table, geom)
     return ParityBlocks(blocks if lazy else tuple(blocks), geom,
-                        scale=float(np.abs(table).max()),
                         swap=geom.nx == geom.nz and np.array_equal(table, table.T))
 
 

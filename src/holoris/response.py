@@ -42,7 +42,7 @@ def steering_vector(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
 def effective_response(coupling: CouplingMatrix, a0: np.ndarray) -> np.ndarray:
     """Coupling-aware response vector C^T a0."""
     a0 = np.asarray(a0)
-    if coupling.dim != a0.shape[0] or a0.ndim != 1:
+    if a0.ndim != 1 or coupling.dim != a0.shape[0]:
         raise DomainError(
             f"response length {a0.shape} does not match coupling dim {coupling.dim}"
         )
@@ -141,14 +141,15 @@ def _norm(columns) -> np.ndarray:
 
 
 def gain_sweep(geom: ArrayGeometry, coupling, scheme: BeamformingScheme,
-               theta: float, phi_grid, w0_mag: float = 1.0) -> np.ndarray:
+               theta: float, phi_grid) -> np.ndarray:
     """Array gain versus azimuth at a fixed zenith angle.
 
     Returns the gains as an array shaped like the azimuth grid.  For the
     no-coupling reference scheme the gain is evaluated with the identity
     coupling, so it is flat at the element count.  The whole grid is
     evaluated at once, one steering and excitation column per azimuth,
-    and every excitation column passes the power check of ``array_gain``.
+    and every excitation column passes the power check of ``array_gain``
+    at unit norm; the gain |a^T w|^2 / ||w||^2 does not depend on it.
 
     A lattice coupling is used as its parity blocks: P is real and
     orthogonal, so with a0_b = P_b^T a0 the response is a_b = C_b^T a0_b,
@@ -158,8 +159,6 @@ def gain_sweep(geom: ArrayGeometry, coupling, scheme: BeamformingScheme,
     phis = np.array(list(phi_grid), dtype=float)
     if phis.size == 0:
         raise DomainError("empty azimuth grid")
-    if w0_mag <= 0 or not math.isfinite(w0_mag):
-        raise DomainError(f"w0_mag must be positive, got {w0_mag}")
     for phi in (phis.min(), phis.max()):  # range and finiteness of the whole grid
         Direction(phi=float(phi), theta=theta)
     blocks = as_blocks(coupling)
@@ -177,8 +176,8 @@ def gain_sweep(geom: ArrayGeometry, coupling, scheme: BeamformingScheme,
         a = a0b if scheme is BeamformingScheme.NO_MC_REFERENCE else c.T @ a0b
         ws.append(_unscaled_excitation(scheme, c, a0b, a))
         aw = aw + np.einsum("np,np->p", a, ws[-1])
-    scale = _power_scale(scheme, _norm(ws), w0_mag)
+    scale = _power_scale(scheme, _norm(ws), 1.0)
     for w in ws:
         w *= scale
-    _check_power(_norm(ws), w0_mag)
-    return np.abs(scale * aw) ** 2 / w0_mag**2
+    _check_power(_norm(ws), 1.0)
+    return np.abs(scale * aw) ** 2

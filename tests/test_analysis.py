@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 from pathlib import Path
@@ -141,7 +142,7 @@ class TestEigenSpectrum:
         g, r0 = dipole_geometries[0.125], dipole_correlations[0.125]
         r = effective_correlation(
             coupling_rx(impedance_matrix_isotropic(g, 73.1), 73.1), r0)
-        spec = eigen_spectrum(r, normalize_by_n=False, geom=g)
+        spec = eigen_spectrum(r, normalize_by_n=False)
         assert 0.0 <= spec.negative_mass < 1e-11
 
     def test_non_psd_rejected(self):
@@ -150,9 +151,8 @@ class TestEigenSpectrum:
         with pytest.raises(NumericalError, match="negative eigenvalue mass"):
             eigen_spectrum(r)
 
-    def test_geometry_attaches_dof(self, dipole_geometries, dipole_correlations):
-        spec = eigen_spectrum(dipole_correlations[0.5],
-                              geom=dipole_geometries[0.5])
+    def test_geometry_attaches_dof(self, dipole_correlations):
+        spec = eigen_spectrum(dipole_correlations[0.5])
         assert spec.asymptotic_dof == math.ceil(math.pi * 4.0 * 4.14)
 
 
@@ -264,3 +264,15 @@ class TestOrderingInvariants:
             base = icsi(r0)
             assert vals["three_hundred"] < vals["match"] < vals["fifty"]
             assert all(v > base for v in vals.values())
+
+
+def test_eigensolves_only_in_analysis():
+    """``analysis.eigen_spectrum`` is the one Hermitian-PSD check, so no
+    other module calls an ``np.linalg.eig*`` solver."""
+    src = Path(__file__).resolve().parent.parent / "src" / "holoris"
+    sites = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr.startswith("eig")
+             and ast.unparse(node.value).endswith("linalg")]
+    assert sites and all(s.startswith("analysis.py:") for s in sites), sites

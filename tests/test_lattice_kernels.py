@@ -15,7 +15,8 @@ definitions, on small lattices with odd and even axis lengths (1 included):
   sweep's per-axis steering against per-azimuth ``steering_vector``
   gains;
 * every block operation on a lattice matrix against the same operation on
-  its values-only twin, held as one block, mixed pairs included;
+  its values-only twin, held as one block, mixed pairs included, and the
+  Hermitian-PSD check of ``eigen_spectrum`` in both forms;
 * the folded-FFT wavenumber transform against a per-point direct sum;
 * the offset-table gather against the pairwise-distance formula.
 """
@@ -174,7 +175,7 @@ def test_swap_split_keeps_eigen_summary(spacing):
     r0 = parity_blocks(sinc_offset_table(g), g)
     assert r0.swap
     split = eigen_spectrum(r0)
-    four = eigen_spectrum(ParityBlocks(r0.blocks, r0.geom, r0.scale))
+    four = eigen_spectrum(ParityBlocks(r0.blocks, r0.geom))
     assert split.dominant_count == four.dominant_count
     assert split.knee_index == four.knee_index
     assert abs(split.negative_mass - four.negative_mass) <= 1e-13
@@ -210,21 +211,21 @@ def test_lazy_blocks_are_gathered_and_solved_one_at_a_time(n, swap_reads):
     assert np.array_equal(lazy.dense(), kept.dense())
     for swap, reads in ((True, swap_reads), (False, list(range(len(kept.blocks))))):
         blocks = RecordingBlocks(lazy.blocks)
-        spec = eigen_spectrum(ParityBlocks(blocks, g, lazy.scale, swap))
+        spec = eigen_spectrum(ParityBlocks(blocks, g, swap))
         assert blocks.reads == reads
-        expected = eigen_spectrum(ParityBlocks(kept.blocks, g, kept.scale, swap))
+        expected = eigen_spectrum(ParityBlocks(kept.blocks, g, swap))
         assert np.array_equal(spec.values, expected.values)
 
 
 def test_exactly_hermitian_matrix_is_not_copied():
     a = correlation_matrix_isotropic(lattice(3, 4, 0.25, 0.3)).values
-    assert _hermitian_part(a, 1.0) is a
+    assert _hermitian_part(a) is a
     b = a.copy()
     b[0, 1] += 1e-12
-    h = _hermitian_part(b, 1.0)
+    h = _hermitian_part(b)
     assert np.array_equal(h, h.T) and h[0, 1] == pytest.approx(a[0, 1] + 0.5e-12, abs=1e-15)
     with pytest.raises(DomainError, match="not Hermitian"):
-        _hermitian_part(b + np.triu(np.ones_like(b), 1), 1.0)
+        _hermitian_part(b + np.triu(np.ones_like(b), 1))
 
 
 @PROPERTY
@@ -265,13 +266,6 @@ def test_gathered_matrices_match_pairwise_distances(nx, nz, dx, dz, r_iso):
     assert np.abs(z - r_iso * kernel).max() <= 1e-14 * r_iso
 
 
-def test_geometry_size_mismatch_rejected():
-    g = lattice(3, 3, 0.25, 0.25)
-    r = correlation_matrix_isotropic(lattice(2, 3, 0.25, 0.25))
-    with pytest.raises(DomainError):
-        eigen_spectrum(r, geom=g)
-
-
 def random_table(rng, nx, nz, complex_entries):
     t = rng.standard_normal((nx, nz))
     return t + 1j * rng.standard_normal((nx, nz)) if complex_entries else t
@@ -293,7 +287,6 @@ def test_parity_blocks_match_split_of_gathered_matrix(nx, nz, complex_entries, s
         split[lo:hi, lo:hi] = 0.0
     assert np.abs(split).max(initial=0.0) <= 1e-13 * np.abs(t).max()
     gathered = parity_blocks(t, g)
-    assert gathered.scale == np.abs(t).max()
     assert len(gathered.blocks) == len(bases)
     for b, pb in zip(gathered.blocks, bases):
         ref = pb.T @ a @ pb
@@ -418,8 +411,6 @@ def test_blocks_on_another_lattice_rejected():
     z = impedance_matrix_isotropic(other)
     with pytest.raises(DomainError):
         effective_correlation(coupling_rx(z, 50.0), r0)
-    with pytest.raises(DomainError):
-        eigen_spectrum(r0, geom=other)
 
 
 def random_tx_coupling(nx, nz, seed):
@@ -522,6 +513,36 @@ def test_lattice_form_matches_one_block_twin(nx, nz, seed, transmit):
     for scheme in BeamformingScheme:
         np.testing.assert_allclose(gain_sweep(g, c, scheme, 1.0, phis),
                                    gain_sweep(g, c1, scheme, 1.0, phis), rtol=1e-12)
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@example(1, 1, 0)  # one element: the (even, even) block alone
+def test_block_path_checks_hermitian_psd_as_one_block_twin(nx, nz, seed):
+    g = lattice(nx, nz, 0.25, 0.3)
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(-1.0, 1.0, (nx, nz))
+    table[0, 0] = 2.0 * g.n  # strictly diagonally dominant: positive definite
+    negative = table.copy()
+    negative[0, 0] = -1.0  # negative trace: a negative eigenvalue
+    # A (1 + j eps) has A - A^H = 2 j eps A, in every block too
+    near, far = table * (1.0 + 0.5e-10j), table * (1.0 + 0.5e-7j)
+    a = gather_offsets(near, g)
+    assert np.abs(a - a.conj().T).max() == pytest.approx(1e-10 * np.abs(a).max(), rel=1e-6)
+    expected = np.linalg.eigvalsh(gather_offsets(table, g))[::-1]
+
+    def forms(t):
+        return (CorrelationMatrix(table=t, geom=g), CorrelationMatrix(values=gather_offsets(t, g)))
+
+    for r in forms(far):
+        with pytest.raises(DomainError, match="not Hermitian"):
+            eigen_spectrum(r)
+    for r in forms(negative):
+        with pytest.raises(NumericalError, match="negative eigenvalue mass"):
+            eigen_spectrum(r)
+    for r in forms(near):
+        spec = eigen_spectrum(r, normalize_by_n=False)
+        np.testing.assert_allclose(spec.values, expected, rtol=1e-12, atol=1e-12 * expected[0])
 
 
 def zeroed_coupling(nx, nz, count):

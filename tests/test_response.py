@@ -79,6 +79,11 @@ class TestEffectiveResponse:
         with pytest.raises(DomainError):
             effective_response(c, np.ones(4))
 
+    @pytest.mark.parametrize("a0", [np.array(1 + 0j), np.ones((3, 1))])
+    def test_response_that_is_not_a_vector_rejected(self, rng, a0):
+        with pytest.raises(DomainError, match="response length"):
+            effective_response(random_coupling(rng, 3), a0)
+
 
 class TestBeamformingVector:
     def test_power_constraint_random(self, rng):
