@@ -190,6 +190,8 @@ def eigen_spectrum(r: CorrelationMatrix | ParityBlocks,
     ``NumericalError`` is raised.
     """
     blocks = as_blocks(r)
+    if blocks.n == 0:
+        raise DomainError("eigen spectrum of an empty matrix")
     ev = np.concatenate(list(_parity_eigenvalues(blocks)))
     top = float(ev.max())
     negative = float(np.abs(ev[ev < 0.0]).sum())  # +0.0, not -0.0, when there is none

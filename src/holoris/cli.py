@@ -12,7 +12,8 @@ plus standalone gnuplot scripts:
 * ``mc-eigen``: eigenvalue decay of the effective correlation with
   transmit/receive coupling (fig8, fig9, fig10).
 * ``icsi``: coupling/correlation strength tables (table1, table2).
-* ``reproduce-all``: all of the above, one after another.
+* ``reproduce-all``: all of the above, one after another; ``mc-eigen``
+  and ``icsi`` share one pass, so each coupling case is built once.
 
 Everything is deterministic: re-running a subcommand rewrites the same
 bytes.  Exit codes: 0 success, 2 configuration error, 3 numerical error.
@@ -265,47 +266,49 @@ def _r0_blocks(geom, lazy: bool = False):
     return parity_blocks(correlation.sinc_offset_table(geom), geom, lazy)
 
 
-def _cases(cfg: ExperimentConfig, z, r0):
-    """Effective correlations C^T R0 conj(C) of one geometry as parity
-    blocks, built one at a time: the no-coupling case and then each port
-    impedance, first of the transmit side, then of the receive side.
-    Yields (side, label, note, blocks); the label names the case in file
-    names and table columns."""
-    imp = cfg.impedance
-    for side, ports, prefix, name in (("tx", imp.z_source_cases, "zs", "z_source"),
-                                      ("rx", imp.z_load_cases, "zl", "z_load")):
-        solve = coupling.coupling_tx if side == "tx" else coupling.coupling_rx
-        yield side, "no_mc", "coupling: none", r0
-        for zp in ports:
-            c = solve(z, zp)
-            yield (side, impedance_label(prefix, zp), f"{name}: {zp}",
-                   analysis.effective_correlation(c, r0))
-
-
-_MC_FIGURES = {
-    "tx": ("fig8_tx", "fig8 (transmit effective correlation eigenvalues)"),
-    "rx": ("fig9_rx", "fig9 (receive effective correlation eigenvalues)"),
+_SIDES = {  # eigen CSV stem and target, ICSI table file and target
+    "tx": ("fig8_tx", "fig8 (transmit effective correlation eigenvalues)",
+           "table1_icsi_tx.csv", "table1 (coupling/correlation strength, transmit side)"),
+    "rx": ("fig9_rx", "fig9 (receive effective correlation eigenvalues)",
+           "table2_icsi_rx.csv", "table2 (coupling/correlation strength, receive side)"),
 }
 
 
-def run_mc_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
+def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool) -> list[Path]:
+    """One pass over the coupling cases of each swept spacing: the
+    no-coupling case and then each port impedance, transmit side first,
+    as effective correlations C^T R0 conj(C) in parity blocks.  Each case
+    is built once, gives its fig8/fig9 eigen CSV (``eigen``) and its
+    table1/table2 ICSI cell (``icsi``), and is freed before the next one
+    is built.  fig10 and the matrix exports go with ``eigen``."""
     imp = cfg.impedance
-    paths = []
+    cases = {side: [(None, "no_mc", "coupling: none")]
+             + [(zp, impedance_label(prefix, zp), f"{name}: {zp}") for zp in ports]
+             for side, ports, prefix, name in (("tx", imp.z_source_cases, "zs", "z_source"),
+                                               ("rx", imp.z_load_cases, "zl", "z_load"))}
+    paths, rows = [], {side: [] for side in cases}
     for sp in cfg.sweep.spacings:
         geom, z = _stack(cfg, sp)
         r0 = _r0_blocks(geom)
         label = spacing_label(sp)
         note = f"spacing: {sp} wavelengths, elements: {geom.n}"
-        for side, case, extra, r in _cases(cfg, z, r0):
-            stem, target = _MC_FIGURES[side]
-            paths.append(_eigen_csv(
-                outdir / f"{stem}_dx{label}_{case}.csv", target,
-                analysis.eigen_spectrum(r, normalize_by_n=False),
-                f"{note}, {extra}"))
-            del r  # free this case's matrix before the next one is built
+        for side, solve in (("tx", coupling.coupling_tx), ("rx", coupling.coupling_rx)):
+            stem, target = _SIDES[side][:2]
+            cells = [sp]
+            for zp, case, extra in cases[side]:
+                r = r0 if zp is None else analysis.effective_correlation(solve(z, zp), r0)
+                if eigen:
+                    paths.append(_eigen_csv(
+                        outdir / f"{stem}_dx{label}_{case}.csv", target,
+                        analysis.eigen_spectrum(r, normalize_by_n=False),
+                        f"{note}, {extra}"))
+                if icsi:
+                    cells.append(analysis.icsi(r))
+                del r  # free this case's matrix before the next one is built
+            rows[side].append(tuple(cells))
         # dipole vs isotropic elements at matched load; the configured
         # model's matrix is the same build, so it is reused
-        if geom.element_kind is ElementKind.HALF_WAVE_DIPOLE:
+        if eigen and geom.element_kind is ElementKind.HALF_WAVE_DIPOLE:
             for model, load in (("dipole", imp.z_antenna.conjugate()),
                                 ("isotropic", imp.r_iso)):
                 zm = z if model == imp.model else _impedance(geom, imp, model)
@@ -317,8 +320,23 @@ def run_mc_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
                     analysis.eigen_spectrum(r, normalize_by_n=False),
                     f"{note}, elements: {model}"))
                 del r
-    paths.extend(_matrix_exports(cfg, outdir))
+    if eigen:
+        paths.extend(_matrix_exports(cfg, outdir))
+    if icsi:
+        for side, (_, _, name, target) in _SIDES.items():
+            columns = ["spacing_wavelengths"] + [case for _, case, _ in cases[side]]
+            paths.append(write_csv(outdir / name, target, columns, rows[side]))
     return paths
+
+
+def run_mc_eigen(cfg: ExperimentConfig, outdir: Path, icsi: bool = False) -> list[Path]:
+    """fig8-fig10 and the matrix exports; with ``icsi`` also table1 and
+    table2, from the same pass over the coupling cases."""
+    return _coupling_study(cfg, outdir, eigen=True, icsi=icsi)
+
+
+def run_icsi(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
+    return _coupling_study(cfg, outdir, eigen=False, icsi=True)
 
 
 def _matrix_exports(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
@@ -345,29 +363,6 @@ def _matrix_exports(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     return out
 
 
-def run_icsi(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
-    rows = {"tx": [], "rx": []}
-    for sp in cfg.sweep.spacings:
-        geom, z = _stack(cfg, sp)
-        r0 = _r0_blocks(geom)
-        columns = {side: ["spacing_wavelengths"] for side in rows}
-        cells = {side: [sp] for side in rows}
-        for side, case, _, r in _cases(cfg, z, r0):
-            columns[side].append(case)
-            cells[side].append(analysis.icsi(r))
-            del r  # free this case's matrix before the next one is built
-        for side in rows:
-            rows[side].append(tuple(cells[side]))
-    return [
-        write_csv(outdir / "table1_icsi_tx.csv",
-                  "table1 (coupling/correlation strength, transmit side)",
-                  columns["tx"], rows["tx"]),
-        write_csv(outdir / "table2_icsi_rx.csv",
-                  "table2 (coupling/correlation strength, receive side)",
-                  columns["rx"], rows["rx"]),
-    ]
-
-
 SUBCOMMANDS = {
     "correlation": run_correlation,
     "eigen": run_eigen,
@@ -383,7 +378,9 @@ def run(subcommand: str, cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     return the written paths."""
     outdir = Path(outdir)
     if subcommand == "reproduce-all":
-        return [path for fn in SUBCOMMANDS.values() for path in fn(cfg, outdir)]
+        # mc-eigen and icsi, the last two, share one pass over the coupling cases
+        *first, mc_eigen, _ = SUBCOMMANDS.values()
+        return [path for fn in first for path in fn(cfg, outdir)] + mc_eigen(cfg, outdir, icsi=True)
     try:
         fn = SUBCOMMANDS[subcommand]
     except KeyError:

@@ -137,6 +137,13 @@ class TestEigenSpectrum:
         assert spec.negative_mass == 0.0
         assert math.copysign(1.0, spec.negative_mass) == 1.0
 
+    @pytest.mark.parametrize("empty", [lambda: np.zeros((0, 0)),
+                                       lambda: CorrelationMatrix(values=np.zeros((0, 0)))],
+                             ids=["array", "correlation_matrix"])
+    def test_empty_matrix_rejected(self, empty):
+        with pytest.raises(DomainError, match="empty"):
+            eigen_spectrum(empty())
+
     def test_negative_mass_of_receive_coupling_is_round_off(self, dipole_geometries,
                                                             dipole_correlations):
         g, r0 = dipole_geometries[0.125], dipole_correlations[0.125]

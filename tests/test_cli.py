@@ -274,13 +274,53 @@ class TestSubcommands:
                                                            monkeypatch):
         calls = []
         for name in cli.SUBCOMMANDS:
-            def record(cfg, outdir, name=name):
-                calls.append((name, threading.get_ident()))
-                return [outdir / name]
+            def record(cfg, outdir, name=name, icsi=False):
+                calls.append((name, threading.get_ident(), icsi))
+                return [outdir / name] + ([outdir / "icsi"] if icsi else [])
             monkeypatch.setitem(cli.SUBCOMMANDS, name, record)
         paths = run("reproduce-all", fast_cfg, tmp_path)
-        assert calls == [(name, threading.get_ident()) for name in cli.SUBCOMMANDS]
+        # the mc-eigen runner writes the icsi tables in its own pass, so
+        # the icsi runner is not called
+        assert list(cli.SUBCOMMANDS)[-2:] == ["mc-eigen", "icsi"]
+        assert calls == [(name, threading.get_ident(), name == "mc-eigen")
+                         for name in cli.SUBCOMMANDS if name != "icsi"]
         assert paths == [tmp_path / name for name in cli.SUBCOMMANDS]
+
+    def test_reproduce_all_builds_each_coupling_case_once(self, fast_cfg, tmp_path,
+                                                          monkeypatch):
+        from holoris import ElementKind, analysis, coupling
+        counts = {"z": 0, "solve": 0, "effective": 0}
+        for owner, attr, key in ((coupling, "impedance_matrix_dipoles", "z"),
+                                 (coupling, "coupling_tx", "solve"),
+                                 (coupling, "coupling_rx", "solve"),
+                                 (analysis, "effective_correlation", "effective")):
+            def counted(*args, fn=getattr(owner, attr), key=key, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, counted)
+        run("reproduce-all", fast_cfg, tmp_path)
+        s, imp = fast_cfg.sweep, fast_cfg.impedance
+        assert imp.model == "dipole"
+        cases = len(imp.z_source_cases) + len(imp.z_load_cases)
+        # fig10: receive solves at matched load for dipole and isotropic elements
+        fig10 = 2 if fast_cfg.geometry.element_kind is ElementKind.HALF_WAVE_DIPOLE else 0
+        # per swept spacing, then the matrix exports, then per gain spacing
+        assert counts == {
+            "z": len(s.spacings) + 1 + len(s.gain_spacings),
+            "solve": len(s.spacings) * (cases + fig10) + 2 + len(s.gain_spacings),
+            "effective": len(s.spacings) * (cases + fig10),
+        }
+
+    def test_reproduce_all_matches_subcommands_run_one_by_one(self, fast_cfg, tmp_path):
+        together = run("reproduce-all", fast_cfg, tmp_path / "all")
+        apart = [path for name in cli.SUBCOMMANDS for path in run(name, fast_cfg, tmp_path / "one")]
+        assert ([p.relative_to(tmp_path / "all") for p in together]
+                == [p.relative_to(tmp_path / "one") for p in apart])
+        names = sorted(p.name for p in (tmp_path / "all").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
+        for name in names:
+            assert ((tmp_path / "all" / name).read_bytes()
+                    == (tmp_path / "one" / name).read_bytes()), name
 
     def test_unknown_subcommand(self, fast_cfg, tmp_path):
         with pytest.raises(ConfigError):
