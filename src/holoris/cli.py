@@ -292,34 +292,37 @@ def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool
         r0 = _r0_blocks(geom)
         label = spacing_label(sp)
         note = f"spacing: {sp} wavelengths, elements: {geom.n}"
+        fig9 = {}  # receive eigenvalues by load, for fig10
         for side, solve in (("tx", coupling.coupling_tx), ("rx", coupling.coupling_rx)):
             stem, target = _SIDES[side][:2]
             cells = [sp]
             for zp, case, extra in cases[side]:
                 r = r0 if zp is None else analysis.effective_correlation(solve(z, zp), r0)
                 if eigen:
-                    paths.append(_eigen_csv(
-                        outdir / f"{stem}_dx{label}_{case}.csv", target,
-                        analysis.eigen_spectrum(r, normalize_by_n=False),
-                        f"{note}, {extra}"))
+                    spec = analysis.eigen_spectrum(r, normalize_by_n=False)
+                    paths.append(_eigen_csv(outdir / f"{stem}_dx{label}_{case}.csv", target, spec,
+                                            f"{note}, {extra}"))
+                    if side == "rx":
+                        fig9[zp] = spec
                 if icsi:
                     cells.append(analysis.icsi(r))
                 del r  # free this case's matrix before the next one is built
             rows[side].append(tuple(cells))
         # dipole vs isotropic elements at matched load; the configured
-        # model's matrix is the same build, so it is reused
+        # model's curve is the fig9 case of that load when there is one
         if eigen and geom.element_kind is ElementKind.HALF_WAVE_DIPOLE:
             for model, load in (("dipole", imp.z_antenna.conjugate()),
                                 ("isotropic", imp.r_iso)):
-                zm = z if model == imp.model else _impedance(geom, imp, model)
-                c = coupling.coupling_rx(zm, load)
-                r = analysis.effective_correlation(c, r0)
+                spec = fig9.get(load) if model == imp.model else None
+                if spec is None:
+                    zm = z if model == imp.model else _impedance(geom, imp, model)
+                    r = analysis.effective_correlation(coupling.coupling_rx(zm, load), r0)
+                    spec = analysis.eigen_spectrum(r, normalize_by_n=False)
+                    del r
                 paths.append(_eigen_csv(
                     outdir / f"fig10_rx_dx{label}_{model}.csv",
                     "fig10 (receive eigenvalues, dipole vs isotropic elements)",
-                    analysis.eigen_spectrum(r, normalize_by_n=False),
-                    f"{note}, elements: {model}"))
-                del r
+                    spec, f"{note}, elements: {model}"))
     if eigen:
         paths.extend(_matrix_exports(cfg, outdir))
     if icsi:

@@ -4,34 +4,95 @@ Configurations are plain JSON with four blocks (geometry, impedance,
 sweep, output); lengths are expressed in multiples of the wavelength and
 impedances in ohms as [re, im] pairs.  Unknown keys are rejected.  The
 packaged default configuration reproduces the reference experiment set.
+
+The packaged JSON schema (draft 2020-12) is checked by a small walker that
+gives the errors, messages and best-match choice of the reference Python
+validator; the tests keep that validator as an oracle.
 """
 
-import functools
 import importlib.resources
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
-
-import jsonschema
 
 from .errors import ConfigError
 from .geometry import ArrayGeometry, ElementKind, make_dipole_array, make_uniform_grid
 
+# JSON Schema (draft 2020-12) types; as there, 181.0 is an integer and True is no number
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+_NUMBER = _TYPES["number"]
 
-@functools.cache
-def _validator():
-    """The config schema's validator, built once per process: the schema
-    is checked against its metaschema here, not on every load."""
-    ref = importlib.resources.files("holoris.data") / "config_schema.json"
-    schema = json.loads(ref.read_text())
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+# keyword -> its error message for an instance, or a falsy value when the
+# instance passes; the texts are the reference validator's
+_LEAF_KEYWORDS = {
+    "type": lambda x, t: not _TYPES[t](x) and f"{x!r} is not of type {t!r}",
+    "enum": lambda x, e: x not in e and f"{x!r} is not one of {e!r}",
+    "minItems": lambda x, n: isinstance(x, list) and len(x) < n
+    and f"{x!r} {'should be non-empty' if n == 1 else 'is too short'}",
+    "maxItems": lambda x, n: isinstance(x, list) and len(x) > n
+    and f"{x!r} {'is expected to be empty' if n == 0 else 'is too long'}",
+    "minimum": lambda x, m: _NUMBER(x) and x < m
+    and f"{x!r} is less than the minimum of {m!r}",
+    "exclusiveMinimum": lambda x, m: _NUMBER(x) and x <= m
+    and f"{x!r} is less than or equal to the minimum of {m!r}",
+    "maximum": lambda x, m: _NUMBER(x) and x > m
+    and f"{x!r} is greater than the maximum of {m!r}",
+}
+_KEYWORDS = frozenset(_LEAF_KEYWORDS) | {"$ref", "properties", "additionalProperties", "items"}
+
+
+def _schema_errors(instance, schema: dict, root: dict, path: tuple = ()):
+    """Yield (path, message) for each way ``instance`` breaks ``schema``,
+    in the reference validator's order: keyword by keyword as the schema
+    lists them, unexpected keys sorted by ``str``.  ``additionalProperties``
+    is taken to be ``false`` and ``$ref`` to point into ``root``."""
+    for key, value in schema.items():
+        if key == "$ref":
+            target = root
+            for part in value.removeprefix("#/").split("/"):
+                target = target[part]
+            yield from _schema_errors(instance, target, root, path)
+        elif key == "properties" and isinstance(instance, dict):
+            for name, sub in value.items():
+                if name in instance:
+                    yield from _schema_errors(instance[name], sub, root, path + (name,))
+        elif key == "additionalProperties" and isinstance(instance, dict):
+            extras = sorted((k for k in instance if k not in schema.get("properties", {})), key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, (f"Additional properties are not allowed "
+                             f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        elif key == "items" and isinstance(instance, list):
+            for index, item in enumerate(instance):
+                yield from _schema_errors(item, value, root, path + (index,))
+        elif key in _LEAF_KEYWORDS and (message := _LEAF_KEYWORDS[key](instance, value)):
+            yield path, message
+
+
+def _load_json(name: str) -> dict:
+    return json.loads((importlib.resources.files("holoris.data") / name).read_text())
+
+
+def _schema_error(data) -> tuple[tuple, str] | None:
+    """The (path, message) of the error the reference validator's
+    ``best_match`` picks for ``data`` under the packaged schema, or None
+    when ``data`` is valid: the error nearest the root, the last path in
+    sort order among those, the first yielded on ties."""
+    schema = _load_json("config_schema.json")
+    return max(_schema_errors(data, schema, schema), key=lambda e: (-len(e[0]), e[0]),
+               default=None)
 
 
 def default_config_dict() -> dict:
-    ref = importlib.resources.files("holoris.data") / "default_config.json"
-    return json.loads(ref.read_text())
+    return _load_json("default_config.json")
 
 
 def _pair(value) -> complex:
@@ -103,10 +164,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
+        error = _schema_error(data)
         if error is not None:
-            path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-            raise ConfigError(f"config invalid at {path}: {error.message}") from error
+            path, message = error
+            raise ConfigError(f"config invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
         merged = _merge_defaults(default_config_dict(), data)
         g = merged["geometry"]
         i = merged["impedance"]
@@ -116,7 +177,7 @@ class ExperimentConfig:
             element_kind=ElementKind(g["element_kind"]),
             aperture_x=g["aperture_x"], aperture_z=g["aperture_z"],
             spacing_x=g["spacing_x"], spacing_z=g["spacing_z"],
-            dipole_rows=g["dipole_rows"], dipole_gap=g["dipole_gap"],
+            dipole_rows=int(g["dipole_rows"]), dipole_gap=g["dipole_gap"],
             wavelength=g["wavelength"],
         )
         r_iso = _pair(i["r_iso"])
@@ -133,13 +194,13 @@ class ExperimentConfig:
         )
         sweep = SweepBlock(
             zenith_deg=s["zenith_deg"],
-            azimuth_points=s["azimuth_points"],
+            azimuth_points=int(s["azimuth_points"]),
             spacings=tuple(s["spacings"]),
             gain_spacings=tuple(s["gain_spacings"]),
             eigen_aperture=s["eigen_aperture"],
             eigen_spacings=tuple(s["eigen_spacings"]),
             correlation_max_separation=s["correlation_max_separation"],
-            correlation_points=s["correlation_points"],
+            correlation_points=int(s["correlation_points"]),
         )
         output = OutputBlock(directory=o["directory"])
         if geometry.element_kind is ElementKind.ISOTROPIC and impedance.model == "dipole":

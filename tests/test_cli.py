@@ -1,3 +1,4 @@
+import copy
 import importlib.resources
 import json
 import math
@@ -10,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holoris import ConfigError, ExperimentConfig, cli, config, geometry_to_dict, make_dipole_array
 from holoris.cli import main, run
@@ -24,6 +26,75 @@ FAST_CONFIG = {
         "correlation_points": 9,
     }
 }
+
+
+SCHEMA = json.loads((importlib.resources.files("holoris.data") / "config_schema.json").read_text())
+SCHEMA_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+# values a config edit puts in place: wrong types, out-of-range numbers,
+# whole-number floats, short, long and empty lists, objects
+EDGE_VALUES = [None, True, "many", 181.0, 2.0, 1.0, 0.0, -0.0, -1.0, 0.5, 1.5, -0.5, 180.5,
+               190, 2, 0, -3, [], [50.0], [73.1, 0.0], [1.0, 2.0, 3.0], ["a", 1], {}, {"x": 1}]
+EDIT_VALUES = st.one_of(
+    st.sampled_from(EDGE_VALUES).map(copy.deepcopy), st.integers(-3, 300), st.floats(),
+    st.text(max_size=3), st.lists(st.floats(-100.0, 400.0), max_size=3),
+    st.sampled_from(["isotropic", "dipole"]),
+)
+
+
+def config_nodes(cfg, path=()):
+    """(path, value) of the root and of every value inside it."""
+    yield path, cfg
+    items = cfg.items() if isinstance(cfg, dict) else enumerate(cfg) if isinstance(cfg, list) else ()
+    for key, value in items:
+        yield from config_nodes(value, path + (key,))
+
+
+def replaced(cfg, path, value):
+    """``cfg`` with the value at ``path`` replaced (edited in place)."""
+    if not path:
+        return value
+    parent = cfg
+    for part in path[:-1]:
+        parent = parent[part]
+    parent[path[-1]] = value
+    return cfg
+
+
+def mutated_default_config(data):
+    """The default config after 1-4 edits, each drawn from ``data``: set a
+    value anywhere (the root too), add keys to an object, grow or shrink
+    a list, or drop a key."""
+    cfg = config.default_config_dict()
+    for _ in range(data.draw(st.integers(1, 4))):
+        if not isinstance(cfg, dict):
+            break
+        edit, kind = data.draw(st.sampled_from(
+            [("set", object), ("add", dict), ("resize", list), ("drop", dict)]))
+        nodes = [(path, node) for path, node in config_nodes(cfg)
+                 if isinstance(node, kind) and (node or edit != "drop")]
+        if not nodes:
+            continue
+        path, node = data.draw(st.sampled_from(nodes))
+        if edit == "set":
+            cfg = replaced(cfg, path, data.draw(EDIT_VALUES))
+        elif edit == "add":
+            keys = st.lists(st.sampled_from(["zz", "extra", "geomtry", "Zz", "aa"]),
+                            min_size=1, max_size=3, unique=True)
+            node.update(dict.fromkeys(data.draw(keys), 1))
+        elif edit == "resize" and node and data.draw(st.booleans()):
+            node.pop()
+        elif edit == "resize":
+            node.append(data.draw(EDIT_VALUES))
+        else:
+            del node[data.draw(st.sampled_from(sorted(node)))]
+    return cfg
+
+
+def best_match(cfg):
+    """(path, message) of the error jsonschema reports for ``cfg``, or None."""
+    best = jsonschema.exceptions.best_match(SCHEMA_VALIDATOR.iter_errors(cfg))
+    return None if best is None else (tuple(best.absolute_path), best.message)
 
 
 def read_csv(path):
@@ -106,23 +177,49 @@ class TestConfig:
         g = cfg.geometry.build(spacing_x=0.125)
         assert g.n == 264
 
-    def test_schema_checked_once_per_process(self, monkeypatch):
-        cls = type(config._validator())
-        check_schema = cls.check_schema
-        calls = []
+    def test_packaged_schema_is_valid_and_uses_only_walker_keywords(self):
+        jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+        annotations = {"$schema", "title", "description", "$defs"}
+        subschemas = [SCHEMA]
+        while subschemas:
+            sub = subschemas.pop()
+            assert not set(sub) - config._KEYWORDS - annotations, sub
+            assert sub.get("additionalProperties", False) is False
+            assert sub.get("type", "object") in config._TYPES
+            assert sub.get("$ref", "#/$defs/").startswith("#/$defs/")
+            subschemas.extend(sub.get("properties", {}).values())
+            subschemas.extend(sub.get("$defs", {}).values())
+            subschemas.extend([sub["items"]] if "items" in sub else [])
 
-        def counted(schema, *args, **kwargs):
-            calls.append(schema)
-            return check_schema(schema, *args, **kwargs)
+    def test_schema_walker_matches_jsonschema_on_every_single_edit(self):
+        for path, _ in config_nodes(config.default_config_dict()):
+            for value in EDGE_VALUES:
+                cfg = replaced(config.default_config_dict(), path, value)
+                assert config._schema_error(cfg) == best_match(cfg), (path, value)
 
-        monkeypatch.setattr(cls, "check_schema", counted)
-        config._validator.cache_clear()
-        try:
-            for _ in range(3):
-                ExperimentConfig.from_dict(FAST_CONFIG)
-        finally:
-            config._validator.cache_clear()
-        assert len(calls) == 1
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_schema_walker_matches_jsonschema_best_match(self, data):
+        cfg = mutated_default_config(data)
+        assert config._schema_error(cfg) == best_match(cfg)
+
+    @pytest.mark.parametrize("key, value", [
+        ("sweep/azimuth_points", 19), ("sweep/correlation_points", 9), ("geometry/dipole_rows", 8),
+    ])
+    def test_whole_floats_for_integers_write_the_same_files(self, key, value, tmp_path):
+        block, name = key.split("/")
+        for form in (value, float(value)):
+            cfg = json.loads(json.dumps(FAST_CONFIG))
+            cfg.setdefault(block, {})[name] = form
+            cfg_path = tmp_path / f"{form!r}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            assert main(["reproduce-all", "--config", str(cfg_path),
+                         "--out", str(tmp_path / repr(form))]) == 0
+        names = sorted(p.name for p in (tmp_path / repr(value)).iterdir())
+        assert names == sorted(p.name for p in (tmp_path / repr(float(value))).iterdir())
+        for n in names:
+            assert ((tmp_path / repr(value) / n).read_bytes()
+                    == (tmp_path / repr(float(value)) / n).read_bytes()), n
 
     @pytest.mark.parametrize("data", [
         {"geomtry": {}},
@@ -302,8 +399,12 @@ class TestSubcommands:
         s, imp = fast_cfg.sweep, fast_cfg.impedance
         assert imp.model == "dipole"
         cases = len(imp.z_source_cases) + len(imp.z_load_cases)
-        # fig10: receive solves at matched load for dipole and isotropic elements
-        fig10 = 2 if fast_cfg.geometry.element_kind is ElementKind.HALF_WAVE_DIPOLE else 0
+        # fig10: receive solves at matched load for dipole and isotropic
+        # elements; the dipole curve is the fig9 case of that load, if any
+        fig10 = 0
+        if fast_cfg.geometry.element_kind is ElementKind.HALF_WAVE_DIPOLE:
+            fig10 = 2 - (imp.z_antenna.conjugate() in imp.z_load_cases)
+        assert fig10 == 1
         # per swept spacing, then the matrix exports, then per gain spacing
         assert counts == {
             "z": len(s.spacings) + 1 + len(s.gain_spacings),
@@ -393,13 +494,14 @@ class TestMain:
         assert text.startswith("# target: table1")
 
 
-def test_runtime_imports_only_numpy_and_jsonschema():
-    """The package and its CLI run on numpy and jsonschema alone; scipy
-    and mpmath are test oracles, hypothesis and pytest test tools."""
+def test_runtime_imports_only_numpy():
+    """The package, its CLI and a config load run on numpy alone;
+    jsonschema, scipy and mpmath are test oracles, hypothesis and pytest
+    test tools."""
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = ("import sys, holoris, holoris.cli; "
+    probe = ("import sys, holoris, holoris.cli; holoris.ExperimentConfig.default(); "
              "print(sorted(set(m.split('.')[0] for m in sys.modules) & "
-             "{'scipy', 'mpmath', 'hypothesis', 'pytest'}))")
+             "{'scipy', 'mpmath', 'hypothesis', 'pytest', 'jsonschema', 'referencing', 'rpds'}))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert result.returncode == 0, result.stderr
