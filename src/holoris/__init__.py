@@ -4,10 +4,9 @@ beamforming analysis for dense planar (holographic) RIS apertures."""
 from .analysis import (EigenSpectrum, Normalization, asymptotic_dof,
                        dominant_count, effective_correlation, eigen_spectrum,
                        icsi, knee_index)
-from .config import ExperimentConfig, geometry_to_dict
-from .correlation import (BttbReport, CorrelationKind, CorrelationMatrix,
-                          correlation_matrix_isotropic,
-                          isotropic_scattering_density, verify_bttb)
+from .config import ExperimentConfig
+from .correlation import (CorrelationKind, CorrelationMatrix,
+                          correlation_matrix_isotropic)
 from .coupling import (DEFAULT_ISOTROPIC_RESISTANCE, FREE_SPACE_IMPEDANCE,
                        HALF_WAVE_DIPOLE_SELF_IMPEDANCE, CouplingMatrix,
                        CouplingSide, ImpedanceMatrix, coupling_rx,
@@ -20,33 +19,28 @@ from .geometry import (ArrayGeometry, Direction, ElementKind, ParityBlocks,
                        make_dipole_array, make_uniform_grid, parity_blocks,
                        unit_direction)
 from .response import (BeamformingScheme, array_gain, beamforming_vector,
-                       effective_response, gain_sweep, max_gain_closed_form,
-                       steering_vector)
-from .specfun import cosine_integral, rect, sinc, sine_integral
-from .spectrum import (GeneratorSequence, SpacingConvention, WaveKind,
-                       WavenumberSpectrum, asymptotic_spectrum,
-                       classify_wavenumber, generator_sequence, power_spectrum)
+                       gain_sweep, max_gain_closed_form, steering_vector)
+from .specfun import cosine_integral, sine_integral
+from .spectrum import (GeneratorSequence, WavenumberSpectrum, asymptotic_spectrum,
+                       generator_sequence, power_spectrum)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayGeometry", "BeamformingScheme", "BttbReport", "ConfigError",
-    "CorrelationKind", "CorrelationMatrix", "CouplingMatrix", "CouplingSide",
+    "ArrayGeometry", "BeamformingScheme", "ConfigError", "CorrelationKind",
+    "CorrelationMatrix", "CouplingMatrix", "CouplingSide",
     "DEFAULT_ISOTROPIC_RESISTANCE", "Direction", "DomainError",
     "EigenSpectrum", "ElementKind", "ExperimentConfig",
     "FREE_SPACE_IMPEDANCE", "GeneratorSequence",
     "HALF_WAVE_DIPOLE_SELF_IMPEDANCE", "HolorisError", "ImpedanceMatrix",
     "KneeUndefinedError", "Normalization", "NumericalError", "ParityBlocks",
-    "SpacingConvention", "WaveKind", "WavenumberSpectrum", "array_gain",
-    "asymptotic_dof", "asymptotic_spectrum", "beamforming_vector",
-    "classify_wavenumber", "correlation_matrix_isotropic", "cosine_integral",
-    "coupling_rx", "coupling_tx", "dipole_mutual_impedance", "dominant_count",
-    "effective_correlation", "effective_response", "eigen_spectrum",
-    "gain_sweep", "generator_sequence", "geometry_to_dict", "icsi",
-    "impedance_matrix_dipoles", "impedance_matrix_isotropic",
-    "isotropic_scattering_density", "knee_index", "make_dipole_array",
-    "make_uniform_grid", "max_gain_closed_form", "parity_blocks", "power_spectrum",
-    "rect",
-    "sinc", "sine_integral", "steering_vector", "unit_direction",
-    "verify_bttb",
+    "WavenumberSpectrum", "array_gain", "asymptotic_dof",
+    "asymptotic_spectrum", "beamforming_vector",
+    "correlation_matrix_isotropic", "cosine_integral", "coupling_rx",
+    "coupling_tx", "dipole_mutual_impedance", "dominant_count",
+    "effective_correlation", "eigen_spectrum", "gain_sweep",
+    "generator_sequence", "icsi", "impedance_matrix_dipoles",
+    "impedance_matrix_isotropic", "knee_index", "make_dipole_array",
+    "make_uniform_grid", "max_gain_closed_form", "parity_blocks",
+    "power_spectrum", "sine_integral", "steering_vector", "unit_direction",
 ]

@@ -12,6 +12,7 @@ validator; the tests keep that validator as an oracle.
 
 import importlib.resources
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,6 +92,19 @@ def _schema_error(data) -> tuple[tuple, str] | None:
                default=None)
 
 
+def _non_finite(value, path: tuple = ()) -> tuple[tuple, str] | None:
+    """The (path, message) of the first NaN or infinite number in
+    ``value``, or None; JSON ``NaN`` fails no bound of the schema."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return path, f"{value!r} is not a finite number"
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        if (found := _non_finite(item, path + (key,))) is not None:
+            return found
+    return None
+
+
 def default_config_dict() -> dict:
     return _load_json("default_config.json")
 
@@ -164,7 +178,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        error = _schema_error(data)
+        error = _schema_error(data) or _non_finite(data)
         if error is not None:
             path, message = error
             raise ConfigError(f"config invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
@@ -239,17 +253,3 @@ def _merge_defaults(defaults: dict, override: dict) -> dict:
             merged[key] = override.get(key, base)
     return merged
 
-
-def geometry_to_dict(geom: ArrayGeometry) -> dict:
-    """Geometry block (in wavelengths) describing an existing geometry."""
-    lam = geom.wavelength
-    return {
-        "element_kind": geom.element_kind.value,
-        "aperture_x": geom.lx / lam,
-        "aperture_z": geom.lz / lam,
-        "spacing_x": geom.dx / lam,
-        "spacing_z": geom.dz / lam,
-        "dipole_rows": geom.nz,
-        "dipole_gap": (geom.dz - geom.dipole_length) / lam if geom.dipole_length else 0.0,
-        "wavelength": lam,
-    }

@@ -10,14 +10,12 @@ so the full matrix on a uniform lattice is symmetric block-Toeplitz
 with Toeplitz blocks (BTTB).
 """
 
-import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ArrayGeometry, BlockMatrix, Direction, ParityBlocks, gather_offsets
+from .geometry import ArrayGeometry, BlockMatrix, ParityBlocks
 
 
 class CorrelationKind(Enum):
@@ -37,20 +35,6 @@ class CorrelationMatrix(BlockMatrix):
                  geom: ArrayGeometry | None = None):
         super().__init__(values, blocks, table, geom)
         self.kind = kind
-
-
-@dataclass(frozen=True)
-class BttbReport:
-    is_bttb: bool
-    max_violation: float
-
-
-def isotropic_scattering_density(direction: Direction) -> float:
-    """Scattering density sin(theta) / (2 pi) over (phi, theta) in [0, pi]^2.
-
-    Integrates to 1 over the domain.
-    """
-    return math.sin(direction.theta) / (2.0 * math.pi)
 
 
 def sinc_offset_table(geom: ArrayGeometry) -> np.ndarray:
@@ -74,22 +58,3 @@ def correlation_matrix_isotropic(geom: ArrayGeometry) -> CorrelationMatrix:
     return CorrelationMatrix(table=sinc_offset_table(geom), geom=geom,
                              kind=CorrelationKind.MC_UNAWARE)
 
-
-def verify_bttb(matrix, geom: ArrayGeometry, tol: float = 1e-10) -> BttbReport:
-    """Check the symmetric block-Toeplitz-with-Toeplitz-blocks structure
-    of a matrix built on a uniform grid (row-major ordering, x index
-    fastest): every entry must depend only on the index-offset
-    magnitudes (|di|, |dk|), as the lattice matrices of this package do.
-
-    The reference matrix is gathered from the first row (the offsets from
-    the corner element); ``max_violation`` is the largest entry mismatch.
-    """
-    values = matrix.values if hasattr(matrix, "values") else np.asarray(matrix)
-    n = geom.n
-    if values.shape != (n, n):
-        raise DomainError(
-            f"matrix shape {values.shape} does not match geometry with {n} elements"
-        )
-    table = values[0].reshape(geom.nz, geom.nx).T
-    worst = float(np.abs(values - gather_offsets(table, geom)).max())
-    return BttbReport(is_bttb=worst <= tol, max_violation=worst)

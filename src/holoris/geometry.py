@@ -87,14 +87,6 @@ class ArrayGeometry:
     def wavenumber(self) -> float:
         return 2.0 * math.pi / self.wavelength
 
-    def x_index(self) -> np.ndarray:
-        """Per-element column index along x (row-major, x fastest)."""
-        return np.tile(np.arange(self.nx), self.nz)
-
-    def z_index(self) -> np.ndarray:
-        """Per-element row index along z."""
-        return np.repeat(np.arange(self.nz), self.nx)
-
 
 def read_only_view(values: np.ndarray) -> np.ndarray:
     """A read-only view of ``values``; the caller's array stays writeable."""

@@ -3,13 +3,14 @@
 Array gain is the radiated power of the beamformed array relative to a
 single element under the same total excitation power:
 
-    gain = |a^T w|^2 / |w0|^2,   subject to  ||w||_2 = |w0|
+    gain = |a^T w|^2 / ||w||^2
 
-where a = C^T a0 is the coupling-aware response.  The gain-maximizing
-excitation is w = zeta C^H conj(a0), which turns the gain into
-|a0^T C C^H conj(a0)|; with no coupling (C = I) every scheme collapses
-to conjugate beamforming and the gain is the element count, regardless
-of direction.
+where a = C^T a0 is the coupling-aware response.  The gain does not
+depend on ||w||, so every excitation is scaled to unit power.  The
+gain-maximizing excitation is w = zeta C^H conj(a0), which turns the
+gain into |a0^T C C^H conj(a0)|; with no coupling (C = I) every scheme
+collapses to conjugate beamforming and the gain is the element count,
+regardless of direction.
 """
 
 import math
@@ -39,16 +40,6 @@ def steering_vector(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
     return np.exp(1j * geom.wavenumber * (geom.positions @ d_hat))
 
 
-def effective_response(coupling: CouplingMatrix, a0: np.ndarray) -> np.ndarray:
-    """Coupling-aware response vector C^T a0."""
-    a0 = np.asarray(a0)
-    if a0.ndim != 1 or coupling.dim != a0.shape[0]:
-        raise DomainError(
-            f"response length {a0.shape} does not match coupling dim {coupling.dim}"
-        )
-    return coupling.values.T @ a0
-
-
 def _coupling_values(coupling: CouplingMatrix | np.ndarray) -> np.ndarray:
     return coupling.values if isinstance(coupling, CouplingMatrix) else np.asarray(coupling)
 
@@ -71,30 +62,22 @@ def _unscaled_excitation(scheme: BeamformingScheme, c: np.ndarray, a0: np.ndarra
     return a0.conj()
 
 
-def _power_scale(scheme: BeamformingScheme, norm, w0_mag: float):
-    """Factor that scales excitations of norm ``norm`` to ||w|| = w0_mag."""
+def _power_scale(scheme: BeamformingScheme, norm):
+    """Factor that scales excitations of norm ``norm`` to unit power."""
     if np.any(norm == 0):
         raise NumericalError(f"{scheme.value} produced a zero excitation vector")
-    return w0_mag / norm
+    return 1.0 / norm
 
 
-def _excitation(scheme: BeamformingScheme, c: np.ndarray, a0: np.ndarray,
-                w0_mag: float) -> np.ndarray:
-    """Excitation of a scheme for a response vector a0, or for each column
-    of a matrix a0, scaled to ||w|| = w0_mag (per column)."""
-    w = _unscaled_excitation(scheme, c, a0)
-    return _power_scale(scheme, np.linalg.norm(w, axis=0), w0_mag) * w
+def _check_power(norm) -> None:
+    """The power constraint ||w|| = 1 to 1e-9, for one norm or many."""
+    if np.any(np.abs(norm - 1.0) > _POWER_TOL):
+        raise DomainError(f"power constraint violated: ||w|| = {norm}")
 
 
-def _check_power(norm, w0_mag: float) -> None:
-    """The power constraint ||w|| = w0_mag to 1e-9 relative, for one norm or many."""
-    if np.any(np.abs(norm - w0_mag) > _POWER_TOL * max(abs(w0_mag), 1.0)):
-        raise DomainError(f"power constraint violated: ||w|| = {norm} vs w0 = {w0_mag}")
-
-
-def beamforming_vector(scheme: BeamformingScheme, coupling, a0: np.ndarray,
-                       w0_mag: float = 1.0) -> np.ndarray:
-    """Excitation vector for a scheme, scaled to total power ||w|| = w0_mag.
+def beamforming_vector(scheme: BeamformingScheme, coupling, a0: np.ndarray) -> np.ndarray:
+    """Excitation vector for a scheme, scaled to unit power ||w|| = 1; for
+    a matrix a0, one excitation column per column of a0.
 
     * proposed_mc_aware: conj of the effective response, C^H conj(a0).
     * conjugate_mc_unaware: conj(a0), ignoring coupling.
@@ -103,30 +86,18 @@ def beamforming_vector(scheme: BeamformingScheme, coupling, a0: np.ndarray,
       world (identical vector to conjugate_mc_unaware; pair it with C = I
       when evaluating the gain).
     """
-    if w0_mag <= 0 or not math.isfinite(w0_mag):
-        raise DomainError(f"w0_mag must be positive, got {w0_mag}")
-    return _excitation(scheme, _coupling_values(coupling), np.asarray(a0, dtype=complex), w0_mag)
+    w = _unscaled_excitation(scheme, _coupling_values(coupling), np.asarray(a0, dtype=complex))
+    return _power_scale(scheme, np.linalg.norm(w, axis=0)) * w
 
 
-def array_gain(coupling, a0: np.ndarray, w: np.ndarray,
-               w0_mag: float | None = None) -> float:
-    """Gain |a^T w|^2 / |w0|^2 with a = C^T a0.
-
-    When ``w0_mag`` is given, the excitation power constraint
-    ||w|| = w0_mag must hold to 1e-9 relative; otherwise ||w|| itself is
-    taken as the power budget.
-    """
-    a0 = np.asarray(a0)
-    w = np.asarray(w)
+def array_gain(coupling, a0: np.ndarray, w: np.ndarray) -> float:
+    """Gain |a^T w|^2 / ||w||^2 with a = C^T a0, the same for any
+    scaling of w."""
     norm = float(np.linalg.norm(w))
     if norm == 0:
         raise DomainError("zero excitation vector")
-    if w0_mag is not None:
-        _check_power(norm, w0_mag)
-    else:
-        w0_mag = norm
-    a = _coupling_values(coupling).T @ a0
-    return float(abs(a @ w) ** 2 / w0_mag**2)
+    a = _coupling_values(coupling).T @ np.asarray(a0)
+    return float(abs(a @ np.asarray(w)) ** 2 / norm**2)
 
 
 def max_gain_closed_form(coupling, a0: np.ndarray) -> float:
@@ -148,8 +119,7 @@ def gain_sweep(geom: ArrayGeometry, coupling, scheme: BeamformingScheme,
     no-coupling reference scheme the gain is evaluated with the identity
     coupling, so it is flat at the element count.  The whole grid is
     evaluated at once, one steering and excitation column per azimuth,
-    and every excitation column passes the power check of ``array_gain``
-    at unit norm; the gain |a^T w|^2 / ||w||^2 does not depend on it.
+    and every excitation column is checked to have unit norm.
 
     A lattice coupling is used as its parity blocks: P is real and
     orthogonal, so with a0_b = P_b^T a0 the response is a_b = C_b^T a0_b,
@@ -176,8 +146,8 @@ def gain_sweep(geom: ArrayGeometry, coupling, scheme: BeamformingScheme,
         a = a0b if scheme is BeamformingScheme.NO_MC_REFERENCE else c.T @ a0b
         ws.append(_unscaled_excitation(scheme, c, a0b, a))
         aw = aw + np.einsum("np,np->p", a, ws[-1])
-    scale = _power_scale(scheme, _norm(ws), 1.0)
+    scale = _power_scale(scheme, _norm(ws))
     for w in ws:
         w *= scale
-    _check_power(_norm(ws), 1.0)
+    _check_power(_norm(ws))
     return np.abs(scale * aw) ** 2

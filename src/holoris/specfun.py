@@ -1,7 +1,5 @@
-"""Special functions used by the correlation kernel and the dipole
-mutual-impedance closed forms.
+"""Sine and cosine integrals for the dipole mutual-impedance closed forms.
 
-Four functions are provided: ``sinc`` and ``rect`` take scalars, while
 ``sine_integral`` (Si) and ``cosine_integral`` (Ci) take a float or an
 array.  Si and Ci share one kernel, Ci(x) - i Si(x) = -E1(ix) - i pi/2
 (Abramowitz & Stegun 5.2.23): a Maclaurin series of
@@ -24,36 +22,6 @@ EULER_GAMMA = 0.577215664901532860606512090082
 _SERIES_LIMIT = 6.0
 _CF_MAX_ITER = 200
 _EPS = 1e-16
-
-
-def sinc(x: float) -> float:
-    """Normalized sinc, sin(pi x) / (pi x), with sinc(0) = 1.
-
-    Parameters
-    ----------
-    x : float
-        Dimensionless argument.
-
-    Returns
-    -------
-    float
-        sin(pi x) / (pi x); exactly 1.0 at x = 0.
-    """
-    x = float(_require_finite(x))
-    if x == 0.0:
-        return 1.0
-    px = math.pi * x
-    return math.sin(px) / px
-
-
-def rect(x: float) -> int:
-    """Rectangle (boxcar) function: 1 for |x| <= 1/2, else 0.
-
-    The boundary |x| = 1/2 maps to 1 so that points exactly on the
-    propagating/evanescent circle classify as propagating.
-    """
-    x = float(_require_finite(x))
-    return 1 if abs(x) <= 0.5 else 0
 
 
 def sine_integral(x):

@@ -15,21 +15,10 @@ transform is computed exactly, with no resampling: each axis of the
 sequence is modulated by exp(j l (n-1) pi / n), folded modulo n, and
 passed through an n-point FFT, O(n log n) per line instead of a direct
 sum over all 2n - 1 offsets for each of the n grid points.
-
-Two sampling conventions are supported for the kernel step per axis:
-
-* ``"aperture"`` (default): step = aperture / count, e.g. lx / nx.  The
-  wavenumber axis is then w / step, whose resolution 2 pi / lx depends
-  on the aperture only, so the number of grid points in the propagating
-  disk is invariant to element spacing.
-* ``"physical"``: step = element spacing (dx), the literal generator of
-  the correlation matrix; the wavenumber grid then tops out slightly
-  below the nominal pi / dx edge.
 """
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -37,30 +26,6 @@ from .errors import DomainError, NumericalError
 from .geometry import ArrayGeometry
 
 _IMAG_RESIDUE_TOL = 1e-6
-
-
-class SpacingConvention(Enum):
-    APERTURE = "aperture"
-    PHYSICAL = "physical"
-
-
-class WaveKind(Enum):
-    PROPAGATING = "propagating"
-    EVANESCENT = "evanescent"
-
-
-@dataclass(frozen=True)
-class WaveClassification:
-    """Outcome of classifying a transverse wavenumber pair: the wave kind
-    and the magnitude of the longitudinal (y) wavenumber, which is real
-    for propagating waves and imaginary for evanescent ones."""
-
-    kind: WaveKind
-    kappa_y_magnitude: float
-
-    @property
-    def is_real(self) -> bool:
-        return self.kind is WaveKind.PROPAGATING
 
 
 @dataclass(frozen=True)
@@ -72,16 +37,13 @@ class GeneratorSequence:
     half_extents: tuple[int, int]
     step_x: float
     step_z: float
-    convention: SpacingConvention
-
-    def abs_sum(self) -> float:
-        return float(np.abs(self.values).sum())
 
 
 @dataclass(frozen=True)
 class WavenumberSpectrum:
     """Real spectrum samples on the wavenumber grid, with per-point
-    propagating/evanescent tags."""
+    propagating/evanescent tags: ``propagating`` holds where
+    kx^2 + kz^2 <= kappa^2, so the rim counts as propagating."""
 
     kx_grid: np.ndarray = field(repr=False)
     kz_grid: np.ndarray = field(repr=False)
@@ -108,18 +70,17 @@ def _require_uniform(geom: ArrayGeometry) -> None:
         raise DomainError("geometry must have at least one element per axis")
 
 
-def generator_sequence(geom: ArrayGeometry,
-                       convention: SpacingConvention | str = SpacingConvention.APERTURE
-                       ) -> GeneratorSequence:
-    """Sample the correlation kernel on the centered index lattice."""
+def generator_sequence(geom: ArrayGeometry) -> GeneratorSequence:
+    """Sample the correlation kernel on the centered index lattice, at
+    the aperture step lx / nx and lz / nz per axis.
+
+    The wavenumber axis is then w / step, whose resolution 2 pi / lx
+    depends on the aperture only, so the number of grid points in the
+    propagating disk does not change with the element spacing.
+    """
     _require_uniform(geom)
-    convention = SpacingConvention(convention)
-    if convention is SpacingConvention.APERTURE:
-        step_x = geom.lx / geom.nx
-        step_z = geom.lz / geom.nz
-    else:
-        step_x = geom.dx
-        step_z = geom.dz
+    step_x = geom.lx / geom.nx
+    step_z = geom.lz / geom.nz
     lidx = np.arange(-(geom.nx - 1), geom.nx)
     midx = np.arange(-(geom.nz - 1), geom.nz)
     ll, mm = np.meshgrid(lidx, midx, indexing="ij")
@@ -130,7 +91,6 @@ def generator_sequence(geom: ArrayGeometry,
         half_extents=(geom.nx - 1, geom.nz - 1),
         step_x=step_x,
         step_z=step_z,
-        convention=convention,
     )
 
 
@@ -206,17 +166,3 @@ def asymptotic_spectrum(kx: float, kz: float, kappa: float) -> float:
         return math.inf
     return 2.0 * math.pi / (kappa * math.sqrt(kappa * kappa - rho2))
 
-
-def classify_wavenumber(kx: float, kz: float, kappa: float) -> WaveClassification:
-    """Classify a transverse wavenumber pair as propagating or evanescent.
-
-    The longitudinal wavenumber is sqrt(kappa^2 - kx^2 - kz^2); points on
-    the disk boundary (inclusive) count as propagating.
-    """
-    if not (kappa > 0.0 and math.isfinite(kappa)):
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    rho2 = kx * kx + kz * kz
-    gap = kappa * kappa - rho2
-    if gap >= 0.0:
-        return WaveClassification(WaveKind.PROPAGATING, math.sqrt(gap))
-    return WaveClassification(WaveKind.EVANESCENT, math.sqrt(-gap))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holoris import ConfigError, ExperimentConfig, cli, config, geometry_to_dict, make_dipole_array
+from holoris import ConfigError, ExperimentConfig, cli, config
 from holoris.cli import main, run
 
 FAST_CONFIG = {
@@ -156,15 +156,20 @@ class TestConfig:
             ExperimentConfig.from_file(p)
         assert "line" in str(err.value)
 
-    def test_geometry_round_trip(self):
-        g = make_dipole_array(4.0, 0.25, 8, 0.02, 1.0)
-        block = geometry_to_dict(g)
-        cfg = ExperimentConfig.from_dict({"geometry": {
-            k: v for k, v in block.items() if k != "aperture_z"
-        }})
-        rebuilt = cfg.geometry.build()
-        assert rebuilt.n == g.n
-        assert np.allclose(rebuilt.positions, g.positions)
+    def test_non_finite_numbers_rejected(self, tmp_path):
+        # JSON NaN fails no bound of the schema, and Infinity only some
+        cfg_path = tmp_path / "cfg.json"
+        paths = [path for path, value in config_nodes(config.default_config_dict())
+                 if isinstance(value, (int, float)) and not isinstance(value, bool)]
+        assert len(paths) > 20
+        for path in paths:
+            for text in ("NaN", "Infinity", "-Infinity"):
+                cfg_path.write_text(json.dumps(
+                    replaced(config.default_config_dict(), path, float(text))))
+                assert text in cfg_path.read_text()
+                where = "/".join(map(str, path))
+                with pytest.raises(ConfigError, match=f"config invalid at {where}:"):
+                    ExperimentConfig.from_file(cfg_path)
 
     def test_output_formats_key_still_accepted(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -461,6 +466,18 @@ class TestMain:
         assert code == 3
         assert "z_load" in capsys.readouterr().err
         assert not (tmp_path / "o" / "fig9_rx_dx0p5_zl_m73p1_m42p5.csv").exists()
+
+    @pytest.mark.parametrize("subcommand, edit", [
+        ("correlation", {"sweep": {"correlation_max_separation": math.nan}}),
+        ("mc-eigen", {"geometry": {"spacing_x": math.nan}}),
+    ])
+    def test_exit_code_non_finite_number(self, tmp_path, capsys, subcommand, edit):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(edit))
+        code = main([subcommand, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "is not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # no fig2_correlation.csv of nan rows
 
     def test_jobs_flag_changes_nothing(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -6,10 +6,10 @@ import pytest
 from holoris import (CorrelationKind, CorrelationMatrix, Direction,
                      DomainError, correlation_matrix_isotropic, coupling_tx,
                      effective_correlation, eigen_spectrum, icsi, impedance_matrix_isotropic,
-                     isotropic_scattering_density, make_dipole_array,
-                     make_uniform_grid, verify_bttb)
+                     make_dipole_array, make_uniform_grid)
 
 from conftest import random_coupling
+from oracles import isotropic_scattering_density, verify_bttb
 
 
 def pair_geometry(separation):

@@ -51,7 +51,7 @@ class TestUniformGrid:
     def test_lattice_closure(self):
         g = make_uniform_grid(2.0, 1.5, 0.5, 0.5, 1.0)
         pos = g.positions
-        ix, iz = g.x_index(), g.z_index()
+        ix, iz = np.arange(g.n) % g.nx, np.arange(g.n) // g.nx  # x index fastest
         for a in range(g.n):
             for b in range(g.n):
                 expected = np.array([(ix[a] - ix[b]) * g.dx, 0.0,

@@ -31,7 +31,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from holoris import (ArrayGeometry, BeamformingScheme, CorrelationMatrix, CouplingMatrix,
                      CouplingSide, Direction, DomainError, ElementKind, ImpedanceMatrix, NumericalError,
-                     ParityBlocks, SpacingConvention, array_gain, beamforming_vector,
+                     ParityBlocks, array_gain, beamforming_vector,
                      correlation_matrix_isotropic, coupling_rx, coupling_tx,
                      effective_correlation, eigen_spectrum, gain_sweep, generator_sequence,
                      icsi, impedance_matrix_dipoles, impedance_matrix_isotropic,
@@ -238,10 +238,10 @@ def test_split_eigenvalues_effective_correlation(nx, nz, dx, gap, port, transmit
 
 
 @PROPERTY
-@given(axis_len, axis_len, spacing, spacing, st.sampled_from(list(SpacingConvention)))
-def test_fft_transform_matches_direct_sum(nx, nz, dx, dz, convention):
+@given(axis_len, axis_len, spacing, spacing)
+def test_fft_transform_matches_direct_sum(nx, nz, dx, dz):
     g = lattice(nx, nz, dx, dz)
-    seq = generator_sequence(g, convention)
+    seq = generator_sequence(g)
     spec = power_spectrum(seq, g)
     lidx = np.arange(-(nx - 1), nx)
     midx = np.arange(-(nz - 1), nz)

@@ -6,8 +6,7 @@ import pytest
 
 from holoris import (ArrayGeometry, BeamformingScheme, Direction, DomainError,
                      ElementKind, NumericalError, array_gain, beamforming_vector,
-                     coupling_tx, effective_response, gain_sweep,
-                     impedance_matrix_dipoles, make_dipole_array,
+                     coupling_tx, gain_sweep, make_dipole_array,
                      max_gain_closed_form, steering_vector)
 
 from conftest import random_coupling
@@ -27,7 +26,7 @@ def looped_sweep(geom, coupling, scheme, theta, phis):
     gains = []
     for phi in phis:
         a0 = steering_vector(geom, Direction(phi=phi, theta=theta))
-        gains.append(array_gain(coupling, a0, beamforming_vector(scheme, coupling, a0), 1.0))
+        gains.append(array_gain(coupling, a0, beamforming_vector(scheme, coupling, a0)))
     return gains
 
 
@@ -54,45 +53,18 @@ class TestSteeringVector:
         assert np.allclose(np.abs(a0), 1.0, atol=1e-14)
 
 
-class TestEffectiveResponse:
-    def test_identity(self, rng):
-        a0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        c = random_coupling(rng, 8)
-        assert np.allclose(effective_response(c, a0), c.values.T @ a0)
-        ident = random_coupling(rng, 8, scale=0.0)
-        assert np.allclose(effective_response(ident, a0), a0)
-
-    def test_scaling(self, rng):
-        a0 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        c = random_coupling(rng, 5, scale=0.0)
-        doubled = type(c)(values=2.0 * c.values, side=c.side,
-                          port_impedance=c.port_impedance, condition=c.condition)
-        assert np.allclose(effective_response(doubled, a0), 2.0 * a0)
-
-    def test_unit_vector_probe(self, rng):
-        c = random_coupling(rng, 3)
-        e1 = np.array([1.0, 0.0, 0.0], dtype=complex)
-        assert np.allclose(effective_response(c, e1), c.values[0, :])
-
-    def test_dimension_mismatch(self, rng):
-        c = random_coupling(rng, 3)
-        with pytest.raises(DomainError):
-            effective_response(c, np.ones(4))
-
-    @pytest.mark.parametrize("a0", [np.array(1 + 0j), np.ones((3, 1))])
-    def test_response_that_is_not_a_vector_rejected(self, rng, a0):
-        with pytest.raises(DomainError, match="response length"):
-            effective_response(random_coupling(rng, 3), a0)
-
-
 class TestBeamformingVector:
     def test_power_constraint_random(self, rng):
         a0 = np.exp(1j * rng.uniform(0, 2 * math.pi, 12))
         for _ in range(100):
             c = random_coupling(rng, 12)
             for scheme in BeamformingScheme:
-                w = beamforming_vector(scheme, c, a0, w0_mag=1.0)
+                w = beamforming_vector(scheme, c, a0)
                 assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+                # the gain is per unit power, so the norm of w drops out
+                gain = array_gain(c, a0, w)
+                for k in (1e-3, 1.0, 1e3):
+                    assert array_gain(c, a0, k * w) == pytest.approx(gain, rel=1e-12)
 
     def test_schemes_coincide_without_coupling(self, rng):
         a0 = np.exp(1j * rng.uniform(0, 2 * math.pi, 9))
@@ -112,10 +84,12 @@ class TestBeamformingVector:
             assert g_prop >= g_conj - 1e-9 * g_prop
 
     def test_invalid_power(self, rng):
+        # a zero response leaves no excitation to scale to unit power
         c = random_coupling(rng, 4)
-        with pytest.raises(DomainError):
-            beamforming_vector(BeamformingScheme.PROPOSED_MC_AWARE, c,
-                               np.ones(4), w0_mag=0.0)
+        with pytest.raises(NumericalError, match="zero excitation"):
+            beamforming_vector(BeamformingScheme.PROPOSED_MC_AWARE, c, np.zeros(4))
+        with pytest.raises(DomainError, match="zero excitation"):
+            array_gain(c, np.ones(4), np.zeros(4))
 
 
 class TestArrayGain:
@@ -137,11 +111,10 @@ class TestArrayGain:
                 max_gain_closed_form(c, a0), rel=1e-9)
 
     def test_proposed_excitation_and_closed_form_match_conjugate_transpose(self, rng):
-        from holoris.response import _excitation
         for n in (3, 17, 64):
             c = random_coupling(rng, n).values
             a0 = np.exp(1j * rng.uniform(0, 2 * math.pi, (n, 5)))
-            w = _excitation(BeamformingScheme.PROPOSED_MC_AWARE, c, a0, 1.0)
+            w = beamforming_vector(BeamformingScheme.PROPOSED_MC_AWARE, c, a0)
             v = c.conj().T @ a0.conj()  # the N x N copy the excitation no longer makes
             assert np.allclose(w, v / np.linalg.norm(v, axis=0), rtol=1e-12, atol=0)
             a = a0[:, 0]
@@ -156,11 +129,12 @@ class TestArrayGain:
         assert array_gain(c, a0, rotated) == pytest.approx(
             array_gain(c, a0, w), rel=1e-12)
 
-    def test_power_constraint_enforced(self, rng):
-        c = random_coupling(rng, 4)
-        a0 = np.ones(4, dtype=complex)
-        with pytest.raises(DomainError):
-            array_gain(c, a0, 2.0 * a0, w0_mag=1.0)
+    def test_power_constraint_enforced(self):
+        # the unit-norm check every gain_sweep excitation column passes
+        from holoris.response import _check_power
+        _check_power(np.array([1.0, 1.0 + 1e-10]))
+        with pytest.raises(DomainError, match="power constraint"):
+            _check_power(np.array([1.0, 2.0]))
 
 
 class TestGainSweep:

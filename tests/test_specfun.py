@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from holoris import DomainError, cosine_integral, rect, sinc, sine_integral
+from holoris import DomainError, cosine_integral, sine_integral
 from holoris.specfun import EULER_GAMMA, _e1_continued_fraction, _ein_series
 
 # Independent oracles: adaptive quadrature of the defining integrals and
@@ -21,50 +21,6 @@ def si_oracle(x):
 def ci_oracle(x):
     val, _ = quad(lambda t: (math.cos(t) - 1.0) / t if t else 0.0, 0.0, x, limit=400)
     return EULER_GAMMA + math.log(x) + val
-
-
-class TestSinc:
-    def test_removable_singularity(self):
-        assert sinc(0.0) == 1.0
-
-    def test_zero_at_one(self):
-        assert abs(sinc(1.0)) < 1e-15
-
-    def test_half(self):
-        # 2/pi to 12+ digits, from arbitrary-precision evaluation
-        expected = float(mpmath.mp.mpf(2) / mpmath.pi)
-        assert sinc(0.5) == pytest.approx(expected, abs=1e-13)
-
-    @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
-    def test_even(self, x):
-        assert sinc(-x) == pytest.approx(sinc(x), abs=1e-15)
-
-    def test_even_random_sample(self, rng):
-        xs = rng.uniform(-50, 50, size=10_000)
-        for x in xs:
-            assert sinc(-x) == sinc(x)
-
-    def test_integer_zeros(self):
-        for k in range(1, 1001):
-            assert abs(sinc(float(k))) <= 1e-12
-            assert abs(sinc(float(-k))) <= 1e-12
-
-    def test_nonfinite_rejected(self):
-        for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(DomainError):
-                sinc(bad)
-
-
-class TestRect:
-    @pytest.mark.parametrize("x,expected", [
-        (0.0, 1), (0.5, 1), (-0.5, 1), (0.51, 0), (-3.0, 0), (0.499999, 1),
-    ])
-    def test_values(self, x, expected):
-        assert rect(x) == expected
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DomainError):
-            rect(math.nan)
 
 
 class TestSineIntegral:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from holoris import (ArrayGeometry, DomainError, ElementKind, NumericalError,
-                     SpacingConvention, WaveKind, asymptotic_spectrum,
-                     classify_wavenumber, correlation_matrix_isotropic,
+                     asymptotic_spectrum, correlation_matrix_isotropic,
                      generator_sequence, make_uniform_grid, power_spectrum)
 from holoris.spectrum import GeneratorSequence, _odd_grid
 
@@ -58,15 +57,14 @@ class TestGeneratorSequence:
         for spacing in (0.5, 0.25):
             g = make_uniform_grid(4.0, 4.0, spacing, spacing, 1.0)
             seq = generator_sequence(g)
-            assert seq.abs_sum() / g.n <= 4.0
+            assert np.abs(seq.values).sum() / g.n <= 4.0
 
-    def test_conventions_differ_in_step(self):
-        g = make_uniform_grid(4.0, 4.0, 0.5, 0.5, 1.0)
-        aper = generator_sequence(g, SpacingConvention.APERTURE)
-        phys = generator_sequence(g, "physical")
-        assert aper.step_x == pytest.approx(g.lx / g.nx)
-        assert phys.step_x == pytest.approx(g.dx)
-        assert aper.step_x < phys.step_x
+    def test_step_is_aperture_over_count(self):
+        g = make_uniform_grid(4.0, 2.0, 0.5, 0.25, 1.0)
+        seq = generator_sequence(g)
+        assert seq.step_x == g.lx / g.nx
+        assert seq.step_z == g.lz / g.nz
+        assert seq.step_x < g.dx and seq.step_z < g.dz
 
 
 class TestPowerSpectrum:
@@ -110,17 +108,6 @@ class TestPowerSpectrum:
                 base = transform(wx, wz)
                 shifted = transform(wx + 2 * math.pi, wz)
                 assert abs(base - shifted) < 1e-10
-
-    def test_grid_matches_physical_convention_formula(self):
-        # under the physical convention the grid endpoints follow
-        # (n-1) kappa / (2 n eta) with eta the spacing in wavelengths
-        g = make_uniform_grid(4.0, 4.0, 0.5, 0.5, 1.0)
-        spec = power_spectrum(generator_sequence(g, "physical"), g)
-        eta = 0.5
-        expected_max = (g.nx - 1) * KAPPA / (2 * g.nx * eta)
-        assert spec.kx_grid[-1] == pytest.approx(expected_max, rel=1e-12)
-        step = spec.kx_grid[1] - spec.kx_grid[0]
-        assert step == pytest.approx(KAPPA / (g.nx * eta), rel=1e-12)
 
     def test_grid_under_aperture_convention_reaches_nominal_edge(self):
         g = make_uniform_grid(4.0, 4.0, 0.5, 0.5, 1.0)
@@ -178,8 +165,7 @@ class TestPowerSpectrum:
         values = seq.values.copy()
         values[0, 1] += 0.4  # break even symmetry
         bad = GeneratorSequence(values=values, half_extents=seq.half_extents,
-                                step_x=seq.step_x, step_z=seq.step_z,
-                                convention=seq.convention)
+                                step_x=seq.step_x, step_z=seq.step_z)
         with pytest.raises(NumericalError):
             power_spectrum(bad, g)
 
@@ -205,19 +191,26 @@ class TestAsymptoticSpectrum:
 
 
 class TestClassifyWavenumber:
-    def test_center(self):
-        c = classify_wavenumber(0.0, 0.0, KAPPA)
-        assert c.kind is WaveKind.PROPAGATING
-        assert c.is_real
-        assert c.kappa_y_magnitude == pytest.approx(KAPPA)
+    """The propagating/evanescent tags of ``power_spectrum``: a grid point
+    propagates when kx^2 + kz^2 <= kappa^2, the rim included."""
 
-    def test_diagonal_outside(self):
-        c = classify_wavenumber(KAPPA, KAPPA, KAPPA)
-        assert c.kind is WaveKind.EVANESCENT
-        assert not c.is_real
-        assert c.kappa_y_magnitude == pytest.approx(KAPPA)
+    @pytest.fixture(scope="class")
+    def spec(self):
+        g = make_uniform_grid(4.0, 4.0, 0.5, 0.5, 1.0)
+        return power_spectrum(generator_sequence(g), g)
 
-    def test_boundary_inclusive(self):
-        c = classify_wavenumber(KAPPA, 0.0, KAPPA)
-        assert c.kind is WaveKind.PROPAGATING
-        assert c.kappa_y_magnitude == 0.0
+    def test_center(self, spec):
+        c = len(spec.kz_grid) // 2
+        assert spec.kx_grid[c] == spec.kz_grid[c] == 0.0
+        assert spec.propagating[c, c]
+
+    def test_diagonal_outside(self, spec):
+        assert spec.kx_grid[-1] ** 2 + spec.kz_grid[-1] ** 2 > KAPPA**2
+        assert not spec.propagating[-1, -1]
+        assert not spec.propagating[0, 0]
+
+    def test_boundary_inclusive(self, spec):
+        # at half-wavelength spacing the last grid point is exactly kappa
+        c = len(spec.kz_grid) // 2
+        assert spec.kx_grid[-1] == KAPPA and spec.kz_grid[c] == 0.0
+        assert spec.propagating[-1, c] and spec.propagating[c, -1]
