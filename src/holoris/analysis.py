@@ -134,16 +134,19 @@ def _hermitian_part(values: np.ndarray) -> np.ndarray:
 def _swap_half(b: np.ndarray, m: int, antisymmetric: bool) -> np.ndarray:
     """Half of a swap-commuting diagonal parity block of m x m points, in
     the basis (e_ab + e_ba) / sqrt(2) and e_aa, or (e_ab - e_ba) / sqrt(2),
-    a < b; terms are paired so that it is exactly Hermitian if b is."""
+    a < b; terms are paired so that it is exactly Hermitian if b is.  It
+    is built m rows at a time, so beside the block and the half it holds
+    only scratch of m rows."""
     a, c = np.triu_indices(m, k=int(antisymmetric))
     i, j = a * m + c, c * m + a
-    h = b[np.ix_(i, i)]
-    h += b[np.ix_(j, j)]
-    cross = b[np.ix_(i, j)]
-    cross += b[np.ix_(j, i)]
-    (np.subtract if antisymmetric else np.add)(h, cross, out=h)
     w = np.where(a == c, 0.5, math.sqrt(0.5))
-    h *= np.outer(w, w)
+    join = np.subtract if antisymmetric else np.add
+    h = np.empty((len(i), len(i)), b.dtype)
+    for p in range(0, len(i), m):
+        rows, ri, rj = h[p:p + m], i[p:p + m, None], j[p:p + m, None]
+        np.add(b[ri, i], b[rj, j], out=rows)
+        join(rows, b[ri, j] + b[rj, i], out=rows)
+        rows *= w[p:p + m, None] * w
     return h
 
 
@@ -151,7 +154,8 @@ def _parity_eigenvalues(r: ParityBlocks):
     """Eigenvalues of the blocks of ``r``, one array per solve; a block
     is read only after the last was released, so lazy blocks are
     gathered one at a time, and under ``r.swap`` each half is built only
-    after the last was solved."""
+    after the last was solved.  A diagonal block's antisymmetric half is
+    solved before its symmetric one; they are yielded in the other order."""
     # the parities matter only under swap, which needs a lattice
     parities = _parities(r.geom) if r.swap else [(False, False, 0, 0)] * len(r.blocks)
     for k, (odd_z, odd_x, m, _) in enumerate(parities):
@@ -161,9 +165,14 @@ def _parity_eigenvalues(r: ParityBlocks):
         if not r.swap:
             yield np.linalg.eigvalsh(b)
         elif odd_z == odd_x:
+            # the smaller half is solved first: glibc maps a request at least
+            # as large as any mapped block freed before, and unmaps it when
+            # freed, so in ascending order no half or its LAPACK copy stays
+            # in the heap under the next block's solve (16 MiB at N = 9409)
+            anti = np.linalg.eigvalsh(_swap_half(b, m, True)) if m > 1 else None
             yield np.linalg.eigvalsh(_swap_half(b, m, False))
-            if m > 1:
-                yield np.linalg.eigvalsh(_swap_half(b, m, True))
+            if anti is not None:
+                yield anti
         else:
             yield np.tile(np.linalg.eigvalsh(b), 2)
         del b

@@ -126,7 +126,8 @@ class ParityBlocks:
     lattice (``geom`` None), the one block is the matrix.
 
     ``blocks`` is a tuple, or for ``parity_blocks(..., lazy=True)`` a
-    sequence that gathers a block each time it is read and keeps none.
+    sequence that gathers a block each time it is read and keeps none;
+    a read allocates the block and scratch of a few of its z rows.
     ``swap`` marks a square-lattice matrix that also commutes with the
     x <-> z transpose, which maps the (even, odd) block onto (odd, even).
     """
@@ -195,26 +196,21 @@ def _parities(geom: ArrayGeometry):
                 yield pz, px, mz, mx
 
 
-def _mirror_gather(table: np.ndarray, axis: int, odd: bool) -> np.ndarray:
-    """One offset axis of a table (length n) in the even or odd half of
-    its mirror basis: the axis becomes two, (r, c), holding
-    w_r w_c (T(|r - c|) +/- T(n - 1 - r - c)), with w = 1 except
-    1 / sqrt(2) at the centre of the even half of an odd-length axis."""
-    n = table.shape[axis]
+def _mirror_terms(n: int, odd: bool):
+    """One n-point offset axis in the even or odd half of its mirror
+    basis, whose block entry (r, c) is w_r w_c (T(|r - c|) +/- T(n - 1 - r - c)):
+    the near and far offsets, the ufunc that joins their terms, and the
+    weights w_r w_c, with w = 1 except 1 / sqrt(2) at the centre of the
+    even half of an odd n (None when all are 1)."""
     h = n // 2
     m = h if odd else n - h
     i = np.arange(m)
-    b = np.take(table, np.abs(i[:, None] - i), axis)
-    far = np.take(table, n - 1 - i[:, None] - i, axis)
-    if odd:
-        b -= far
-    else:
-        b += far
+    w = None
     if m > h:
         w = np.ones(m)
         w[h] = _SQRT1_2
-        b *= (w[:, None] * w).reshape((m, m) + (1,) * (b.ndim - axis - 2))
-    return b
+        w = w[:, None] * w
+    return np.abs(i[:, None] - i), n - 1 - i[:, None] - i, np.subtract if odd else np.add, w
 
 
 def _mirror_split(v: np.ndarray, axis: int, odd: bool) -> np.ndarray:
@@ -255,18 +251,31 @@ class _TableBlocks(Sequence):
 
     def __getitem__(self, k: int) -> np.ndarray:
         pz, px, mz, mx = self._parities[k]
-        # (rx, cx, rz, cz) -> (rz, rx, cz, cx): rows are z-major like the lattice
-        b = _mirror_gather(_mirror_gather(self._table, 1, pz), 0, px)
-        return b.transpose(2, 0, 3, 1).reshape(mz * mx, mz * mx)
+        near, far, join, w = _mirror_terms(self._table.shape[1], pz)
+        # the z axis first, as (rz, cz, x): a table of mz^2 nx entries
+        tz = join(self._table.T[near], self._table.T[far])
+        if w is not None:
+            tz *= w[:, :, None]
+        # then x, one z row at a time, into the z-major (rz, rx, cz, cx) block
+        near, far, join, w = _mirror_terms(self._table.shape[0], px)
+        out = np.empty((mz, mx, mz, mx), tz.dtype)
+        for t, row in zip(tz, out):
+            row = row.transpose(1, 0, 2)  # (cz, rx, cx), a view
+            join(t[:, near], t[:, far], out=row)
+            if w is not None:
+                row *= w
+        return out.reshape(mz * mx, mz * mx)
 
 
 def parity_blocks(table: np.ndarray, geom: ArrayGeometry, lazy: bool = False) -> ParityBlocks:
     """The mirror-parity blocks of the matrix ``gather_offsets(table,
     geom)``, gathered straight from the (nx, nz) offset table, real or
     complex, without forming the (N, N) matrix.  ``swap`` is set when
-    the lattice is square and the table exactly symmetric.  With
-    ``lazy`` a block is gathered only when read, so a caller that reads
-    each block once holds one at a time."""
+    the lattice is square and the table exactly symmetric.  Each block
+    is filled in place one z row at a time from the table's z-axis
+    gather (mz^2 nx entries), so its build holds nothing else of block
+    size.  With ``lazy`` a block is gathered only when read, so a caller
+    that reads each block once holds one at a time."""
     if table.shape != (geom.nx, geom.nz):
         raise DomainError(
             f"offset table shape {table.shape} does not match lattice ({geom.nx}, {geom.nz})"

@@ -40,8 +40,13 @@ def steering_vector(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
     return np.exp(1j * geom.wavenumber * (geom.positions @ d_hat))
 
 
-def _coupling_values(coupling: CouplingMatrix | np.ndarray) -> np.ndarray:
-    return coupling.values if isinstance(coupling, CouplingMatrix) else np.asarray(coupling)
+def _coupling_values(coupling: CouplingMatrix | np.ndarray, a0) -> np.ndarray:
+    """The values of C, checked to match the length of the response a0."""
+    c = coupling.values if isinstance(coupling, CouplingMatrix) else np.asarray(coupling)
+    length = np.shape(a0)[0] if np.ndim(a0) else None
+    if length != len(c):
+        raise DomainError(f"response length {length} does not match coupling dimension {len(c)}")
+    return c
 
 
 def _unscaled_excitation(scheme: BeamformingScheme, c: np.ndarray, a0: np.ndarray,
@@ -86,7 +91,7 @@ def beamforming_vector(scheme: BeamformingScheme, coupling, a0: np.ndarray) -> n
       world (identical vector to conjugate_mc_unaware; pair it with C = I
       when evaluating the gain).
     """
-    w = _unscaled_excitation(scheme, _coupling_values(coupling), np.asarray(a0, dtype=complex))
+    w = _unscaled_excitation(scheme, _coupling_values(coupling, a0), np.asarray(a0, dtype=complex))
     return _power_scale(scheme, np.linalg.norm(w, axis=0)) * w
 
 
@@ -96,13 +101,13 @@ def array_gain(coupling, a0: np.ndarray, w: np.ndarray) -> float:
     norm = float(np.linalg.norm(w))
     if norm == 0:
         raise DomainError("zero excitation vector")
-    a = _coupling_values(coupling).T @ np.asarray(a0)
+    a = _coupling_values(coupling, a0).T @ np.asarray(a0)
     return float(abs(a @ np.asarray(w)) ** 2 / norm**2)
 
 
 def max_gain_closed_form(coupling, a0: np.ndarray) -> float:
     """Gain of the proposed scheme in closed form, |a0^T C C^H conj(a0)|."""
-    a = _coupling_values(coupling).T @ np.asarray(a0)
+    a = _coupling_values(coupling, a0).T @ np.asarray(a0)
     return float(abs(a @ a.conj()))
 
 

@@ -95,23 +95,29 @@ def _e1_continued_fraction(x: np.ndarray) -> np.ndarray:
 
         E1(ix) = e^{-ix} / (ix + 1 - 1/(ix + 3 - 4/(ix + 5 - ...)))
 
-    Each entry stops updating once its own factor has converged.
+    Each entry is written out once its own factor has converged, and
+    only the entries still converging are carried on.
     """
-    z = 1j * x
+    z = 1j * np.ravel(x)
     tiny = 1e-290
     b = z + 1.0
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    done = np.zeros(z.shape, dtype=bool)
+    out = np.empty_like(z)
+    lanes = np.arange(z.size)
     for i in range(1, _CF_MAX_ITER):
         a = -float(i * i)
         b = b + 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         delta = c * d
-        h = np.where(done, h, h * delta)
-        done |= np.abs(delta - 1.0) < 1e-16
-        if done.all():
+        h = h * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        out[lanes[done]] = h[done]
+        going = ~done
+        lanes, b, c, d, h = lanes[going], b[going], c[going], d[going], h[going]
+        if not lanes.size:
             break
-    return np.exp(-z) * h
+    out[lanes] = h
+    return (np.exp(-z) * out).reshape(np.shape(x))

@@ -4,6 +4,12 @@ The package builds every lattice matrix from its offset table, so it is
 block-Toeplitz with Toeplitz blocks (BTTB) by construction; ``verify_bttb``
 checks that from the matrix entries alone.  ``isotropic_scattering_density``
 is the angular weight of the correlation quadrature oracle.
+
+``table_block``, ``swap_half`` and ``e1_continued_fraction`` are the
+straightforward whole-array forms of the package's parity-block gather,
+swap-half build and exponential-integral continued fraction, which build
+their results in place or carry only the unconverged entries; each
+package result must equal its oracle bit for bit.
 """
 
 import math
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from holoris import ArrayGeometry, Direction, DomainError
-from holoris.geometry import gather_offsets
+from holoris.geometry import _SQRT1_2, _parities, gather_offsets
 
 
 @dataclass(frozen=True)
@@ -47,3 +53,71 @@ def verify_bttb(matrix, geom: ArrayGeometry, tol: float = 1e-10) -> BttbReport:
     table = values[0].reshape(geom.nz, geom.nx).T
     worst = float(np.abs(values - gather_offsets(table, geom)).max())
     return BttbReport(is_bttb=worst <= tol, max_violation=worst)
+
+
+def _mirror_gather(table: np.ndarray, axis: int, odd: bool) -> np.ndarray:
+    """One offset axis of a table in the even or odd half of its mirror
+    basis: the axis becomes two, (r, c), holding w_r w_c (T(|r - c|) +/-
+    T(n - 1 - r - c))."""
+    n = table.shape[axis]
+    h = n // 2
+    m = h if odd else n - h
+    i = np.arange(m)
+    b = np.take(table, np.abs(i[:, None] - i), axis)
+    far = np.take(table, n - 1 - i[:, None] - i, axis)
+    if odd:
+        b -= far
+    else:
+        b += far
+    if m > h:
+        w = np.ones(m)
+        w[h] = _SQRT1_2
+        b *= (w[:, None] * w).reshape((m, m) + (1,) * (b.ndim - axis - 2))
+    return b
+
+
+def table_block(table: np.ndarray, geom: ArrayGeometry, k: int) -> np.ndarray:
+    """Parity block k of an (nx, nz) offset table: gathered along z, then
+    along x, as one (rx, cx, rz, cz) array, transposed to z-major rows."""
+    pz, px, mz, mx = list(_parities(geom))[k]
+    b = _mirror_gather(_mirror_gather(table, 1, pz), 0, px)
+    return b.transpose(2, 0, 3, 1).reshape(mz * mx, mz * mx)
+
+
+def swap_half(b: np.ndarray, m: int, antisymmetric: bool) -> np.ndarray:
+    """Half of a swap-commuting diagonal parity block of m x m points, in
+    the basis (e_ab + e_ba) / sqrt(2) and e_aa, or (e_ab - e_ba) / sqrt(2),
+    a < b, built whole."""
+    a, c = np.triu_indices(m, k=int(antisymmetric))
+    i, j = a * m + c, c * m + a
+    h = b[np.ix_(i, i)]
+    h += b[np.ix_(j, j)]
+    cross = b[np.ix_(i, j)]
+    cross += b[np.ix_(j, i)]
+    (np.subtract if antisymmetric else np.add)(h, cross, out=h)
+    w = np.where(a == c, 0.5, math.sqrt(0.5))
+    h *= np.outer(w, w)
+    return h
+
+
+def e1_continued_fraction(x: np.ndarray) -> np.ndarray:
+    """E1(ix) by the Lentz continued fraction, every entry iterated until
+    the slowest converges, each one's factor frozen once it has."""
+    z = 1j * x
+    tiny = 1e-290
+    b = z + 1.0
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    done = np.zeros(z.shape, dtype=bool)
+    for i in range(1, 200):
+        a = -float(i * i)
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h = np.where(done, h, h * delta)
+        done |= np.abs(delta - 1.0) < 1e-16
+        if done.all():
+            break
+    return np.exp(-z) * h

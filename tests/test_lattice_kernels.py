@@ -9,6 +9,9 @@ definitions, on small lattices with odd and even axis lengths (1 included):
   dense ``eigvalsh``, and the x <-> z swap split of a square lattice's
   correlation against dense ``eigvalsh`` and against the four-block solve,
   and lazily gathered blocks read one at a time;
+* gathered blocks and swap halves against their whole-array oracles, bit
+  for bit, and the traced peak of a lazy block read and of the lazy
+  eigensolve at N = 4225 against the block's bytes;
 * the blockwise coupling against the closed-form coupling matrices;
 * the gain sweep and the ICSI of parity blocks against the same
   operation on the assembled dense matrix, errors included, and the gain
@@ -22,6 +25,7 @@ definitions, on small lattices with odd and even axis lengths (1 included):
 """
 
 import math
+import tracemalloc
 import weakref
 from collections.abc import Sequence
 
@@ -36,11 +40,13 @@ from holoris import (ArrayGeometry, BeamformingScheme, CorrelationMatrix, Coupli
                      effective_correlation, eigen_spectrum, gain_sweep, generator_sequence,
                      icsi, impedance_matrix_dipoles, impedance_matrix_isotropic,
                      make_uniform_grid, parity_blocks, power_spectrum, steering_vector)
-from holoris.analysis import _hermitian_part
+from holoris import cli
+from holoris.analysis import _hermitian_part, _swap_half
 from holoris.correlation import sinc_offset_table
-from holoris.geometry import gather_offsets
+from holoris.geometry import _parities, gather_offsets
 from holoris.spectrum import _odd_grid
 
+import oracles
 from conftest import random_coupling
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -125,8 +131,8 @@ def test_swap_split_eigenvalues_real_correlation(n, d):
     assert_split_matches_dense(r0, correlation_matrix_isotropic(g).values)
 
 
-@pytest.mark.parametrize("n, sizes", [(1, [1]), (2, [1, 1, 1]), (5, [6, 3, 6, 3, 1]),
-                                      (6, [6, 3, 9, 6, 3])])
+@pytest.mark.parametrize("n, sizes", [(1, [1]), (2, [1, 1, 1]), (5, [3, 6, 6, 1, 3]),
+                                      (6, [3, 6, 9, 3, 6])])
 def test_swap_split_solves_each_half_once(n, sizes, monkeypatch):
     g = lattice(n, n, 0.25, 0.25)
     solved = []
@@ -215,6 +221,56 @@ def test_lazy_blocks_are_gathered_and_solved_one_at_a_time(n, swap_reads):
         assert blocks.reads == reads
         expected = eigen_spectrum(ParityBlocks(kept.blocks, g, swap))
         assert np.array_equal(spec.values, expected.values)
+
+
+@PROPERTY
+@given(axis_len, axis_len, st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+@example(1, 1, False, False, 0)
+@example(5, 5, False, True, 1)  # square: the swap halves of both diagonal blocks
+@example(8, 8, True, False, 2)
+@example(9, 4, True, True, 3)
+def test_blocks_and_swap_halves_equal_whole_array_oracles(nx, nz, complex_table, lazy, seed):
+    g = lattice(nx, nz, 0.25, 0.25)
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((nx, nz))
+    if complex_table:
+        table = table + 1j * rng.standard_normal((nx, nz))
+    blocks = parity_blocks(table, g, lazy=lazy).blocks
+    for k, (pz, px, mz, mx) in enumerate(_parities(g)):
+        b, ref = blocks[k], oracles.table_block(table, g, k)
+        assert b.dtype == ref.dtype and np.array_equal(b, ref)
+        if nx == nz and pz == px:
+            for antisymmetric in (False, True):
+                assert np.array_equal(_swap_half(b, mz, antisymmetric),
+                                      oracles.swap_half(ref, mz, antisymmetric))
+
+
+def _traced_peak(call):
+    """tracemalloc peak of one call (numpy's LAPACK work copies are not
+    traced) and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_lazy_block_read_allocates_the_block_and_small_scratch():
+    g = make_uniform_grid(16.0, 16.0, 0.25, 0.25, 1.0)  # N = 4225
+    blocks = cli._r0_blocks(g, lazy=True).blocks
+    peak, b = _traced_peak(lambda: blocks[0])
+    assert b.shape == (1089, 1089)
+    assert peak <= 1.2 * b.nbytes
+
+
+def test_lazy_eigen_spectrum_peaks_near_the_largest_block():
+    g = make_uniform_grid(16.0, 16.0, 0.25, 0.25, 1.0)
+    r0 = cli._r0_blocks(g, lazy=True)
+    largest = max(b.nbytes for b in r0.blocks)
+    peak, spec = _traced_peak(lambda: eigen_spectrum(r0))
+    assert spec.n == g.n
+    assert peak <= 1.4 * largest
 
 
 def test_exactly_hermitian_matrix_is_not_copied():

@@ -129,6 +129,20 @@ class TestArrayGain:
         assert array_gain(c, a0, rotated) == pytest.approx(
             array_gain(c, a0, w), rel=1e-12)
 
+    @pytest.mark.parametrize("call", [
+        lambda c, a0: array_gain(c, a0, np.ones(4)),
+        lambda c, a0: beamforming_vector(BeamformingScheme.PROPOSED_MC_AWARE, c, a0),
+        lambda c, a0: beamforming_vector(BeamformingScheme.DIRECTIVITY_MAX, c, a0),
+        lambda c, a0: max_gain_closed_form(c, a0),
+    ], ids=["array_gain", "beamforming_vector", "beamforming_vector_directivity",
+            "max_gain_closed_form"])
+    @pytest.mark.parametrize("a0", [np.ones(4), np.ones((4, 2)), np.array(1.0)],
+                             ids=["vector", "columns", "scalar"])
+    def test_response_length_must_match_coupling(self, call, a0, rng):
+        for c in (np.eye(3), random_coupling(rng, 3)):
+            with pytest.raises(DomainError, match="coupling dimension 3"):
+                call(c, a0)
+
     def test_power_constraint_enforced(self):
         # the unit-norm check every gain_sweep excitation column passes
         from holoris.response import _check_power

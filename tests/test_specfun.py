@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from holoris import DomainError, cosine_integral, sine_integral
+import oracles
+from holoris import (DomainError, cosine_integral, impedance_matrix_dipoles, make_dipole_array,
+                     sine_integral, specfun)
 from holoris.specfun import EULER_GAMMA, _e1_continued_fraction, _ein_series
 
 # Independent oracles: adaptive quadrature of the defining integrals and
@@ -98,6 +100,24 @@ def test_against_mpmath_high_precision():
     for x, s, c in zip(xs, si, ci):
         assert s == pytest.approx(float(mpmath.si(x)), abs=1e-12), x
         assert c == pytest.approx(float(mpmath.ci(x)), abs=1e-12), x
+
+
+def dipole_table_cf_arguments(monkeypatch):
+    """The continued-fraction arguments of the N = 520 dipole impedance
+    table (a 4-wavelength, 8-row stack at 1/16 wavelength)."""
+    args = []
+    monkeypatch.setattr(specfun, "_e1_continued_fraction",
+                        lambda x: args.append(np.copy(x)) or _e1_continued_fraction(x))
+    impedance_matrix_dipoles(make_dipole_array(4.0, 1 / 16, 8, 0.02, 1.0))
+    return np.concatenate(args)
+
+
+def test_continued_fraction_equals_whole_array_oracle(monkeypatch):
+    table_args = dipole_table_cf_arguments(monkeypatch)
+    assert table_args.size > 2000 and table_args.min() >= 6.0
+    for x in (table_args, np.geomspace(6, 1e15, 3000), np.array([6.0]), np.array([])):
+        out = _e1_continued_fraction(x)
+        assert out.shape == x.shape and np.array_equal(out, oracles.e1_continued_fraction(x))
 
 
 class TestArrayInput:
