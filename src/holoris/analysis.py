@@ -22,6 +22,7 @@ from .errors import DomainError, KneeUndefinedError, NumericalError
 from .geometry import ArrayGeometry, ParityBlocks, _parities, as_blocks
 
 _HERMITIAN_TOL = 1e-8
+_CHECK_BYTES = 1 << 20  # scratch of one row chunk of the exact Hermitian test
 # Negative eigenvalues of a PSD matrix are round-off; more negative mass
 # than this share of the largest eigenvalue means the input is not PSD.
 _NEGATIVE_MASS_TOL = 1e-8
@@ -120,8 +121,13 @@ def knee_index(values) -> int:
 
 def _hermitian_part(values: np.ndarray) -> np.ndarray:
     """(A + A^H) / 2 of a matrix that must be Hermitian within 1e-8 of
-    its largest entry; an exactly Hermitian matrix is returned as it is."""
-    if np.array_equal(values, values.conj().T):
+    its largest entry; an exactly Hermitian matrix is returned as it is.
+    The exact test compares a few rows at a time with the matching
+    columns, so its scratch (their conjugate, when complex, and the bool
+    result) stays near 1 MiB."""
+    rows = max(1, _CHECK_BYTES // ((values.itemsize + 1) * len(values)))
+    if all(np.array_equal(values[i:i + rows], values[:, i:i + rows].conj().T)
+           for i in range(0, len(values), rows)):
         return values
     skew = values - values.conj().T
     defect = float(np.abs(skew).max())

@@ -197,14 +197,6 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     return paths
 
 
-_SCHEMES = (
-    response.BeamformingScheme.PROPOSED_MC_AWARE,
-    response.BeamformingScheme.CONJUGATE_MC_UNAWARE,
-    response.BeamformingScheme.DIRECTIVITY_MAX,
-    response.BeamformingScheme.NO_MC_REFERENCE,
-)
-
-
 def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     s = cfg.sweep
     theta = math.radians(s.zenith_deg)
@@ -215,7 +207,7 @@ def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     for sp in s.gain_spacings:
         geom, z = _stack(cfg, sp)
         ct = coupling.coupling_tx(z, cfg.impedance.z_source)
-        for scheme in _SCHEMES:
+        for scheme in response.BeamformingScheme:
             gains = response.gain_sweep(geom, ct, scheme, theta, phis)
             rows = list(zip(np.degrees(phis).tolist(), gains.tolist(), decibels(gains).tolist()))
             label = spacing_label(sp)
@@ -248,7 +240,7 @@ def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     ))
     series = []
     for sp in s.gain_spacings:
-        for scheme in _SCHEMES:
+        for scheme in response.BeamformingScheme:
             series.append(
                 f"'fig7_gain_dx{spacing_label(sp)}_{scheme.value}.csv' "
                 f"using 1:2 with lines title 'dx={sp:g} {scheme.value}'"

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ArrayGeometry, BlockMatrix, ParityBlocks
+from .geometry import ArrayGeometry, BlockMatrix, ParityBlocks, parity_blocks
 
 
 class CorrelationKind(Enum):
@@ -26,14 +26,13 @@ class CorrelationKind(Enum):
 
 class CorrelationMatrix(BlockMatrix):
     """Hermitian positive-semidefinite correlation matrix (``eigen_spectrum``
-    checks both): its ``values``, the mirror-parity ``blocks`` of a lattice
-    matrix, or the (nx, nz) offset ``table`` of a lattice ``geom``."""
+    checks both): its ``values``, or the mirror-parity ``blocks`` of a
+    lattice matrix."""
 
     def __init__(self, values: np.ndarray | None = None,
                  kind: CorrelationKind = CorrelationKind.MC_UNAWARE, *,
-                 blocks: ParityBlocks | None = None, table: np.ndarray | None = None,
-                 geom: ArrayGeometry | None = None):
-        super().__init__(values, blocks, table, geom)
+                 blocks: ParityBlocks | None = None):
+        super().__init__(values, blocks)
         self.kind = kind
 
 
@@ -49,12 +48,11 @@ def correlation_matrix_isotropic(geom: ArrayGeometry) -> CorrelationMatrix:
     """Correlation matrix of a geometry under isotropic scattering.
 
     Entries are the closed-form sinc kernel of pairwise distances,
-    evaluated once per lattice offset; the matrix and its parity blocks
-    are gathered from that table when first read.  It is real with unit
-    diagonal.
+    evaluated once per lattice offset; the parity blocks are gathered
+    from that table, and the matrix when first read.  It is real with
+    unit diagonal.
     """
     if geom.n == 0:
         raise DomainError("geometry has no elements")
-    return CorrelationMatrix(table=sinc_offset_table(geom), geom=geom,
-                             kind=CorrelationKind.MC_UNAWARE)
+    return CorrelationMatrix(blocks=parity_blocks(sinc_offset_table(geom), geom))
 

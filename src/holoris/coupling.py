@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .correlation import sinc_offset_table
-from .geometry import ArrayGeometry, BlockMatrix, ElementKind, ParityBlocks, as_blocks
+from .geometry import ArrayGeometry, BlockMatrix, ElementKind, ParityBlocks, parity_blocks
 from .specfun import cosine_integral as Ci
 from .specfun import sine_integral as Si
 
@@ -36,15 +36,12 @@ class CouplingSide(Enum):
 
 class ImpedanceMatrix(BlockMatrix):
     """Symmetric complex impedance matrix with constant self-impedance
-    on the diagonal, in ohms: its ``values``, or the (nx, nz) offset
-    ``table`` of a lattice ``geom``."""
-
-    _NEEDS = "an impedance matrix needs its values or an offset table and geometry"
-    _NO_BLOCKS = "parity blocks need the impedance offset table"
+    on the diagonal, in ohms: its ``values``, or the mirror-parity
+    ``blocks`` of a lattice matrix."""
 
     def __init__(self, values: np.ndarray | None = None, *, z_self: complex,
-                 table: np.ndarray | None = None, geom: ArrayGeometry | None = None):
-        super().__init__(values, table=table, geom=geom)
+                 blocks: ParityBlocks | None = None):
+        super().__init__(values, blocks)
         self.z_self = z_self
 
 
@@ -54,7 +51,7 @@ def _shifted_condition(z: ImpedanceMatrix, shift: complex) -> float:
     nan when an SVD fails, as it does on non-finite entries."""
     try:
         s = np.concatenate([np.linalg.svd(b + shift * np.eye(len(b)), compute_uv=False)
-                            for b in as_blocks(z).blocks])
+                            for b in z.blocks.blocks])
     except np.linalg.LinAlgError:
         return math.nan
     return float(s.max() / s.min()) if s.min() != 0 else math.inf
@@ -70,9 +67,6 @@ class CouplingMatrix(BlockMatrix):
     inverted, Z + port_impedance I: either given, or computed from the
     ``impedance`` matrix Z on first read and cached.
     """
-
-    _NEEDS = "a coupling matrix needs its values or its parity blocks"
-    _NO_BLOCKS = "parity blocks need a coupling solved from an impedance offset table"
 
     def __init__(self, values: np.ndarray | None = None, *, side: CouplingSide,
                  port_impedance: complex, condition: float | None = None,
@@ -172,7 +166,7 @@ def impedance_matrix_dipoles(geom: ArrayGeometry,
     Mutual terms depend on the pair displacement only, so the (nx, nz)
     table of one value per (|di|, |dk|) index offset is evaluated in one
     pass (echelon for di >= 1, collinear for di = 0) and gathered into
-    the full matrix.
+    the parity blocks.
     """
     if geom.element_kind is not ElementKind.HALF_WAVE_DIPOLE:
         raise DomainError(
@@ -184,7 +178,7 @@ def impedance_matrix_dipoles(geom: ArrayGeometry,
     table[0, 0] = z_self
     table[0, 1:] = _collinear(dv[1:], geom.wavelength)
     table[1:] = _echelon(dh[:, None], dv[None, :], geom.wavelength)
-    return ImpedanceMatrix(z_self=complex(z_self), table=table, geom=geom)
+    return ImpedanceMatrix(z_self=complex(z_self), blocks=parity_blocks(table, geom))
 
 
 def impedance_matrix_isotropic(geom: ArrayGeometry,
@@ -196,7 +190,7 @@ def impedance_matrix_isotropic(geom: ArrayGeometry,
     if not (r_iso > 0 and math.isfinite(r_iso)):
         raise DomainError(f"r_iso must be positive, got {r_iso}")
     table = (r_iso * sinc_offset_table(geom)).astype(complex)
-    return ImpedanceMatrix(z_self=complex(r_iso), table=table, geom=geom)
+    return ImpedanceMatrix(z_self=complex(r_iso), blocks=parity_blocks(table, geom))
 
 
 def _normalized_inverse(z: ImpedanceMatrix, port: complex, side: CouplingSide) -> CouplingMatrix:
@@ -207,9 +201,8 @@ def _normalized_inverse(z: ImpedanceMatrix, port: complex, side: CouplingSide) -
         name = "z_source" if side is CouplingSide.TX else "z_load"
         raise DomainError(f"z_self + {name} = 0 leaves the normalization undefined")
     prefactor = 1.0 + port / z.z_self if side is CouplingSide.TX else z.z_self + port
-    zblocks = as_blocks(z)
     out = []
-    for zb in zblocks.blocks:
+    for zb in z.blocks.blocks:
         eye = np.eye(len(zb), dtype=complex)
         numerator = zb if side is CouplingSide.TX else eye
         try:
@@ -221,7 +214,7 @@ def _normalized_inverse(z: ImpedanceMatrix, port: complex, side: CouplingSide) -
             raise NumericalError(f"non-finite {side.value} coupling entries "
                                  f"(condition {_shifted_condition(z, port):.3e})")
         out.append(prefactor * solved)
-    return CouplingMatrix(blocks=ParityBlocks(tuple(out), zblocks.geom), side=side,
+    return CouplingMatrix(blocks=ParityBlocks(tuple(out), z.blocks.geom), side=side,
                           port_impedance=port, impedance=z)
 
 

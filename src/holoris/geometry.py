@@ -128,13 +128,22 @@ class ParityBlocks:
     ``blocks`` is a tuple, or for ``parity_blocks(..., lazy=True)`` a
     sequence that gathers a block each time it is read and keeps none;
     a read allocates the block and scratch of a few of its z rows.
-    ``swap`` marks a square-lattice matrix that also commutes with the
-    x <-> z transpose, which maps the (even, odd) block onto (odd, even).
+    ``table`` is the (nx, nz) offset table the blocks were gathered from,
+    if they were.  ``swap``, derived from it, marks a square-lattice
+    matrix that also commutes with the x <-> z transpose, which maps the
+    (even, odd) block onto (odd, even): the table is square and exactly
+    symmetric.
     """
 
     blocks: Sequence[np.ndarray]
     geom: ArrayGeometry | None = None
-    swap: bool = False
+    table: np.ndarray | None = None
+    swap: bool = field(init=False)
+
+    def __post_init__(self):
+        t = self.table
+        object.__setattr__(self, "swap", t is not None and t.shape[0] == t.shape[1]
+                           and np.array_equal(t, t.T))
 
     @property
     def n(self) -> int:
@@ -270,28 +279,28 @@ class _TableBlocks(Sequence):
 def parity_blocks(table: np.ndarray, geom: ArrayGeometry, lazy: bool = False) -> ParityBlocks:
     """The mirror-parity blocks of the matrix ``gather_offsets(table,
     geom)``, gathered straight from the (nx, nz) offset table, real or
-    complex, without forming the (N, N) matrix.  ``swap`` is set when
-    the lattice is square and the table exactly symmetric.  Each block
-    is filled in place one z row at a time from the table's z-axis
-    gather (mz^2 nx entries), so its build holds nothing else of block
-    size.  With ``lazy`` a block is gathered only when read, so a caller
-    that reads each block once holds one at a time."""
+    complex, without forming the (N, N) matrix; the blocks keep a
+    read-only view of the table.  Each block is filled in place one z
+    row at a time from the table's z-axis gather (mz^2 nx entries), so
+    its build holds nothing else of block size.  With ``lazy`` a block
+    is gathered only when read, so a caller that reads each block once
+    holds one at a time."""
     if table.shape != (geom.nx, geom.nz):
         raise DomainError(
             f"offset table shape {table.shape} does not match lattice ({geom.nx}, {geom.nz})"
         )
+    table = read_only_view(table)
     blocks = _TableBlocks(table, geom)
-    return ParityBlocks(blocks if lazy else tuple(blocks), geom,
-                        swap=geom.nx == geom.nz and np.array_equal(table, table.T))
+    return ParityBlocks(blocks if lazy else tuple(blocks), geom, table)
 
 
 def as_blocks(matrix) -> ParityBlocks:
     """Any square matrix as blocks: ``ParityBlocks`` as they are, one of
-    the matrix types as the blocks it holds, and an array as one block."""
+    the matrix types as its blocks, and an array as one block."""
     if isinstance(matrix, ParityBlocks):
         return matrix
     if isinstance(matrix, BlockMatrix):
-        return matrix._blocks if matrix._geom is None else matrix.blocks
+        return matrix.blocks
     values = np.asarray(matrix)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise DomainError(f"matrix must be square, got shape {values.shape}")
@@ -299,41 +308,29 @@ def as_blocks(matrix) -> ParityBlocks:
 
 
 class BlockMatrix:
-    """Base of the matrix types: a square matrix held as ``ParityBlocks``.
-    ``values`` are held as one block.  The ``blocks`` of a lattice matrix
-    give ``values`` on first read; the (nx, nz) offset ``table`` of a
-    lattice ``geom`` gives both on first read, without forming the other."""
+    """Base of the matrix types: a square matrix held as its ``blocks``,
+    given as ``ParityBlocks`` or, for ``values``, as one block in the
+    identity basis that shares their memory.  The ``values`` of blocks
+    are gathered on first read: exactly from the offset table of blocks
+    that carry one, otherwise assembled from the blocks."""
 
-    _NEEDS = "a matrix needs its values, its parity blocks, or an offset table and geometry"
-    _NO_BLOCKS = "parity blocks need a lattice matrix"
-
-    def __init__(self, values: np.ndarray | None = None, blocks: ParityBlocks | None = None,
-                 table: np.ndarray | None = None, geom: ArrayGeometry | None = None):
-        if (values is None) == (blocks is None and (table is None or geom is None)):
-            raise DomainError(self._NEEDS)
+    def __init__(self, values: np.ndarray | None = None, blocks: ParityBlocks | None = None):
+        if (values is None) == (blocks is None):
+            raise DomainError("a matrix needs its values or its parity blocks")
         self._values = None if values is None else read_only_view(values)
-        self._blocks = blocks if values is None else as_blocks(self._values)
-        self._table, self._geom = table, (geom if self._blocks is None else self._blocks.geom)
+        self.blocks = blocks if values is None else as_blocks(self._values)
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = read_only_view(self._blocks.dense() if self._table is None
-                                          else gather_offsets(self._table, self._geom))
+            b = self.blocks
+            self._values = read_only_view(b.dense() if b.table is None
+                                          else gather_offsets(b.table, b.geom))
         return self._values
 
     @property
-    def blocks(self) -> ParityBlocks:
-        """The mirror-parity blocks of a lattice matrix, gathered on first read."""
-        if self._geom is None:
-            raise DomainError(self._NO_BLOCKS)
-        if self._blocks is None:
-            self._blocks = parity_blocks(self._table, self._geom)
-        return self._blocks
-
-    @property
     def dim(self) -> int:
-        return self.values.shape[0] if self._geom is None else self._geom.n
+        return self.blocks.n
 
 
 def _check_positive(**lengths: float) -> None:

@@ -98,11 +98,14 @@ def beamforming_vector(scheme: BeamformingScheme, coupling, a0: np.ndarray) -> n
 def array_gain(coupling, a0: np.ndarray, w: np.ndarray) -> float:
     """Gain |a^T w|^2 / ||w||^2 with a = C^T a0, the same for any
     scaling of w."""
+    a = _coupling_values(coupling, a0).T @ np.asarray(a0)
+    w = np.asarray(w)
+    if w.shape != a.shape:
+        raise DomainError(f"excitation shape {w.shape} does not match response shape {a.shape}")
     norm = float(np.linalg.norm(w))
     if norm == 0:
         raise DomainError("zero excitation vector")
-    a = _coupling_values(coupling, a0).T @ np.asarray(a0)
-    return float(abs(a @ np.asarray(w)) ** 2 / norm**2)
+    return float(abs(a @ w) ** 2 / norm**2)
 
 
 def max_gain_closed_form(coupling, a0: np.ndarray) -> float:

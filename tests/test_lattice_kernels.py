@@ -21,9 +21,11 @@ definitions, on small lattices with odd and even axis lengths (1 included):
   its values-only twin, held as one block, mixed pairs included, and the
   Hermitian-PSD check of ``eigen_spectrum`` in both forms;
 * the folded-FFT wavenumber transform against a per-point direct sum;
-* the offset-table gather against the pairwise-distance formula.
+* the offset-table gather against the pairwise-distance formula, and
+  the values of table-backed matrices against the gather, bit for bit.
 """
 
+import dataclasses
 import math
 import tracemalloc
 import weakref
@@ -42,6 +44,7 @@ from holoris import (ArrayGeometry, BeamformingScheme, CorrelationMatrix, Coupli
                      make_uniform_grid, parity_blocks, power_spectrum, steering_vector)
 from holoris import cli
 from holoris.analysis import _hermitian_part, _swap_half
+from holoris.coupling import HALF_WAVE_DIPOLE_SELF_IMPEDANCE
 from holoris.correlation import sinc_offset_table
 from holoris.geometry import _parities, gather_offsets
 from holoris.spectrum import _odd_grid
@@ -215,12 +218,30 @@ def test_lazy_blocks_are_gathered_and_solved_one_at_a_time(n, swap_reads):
     assert lazy.swap and len(lazy.blocks) == len(kept.blocks)
     assert all(np.array_equal(a, b) for a, b in zip(kept.blocks, lazy.blocks))
     assert np.array_equal(lazy.dense(), kept.dense())
-    for swap, reads in ((True, swap_reads), (False, list(range(len(kept.blocks))))):
+    # blocks given without their table take the four-block path
+    for t, reads in ((table, swap_reads), (None, list(range(len(kept.blocks))))):
         blocks = RecordingBlocks(lazy.blocks)
-        spec = eigen_spectrum(ParityBlocks(blocks, g, swap))
+        spec = eigen_spectrum(ParityBlocks(blocks, g, t))
         assert blocks.reads == reads
-        expected = eigen_spectrum(ParityBlocks(kept.blocks, g, swap))
+        expected = eigen_spectrum(ParityBlocks(kept.blocks, g, t))
         assert np.array_equal(spec.values, expected.values)
+
+
+def test_swap_is_derived_from_the_table():
+    g = lattice(5, 5, 0.25, 0.25)
+    pb = parity_blocks(sinc_offset_table(g), g)
+    assert pb.swap and not pb.table.flags.writeable
+    assert not ParityBlocks(pb.blocks, g).swap
+    with pytest.raises(TypeError, match="swap"):
+        ParityBlocks(pb.blocks, g, swap=True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pb.swap = False
+    # blocks of an asymmetric table are never solved as swap halves
+    t = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 5))
+    t[0, 0] = 2.0 * g.n  # strictly diagonally dominant: positive definite
+    asym = parity_blocks(t, g)
+    assert not asym.swap
+    assert_split_matches_dense(asym, gather_offsets(t, g))
 
 
 @PROPERTY
@@ -271,6 +292,16 @@ def test_lazy_eigen_spectrum_peaks_near_the_largest_block():
     peak, spec = _traced_peak(lambda: eigen_spectrum(r0))
     assert spec.n == g.n
     assert peak <= 1.4 * largest
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_exact_hermitian_check_compares_in_small_chunks(dtype):
+    a = np.random.default_rng(4).standard_normal((2048, 2048)).astype(dtype)
+    a = a + a.conj().T
+    peak, h = _traced_peak(lambda: _hermitian_part(a))
+    assert h is a
+    # the whole-block comparison took 4 MiB of bool, and a 64 MiB conjugate
+    assert peak <= (1.1 if dtype is float else 1.2) * 2**20
 
 
 def test_exactly_hermitian_matrix_is_not_copied():
@@ -391,30 +422,50 @@ def test_lattice_coupling_assembles_values_on_first_read(transmit, monkeypatch):
     assert np.abs(values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_values_only_coupling_has_no_blocks():
+def assert_one_block(m):
+    """``m`` is held as one block in the identity basis, its values."""
+    (b,) = m.blocks.blocks
+    assert m.blocks.geom is None and m.blocks.table is None and not m.blocks.swap
+    assert np.shares_memory(b, m.values) and m.dim == len(m.values)
+
+
+def test_values_only_matrix_is_one_block():
     g = lattice(3, 2, 0.25, 0.6, ElementKind.HALF_WAVE_DIPOLE)
     z = ImpedanceMatrix(values=impedance_matrix_dipoles(g).values, z_self=73.1 + 42.5j)
     c = coupling_rx(z, 50.0)
-    with pytest.raises(DomainError, match="parity blocks"):
-        c.blocks
+    assert_one_block(z)
+    assert_one_block(c)
     # with lattice blocks of R0, both are taken whole
     r = effective_correlation(c, parity_blocks(sinc_offset_table(g), g))
     dense = c.values.T @ correlation_matrix_isotropic(g).values @ c.values.conj()
     assert np.abs(r.values - dense).max() <= 1e-12 * np.abs(dense).max()
-    with pytest.raises(DomainError, match="parity blocks"):
-        r.blocks
+    assert_one_block(r)
 
 
 def test_lattice_impedance_gathers_values_on_first_read():
     g = lattice(4, 3, 0.25, 0.6, ElementKind.HALF_WAVE_DIPOLE)
     z = impedance_matrix_dipoles(g)
-    assert z._values is None and z.dim == g.n
+    assert z._values is None and z.dim == g.n and len(z.blocks.blocks) == 4
     assert np.abs(z.values - z.blocks.dense()).max() <= 1e-13 * np.abs(z.values).max()
     assert z.values is z.values and not z.values.flags.writeable
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="its values or its parity blocks"):
         ImpedanceMatrix(z_self=73.1 + 0j)
-    with pytest.raises(DomainError, match="offset table"):
-        ImpedanceMatrix(values=np.eye(3, dtype=complex), z_self=73.1 + 0j).blocks
+    with pytest.raises(TypeError):
+        ImpedanceMatrix(z_self=73.1 + 0j, table=z.blocks.table, geom=g)
+    assert_one_block(ImpedanceMatrix(values=np.eye(3, dtype=complex), z_self=73.1 + 0j))
+
+
+@pytest.mark.parametrize("nx, nz", [(1, 1), (1, 4), (3, 1), (2, 3), (5, 2), (4, 4), (7, 6)])
+def test_table_backed_values_are_the_exact_gather(nx, nz):
+    iso = lattice(nx, nz, 0.25, 0.3)
+    dipoles = lattice(nx, nz, 0.25, 0.6, ElementKind.HALF_WAVE_DIPOLE)
+    for m, g, diagonal in ((correlation_matrix_isotropic(iso), iso, 1.0),
+                           (impedance_matrix_isotropic(iso, 73.1), iso, 73.1),
+                           (impedance_matrix_dipoles(dipoles), dipoles,
+                            HALF_WAVE_DIPOLE_SELF_IMPEDANCE)):
+        assert m.blocks.geom is g
+        assert np.array_equal(m.values, gather_offsets(m.blocks.table, g))
+        assert np.all(m.values.diagonal() == diagonal)
 
 
 def values_only(z):
@@ -426,7 +477,7 @@ def test_blockwise_singular_coupling_raises_as_dense():
     g = lattice(3, 2, 0.25, 0.25)
     table = np.zeros((3, 2), dtype=complex)
     table[0, 0] = -50.0  # Z = -50 I, so Z + 50 I is singular
-    z = ImpedanceMatrix(z_self=73.1 + 0j, table=table, geom=g)
+    z = ImpedanceMatrix(z_self=73.1 + 0j, blocks=parity_blocks(table, g))
     with pytest.raises(NumericalError, match="singular system in rx coupling") as blocks:
         coupling_rx(z, 50.0)
     with pytest.raises(NumericalError, match="singular system in rx coupling") as dense:
@@ -452,7 +503,7 @@ def test_nan_impedance_raises_numerical_error(solve, side, table_backed):
     table = 73.1 * sinc_offset_table(g).astype(complex)
     if table_backed:
         table[1, 0] = np.nan
-        z = ImpedanceMatrix(z_self=73.1 + 0j, table=table, geom=g)
+        z = ImpedanceMatrix(z_self=73.1 + 0j, blocks=parity_blocks(table, g))
     else:
         values = gather_offsets(table, g)
         values[0, 1] = np.nan
@@ -476,7 +527,7 @@ def random_tx_coupling(nx, nz, seed):
     rng = np.random.default_rng(seed)
     table = rng.uniform(-1.0, 1.0, (nx, nz)) + 1j * rng.uniform(-1.0, 1.0, (nx, nz))
     table[0, 0] = 2.0 * g.n * (1.0 + 0.3j)
-    z = ImpedanceMatrix(z_self=complex(table[0, 0]), table=table, geom=g)
+    z = ImpedanceMatrix(z_self=complex(table[0, 0]), blocks=parity_blocks(table, g))
     return g, coupling_tx(z, complex(rng.uniform(20.0, 400.0), rng.uniform(-100.0, 100.0)))
 
 
@@ -539,7 +590,7 @@ def test_lattice_form_matches_one_block_twin(nx, nz, seed, transmit):
     rng = np.random.default_rng(seed)
     table = rng.uniform(-1.0, 1.0, (nx, nz)) + 1j * rng.uniform(-1.0, 1.0, (nx, nz))
     table[0, 0] = 2.0 * g.n * (1.0 + 0.3j)  # Z strictly diagonally dominant
-    z = ImpedanceMatrix(z_self=complex(table[0, 0]), table=table, geom=g)
+    z = ImpedanceMatrix(z_self=complex(table[0, 0]), blocks=parity_blocks(table, g))
     port = complex(rng.uniform(20.0, 400.0), rng.uniform(-100.0, 100.0))
     solve = coupling_tx if transmit else coupling_rx
     c, c1 = solve(z, port), solve(values_only(z), port)
@@ -588,7 +639,8 @@ def test_block_path_checks_hermitian_psd_as_one_block_twin(nx, nz, seed):
     expected = np.linalg.eigvalsh(gather_offsets(table, g))[::-1]
 
     def forms(t):
-        return (CorrelationMatrix(table=t, geom=g), CorrelationMatrix(values=gather_offsets(t, g)))
+        return (CorrelationMatrix(blocks=parity_blocks(t, g)),
+                CorrelationMatrix(values=gather_offsets(t, g)))
 
     for r in forms(far):
         with pytest.raises(DomainError, match="not Hermitian"):

@@ -143,6 +143,13 @@ class TestArrayGain:
             with pytest.raises(DomainError, match="coupling dimension 3"):
                 call(c, a0)
 
+    @pytest.mark.parametrize("w", [np.ones(4), np.ones(2), np.ones((3, 2)), np.array(1.0)],
+                             ids=["long", "short", "columns", "scalar"])
+    def test_excitation_length_must_match_response(self, w, rng):
+        for c in (np.eye(3), random_coupling(rng, 3)):
+            with pytest.raises(DomainError, match=r"excitation shape .* response shape \(3,\)"):
+                array_gain(c, np.ones(3), w)
+
     def test_power_constraint_enforced(self):
         # the unit-norm check every gain_sweep excitation column passes
         from holoris.response import _check_power
