@@ -1,7 +1,7 @@
 """holoris: spatial correlation, wavenumber spectra, mutual coupling and
 beamforming analysis for dense planar (holographic) RIS apertures."""
 
-from .analysis import (EigenSpectrum, Normalization, asymptotic_dof,
+from .analysis import (EigenSpectrum, asymptotic_dof,
                        dominant_count, effective_correlation, eigen_spectrum,
                        icsi, knee_index)
 from .config import ExperimentConfig
@@ -33,7 +33,7 @@ __all__ = [
     "EigenSpectrum", "ElementKind", "ExperimentConfig",
     "FREE_SPACE_IMPEDANCE", "GeneratorSequence",
     "HALF_WAVE_DIPOLE_SELF_IMPEDANCE", "HolorisError", "ImpedanceMatrix",
-    "KneeUndefinedError", "Normalization", "NumericalError", "ParityBlocks",
+    "KneeUndefinedError", "NumericalError", "ParityBlocks",
     "WavenumberSpectrum", "array_gain", "asymptotic_dof",
     "asymptotic_spectrum", "beamforming_vector",
     "correlation_matrix_isotropic", "cosine_integral", "coupling_rx",

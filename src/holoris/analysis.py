@@ -12,7 +12,6 @@ per row by the diagonal magnitude:
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -34,11 +33,6 @@ _KNEE_FLOOR = 1e-6
 _KNEE_SEARCH_START = 4
 
 
-class Normalization(Enum):
-    RAW = "raw"
-    BY_N = "by_N"
-
-
 @dataclass(frozen=True)
 class EigenSpectrum:
     """Non-increasing real eigenvalue list with derived metrics.
@@ -50,15 +44,10 @@ class EigenSpectrum:
     """
 
     values: np.ndarray = field(repr=False)
-    normalization: Normalization
     dominant_count: int
     knee_index: int | None
     asymptotic_dof: int | None = None
     negative_mass: float = 0.0
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
 
 
 def effective_correlation(coupling: CouplingMatrix,
@@ -81,16 +70,15 @@ def effective_correlation(coupling: CouplingMatrix,
         tuple(c.T @ r @ c.conj() for c, r in zip(cb.blocks, rb.blocks)), rb.geom), kind=kind)
 
 
-def dominant_count(values: np.ndarray,
-                   threshold: float = _DOMINANCE_THRESHOLD) -> int:
-    """Number of eigenvalues above ``threshold`` times the largest."""
+def dominant_count(values: np.ndarray) -> int:
+    """Number of eigenvalues above 1e-2 times the largest."""
     values = np.asarray(values)
     if len(values) == 0:
         return 0
-    return int((values > threshold * values.max()).sum())
+    return int((values > _DOMINANCE_THRESHOLD * values.max()).sum())
 
 
-def knee_index(values) -> int:
+def knee_index(values: np.ndarray) -> int:
     """Index where a non-increasing eigenvalue list starts to drop rapidly.
 
     Maximizes the discrete second difference of log10(values), i.e. the
@@ -99,7 +87,7 @@ def knee_index(values) -> int:
     is within 1e-6 of the maximum (entries below that are numerical
     floor).  Ties resolve to the smallest index.
     """
-    ev = np.asarray(getattr(values, "values", values), dtype=float)
+    ev = np.asarray(values, dtype=float)
     ev = ev[ev > 0.0]
     if len(ev) < 8:
         raise DomainError(f"knee detection needs >= 8 positive eigenvalues, got {len(ev)}")
@@ -120,14 +108,18 @@ def knee_index(values) -> int:
 
 
 def _hermitian_part(values: np.ndarray) -> np.ndarray:
-    """(A + A^H) / 2 of a matrix that must be Hermitian within 1e-8 of
-    its largest entry; an exactly Hermitian matrix is returned as it is.
-    The exact test compares a few rows at a time with the matching
-    columns, so its scratch (their conjugate, when complex, and the bool
-    result) stays near 1 MiB."""
+    """(A + A^H) / 2 of a finite matrix that must be Hermitian within 1e-8
+    of its largest entry; an exactly Hermitian matrix is returned as it
+    is.  The finiteness test reads a few rows at a time, and the exact
+    test compares them with the matching columns, so their scratch (the
+    conjugate, when complex, and the bool results) stays near 1 MiB."""
     rows = max(1, _CHECK_BYTES // ((values.itemsize + 1) * len(values)))
-    if all(np.array_equal(values[i:i + rows], values[:, i:i + rows].conj().T)
-           for i in range(0, len(values), rows)):
+    exact = True
+    for i in range(0, len(values), rows):
+        if not np.isfinite(values[i:i + rows]).all():
+            raise DomainError("matrix has a non-finite entry")
+        exact = exact and np.array_equal(values[i:i + rows], values[:, i:i + rows].conj().T)
+    if exact:
         return values
     skew = values - values.conj().T
     defect = float(np.abs(skew).max())
@@ -189,13 +181,13 @@ def eigen_spectrum(r: CorrelationMatrix | ParityBlocks,
     """Eigenvalues of a correlation matrix, sorted non-increasing: the
     package's one check that a matrix is Hermitian PSD.
 
-    Each block must be Hermitian within 1e-8 of its largest entry, or
-    ``DomainError`` is raised.  It is solved block by block, exact for
-    every lattice matrix that commutes with the x and z reversals.  The
-    matrix's lattice, if it has one, sets ``asymptotic_dof``.  Under
-    ``swap`` the (even, odd) block counts twice and each m^2 diagonal
-    block is solved as swap halves of sizes m (m + 1) / 2 and
-    m (m - 1) / 2.
+    Each block must be finite and Hermitian within 1e-8 of its largest
+    entry, or ``DomainError`` is raised before it is solved.  It is
+    solved block by block, exact for every lattice matrix that commutes
+    with the x and z reversals.  The matrix's lattice, if it has one,
+    sets ``asymptotic_dof``.  Under ``swap`` the (even, odd) block counts
+    twice and each m^2 diagonal block is solved as swap halves of sizes
+    m (m + 1) / 2 and m (m - 1) / 2.
 
     Effective correlation matrices can carry tiny negative round-off
     eigenvalues; magnitudes are reported (matching how eigenvalue decay
@@ -226,7 +218,6 @@ def eigen_spectrum(r: CorrelationMatrix | ParityBlocks,
         knee = None
     return EigenSpectrum(
         values=ev,
-        normalization=Normalization.BY_N if normalize_by_n else Normalization.RAW,
         dominant_count=dominant_count(ev),
         knee_index=knee,
         asymptotic_dof=None if blocks.geom is None else asymptotic_dof(blocks.geom),
@@ -255,6 +246,8 @@ def icsi(q) -> float:
     if q.n < 2:
         raise DomainError("ICSI needs at least two elements")
     mags = np.abs(q.rows(points))
+    if not np.isfinite(mags).all():
+        raise DomainError("ICSI undefined: non-finite entry")
     diag = mags[np.arange(len(points)), points]
     if np.any(diag == 0.0):
         raise DomainError("ICSI undefined: zero diagonal entry")

@@ -15,8 +15,11 @@ plus standalone gnuplot scripts:
 * ``reproduce-all``: all of the above, one after another; ``mc-eigen``
   and ``icsi`` share one pass, so each coupling case is built once.
 
-Everything is deterministic: re-running a subcommand rewrites the same
-bytes.  Exit codes: 0 success, 2 configuration error, 3 numerical error.
+Everything is deterministic: for a fixed BLAS build and thread count,
+re-running a subcommand rewrites the same bytes.  Eigenvalue files can
+change in round-off with the BLAS thread count, within the regression
+tolerance.  Exit codes: 0 success, 2 configuration error, 3 numerical
+error.
 """
 
 import argparse

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .geometry import ArrayGeometry, ElementKind, make_dipole_array, make_uniform_grid
+from .geometry import (ArrayGeometry, ElementKind, _count_from_ratio, make_dipole_array,
+                       make_uniform_grid)
 
 # JSON Schema (draft 2020-12) types; as there, 181.0 is an integer and True is no number
 _TYPES = {
@@ -105,6 +106,28 @@ def _non_finite(value, path: tuple = ()) -> tuple[tuple, str] | None:
     return None
 
 
+def _spacing_error(merged: dict) -> tuple[tuple, str] | None:
+    """The (path, message) of the first spacing that does not fit its
+    aperture a whole number of times, as the geometry builders would find
+    it mid-run: x spacings against ``aperture_x`` (``eigen_spacings``
+    against ``eigen_aperture``), and an isotropic grid's ``spacing_z``
+    against ``aperture_z``."""
+    g, s = merged["geometry"], merged["sweep"]
+    checks = [("x", ("geometry", "spacing_x"), g["aperture_x"], g["spacing_x"])]
+    if g["element_kind"] == ElementKind.ISOTROPIC.value:
+        checks.append(("z", ("geometry", "spacing_z"), g["aperture_z"], g["spacing_z"]))
+    for key, aperture in (("spacings", g["aperture_x"]), ("gain_spacings", g["aperture_x"]),
+                          ("eigen_spacings", s["eigen_aperture"])):
+        checks += [("x", ("sweep", key, i), aperture, sp) for i, sp in enumerate(s[key])]
+    lam = g["wavelength"]
+    for axis, path, aperture, spacing in checks:
+        try:
+            _count_from_ratio(aperture * lam, spacing * lam, axis)
+        except ConfigError as exc:
+            return path, str(exc)
+    return None
+
+
 def default_config_dict() -> dict:
     return _load_json("default_config.json")
 
@@ -179,10 +202,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         error = _schema_error(data) or _non_finite(data)
+        if error is None:
+            merged = _merge_defaults(default_config_dict(), data)
+            error = _spacing_error(merged)
         if error is not None:
             path, message = error
             raise ConfigError(f"config invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
-        merged = _merge_defaults(default_config_dict(), data)
         g = merged["geometry"]
         i = merged["impedance"]
         s = merged["sweep"]

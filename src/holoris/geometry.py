@@ -55,14 +55,12 @@ class ArrayGeometry:
         Center-to-center element spacing along x and z.
     lx, lz : float
         Aperture extents.  For dipole layouts ``lz`` is the tip-to-tip
-        extent ``nz*(dipole_length) + (nz-1)*gap``.
+        extent ``nz*wavelength/2 + (nz-1)*gap`` of the half-wave dipoles.
     nx, nz : int
         Element counts per axis; total count is ``nx * nz``.
     positions : ndarray, shape (nx*nz, 3)
         Element positions in the xoz plane (y = 0), x index fastest.
     element_kind : ElementKind
-    dipole_length : float
-        Physical dipole length (wavelength / 2) for dipole layouts, 0 otherwise.
     """
 
     wavelength: float
@@ -74,7 +72,6 @@ class ArrayGeometry:
     nz: int
     positions: np.ndarray = field(repr=False)
     element_kind: ElementKind
-    dipole_length: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "positions", read_only_view(self.positions))
@@ -328,10 +325,6 @@ class BlockMatrix:
                                           else gather_offsets(b.table, b.geom))
         return self._values
 
-    @property
-    def dim(self) -> int:
-        return self.blocks.n
-
 
 def _check_positive(**lengths: float) -> None:
     for name, value in lengths.items():
@@ -397,7 +390,6 @@ def make_dipole_array(lx: float, dx: float, n_rows: int, gap: float,
         dx=dx, dz=dz_eff, lx=lx, lz=lz, nx=nx, nz=nz,
         positions=_lattice(nx, nz, dx, dz_eff),
         element_kind=ElementKind.HALF_WAVE_DIPOLE,
-        dipole_length=dipole_length,
     )
 
 

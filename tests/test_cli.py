@@ -479,6 +479,28 @@ class TestMain:
         assert "is not a finite number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()  # no fig2_correlation.csv of nan rows
 
+    @pytest.mark.parametrize("edit, where", [
+        ({"sweep": {"eigen_spacings": [0.7]}}, "sweep/eigen_spacings/0"),
+        ({"sweep": {"gain_spacings": [0.5, 0.3]}}, "sweep/gain_spacings/1"),
+        ({"sweep": {"spacings": [0.3]}}, "sweep/spacings/0"),
+        ({"geometry": {"spacing_x": 0.3}}, "geometry/spacing_x"),
+        ({"geometry": {"element_kind": "isotropic", "spacing_z": 0.3},
+          "impedance": {"model": "isotropic"}}, "geometry/spacing_z"),
+    ])
+    def test_exit_code_non_integral_aperture_ratio(self, tmp_path, capsys, edit, where):
+        # rejected at load, so no runner writes a file first
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(edit))
+        code = main(["reproduce-all", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config invalid at {where}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_spacing_z_of_a_dipole_stack_is_not_checked(self):
+        # the stack's vertical spacing is half a wavelength plus the gap
+        cfg = ExperimentConfig.from_dict({"geometry": {"spacing_z": 0.3}})
+        assert cfg.geometry.build().nz == 8
+
     def test_jobs_flag_changes_nothing(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(FAST_CONFIG))

@@ -52,13 +52,13 @@ class TestCorrelationMatrix:
     def test_unit_diagonal_and_trace(self, dipole_correlations):
         r = dipole_correlations[0.5]
         assert np.allclose(np.diag(r.values), 1.0, atol=1e-12)
-        assert np.trace(r.values) == pytest.approx(r.dim, abs=1e-9)
+        assert np.trace(r.values) == pytest.approx(r.blocks.n, abs=1e-9)
         assert r.kind is CorrelationKind.MC_UNAWARE
         assert np.isrealobj(r.values)
 
     def test_normalized_eigenvalues(self, dipole_correlations):
         r = dipole_correlations[0.25]
-        ev = np.linalg.eigvalsh(r.values / r.dim)
+        ev = np.linalg.eigvalsh(r.values / r.blocks.n)
         assert ev.min() >= -1e-10
         assert ev.max() <= 1.0 + 1e-12
         assert ev.sum() == pytest.approx(1.0, abs=1e-9)
@@ -74,7 +74,7 @@ class TestCorrelationMatrix:
     def test_congruence_stays_hermitian_psd(self, rng, dipole_correlations):
         r0 = dipole_correlations[0.5]
         for _ in range(50):
-            c = random_coupling(rng, r0.dim)
+            c = random_coupling(rng, r0.blocks.n)
             r = effective_correlation(c, r0)
             assert np.abs(r.values - r.values.conj().T).max() <= 1e-9
             eigen_spectrum(r)  # raises unless Hermitian and PSD

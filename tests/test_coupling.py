@@ -93,8 +93,7 @@ class TestImpedanceMatrixDipoles:
     def test_single_element(self):
         g = ArrayGeometry(wavelength=1.0, dx=0.5, dz=0.52, lx=0.5, lz=0.5,
                           nx=1, nz=1, positions=np.zeros((1, 3)),
-                          element_kind=ElementKind.HALF_WAVE_DIPOLE,
-                          dipole_length=0.5)
+                          element_kind=ElementKind.HALF_WAVE_DIPOLE)
         z = impedance_matrix_dipoles(g)
         assert z.values.shape == (1, 1)
         assert z.values[0, 0] == Z_A
@@ -143,7 +142,7 @@ class TestImpedanceMatrixDipoles:
             with pytest.raises(DomainError, match="touch"):
                 impedance_matrix_dipoles(g)
         single_row = make_dipole_array(4.0, 0.0625, 1, 0.0, 1.0)
-        assert impedance_matrix_dipoles(single_row).dim == 65
+        assert impedance_matrix_dipoles(single_row).blocks.n == 65
 
 
 class TestImpedanceMatrixIsotropic:
@@ -185,7 +184,7 @@ class TestCouplingMatrices:
 
     def test_tx_zero_source_impedance_gives_identity(self, dipole_impedances):
         c = coupling_tx(dipole_impedances[0.5], 0.0)
-        assert np.abs(c.values - np.eye(c.dim)).max() < 1e-9
+        assert np.abs(c.values - np.eye(c.blocks.n)).max() < 1e-9
 
     def test_rx_identity_for_diagonal_impedance(self):
         z = diagonal_impedance(5)
@@ -195,7 +194,7 @@ class TestCouplingMatrices:
 
     def test_rx_large_load_approaches_identity(self, dipole_impedances):
         c = coupling_rx(dipole_impedances[0.5], 1e6)
-        assert np.abs(c.values - np.eye(c.dim)).max() < 1e-2
+        assert np.abs(c.values - np.eye(c.blocks.n)).max() < 1e-2
 
     def test_condition_number_reported(self, dipole_impedances):
         c = coupling_tx(dipole_impedances[0.5], Z_A.conjugate())
@@ -207,7 +206,7 @@ class TestCouplingMatrices:
     def test_condition_number_exact_on_read(self, dipole_impedances, solve, port):
         z = dipole_impedances[0.25]
         c = solve(z, port)
-        expected = np.linalg.cond(z.values + port * np.eye(z.dim))
+        expected = np.linalg.cond(z.values + port * np.eye(z.blocks.n))
         assert c.condition == pytest.approx(expected, rel=1e-12)
 
     def test_condition_number_computed_only_when_read(self, dipole_impedances, monkeypatch):

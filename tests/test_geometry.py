@@ -65,7 +65,6 @@ class TestDipoleArray:
         assert g.n == 72
         assert g.dz == pytest.approx(0.52)
         assert g.element_kind is ElementKind.HALF_WAVE_DIPOLE
-        assert g.dipole_length == 0.5
         # tip-to-tip vertical extent
         assert g.lz == pytest.approx(8 * 0.5 + 7 / 50)
 
