@@ -18,7 +18,7 @@ import numpy as np
 from .correlation import CorrelationKind, CorrelationMatrix
 from .coupling import CouplingMatrix, CouplingSide
 from .errors import DomainError, KneeUndefinedError, NumericalError
-from .geometry import ArrayGeometry, ParityBlocks, _parities, as_blocks
+from .geometry import ArrayGeometry, ParityBlocks, _parities, as_blocks, require_finite
 
 _HERMITIAN_TOL = 1e-8
 _CHECK_BYTES = 1 << 20  # scratch of one row chunk of the exact Hermitian test
@@ -71,8 +71,10 @@ def effective_correlation(coupling: CouplingMatrix,
 
 
 def dominant_count(values: np.ndarray) -> int:
-    """Number of eigenvalues above 1e-2 times the largest."""
+    """Number of eigenvalues above 1e-2 times the largest; a non-finite
+    value raises ``DomainError``."""
     values = np.asarray(values)
+    require_finite("eigenvalue list", values)
     if len(values) == 0:
         return 0
     return int((values > _DOMINANCE_THRESHOLD * values.max()).sum())
@@ -85,9 +87,11 @@ def knee_index(values: np.ndarray) -> int:
     downward bend 2 y[i] - y[i-1] - y[i+1], over the positive-eigenvalue
     range, searching from index 4 onward and only at indices whose value
     is within 1e-6 of the maximum (entries below that are numerical
-    floor).  Ties resolve to the smallest index.
+    floor).  Ties resolve to the smallest index.  A non-finite value
+    raises ``DomainError``.
     """
     ev = np.asarray(values, dtype=float)
+    require_finite("eigenvalue list", ev)
     ev = ev[ev > 0.0]
     if len(ev) < 8:
         raise DomainError(f"knee detection needs >= 8 positive eigenvalues, got {len(ev)}")
@@ -116,8 +120,7 @@ def _hermitian_part(values: np.ndarray) -> np.ndarray:
     rows = max(1, _CHECK_BYTES // ((values.itemsize + 1) * len(values)))
     exact = True
     for i in range(0, len(values), rows):
-        if not np.isfinite(values[i:i + rows]).all():
-            raise DomainError("matrix has a non-finite entry")
+        require_finite("matrix", values[i:i + rows])
         exact = exact and np.array_equal(values[i:i + rows], values[:, i:i + rows].conj().T)
     if exact:
         return values
@@ -246,8 +249,7 @@ def icsi(q) -> float:
     if q.n < 2:
         raise DomainError("ICSI needs at least two elements")
     mags = np.abs(q.rows(points))
-    if not np.isfinite(mags).all():
-        raise DomainError("ICSI undefined: non-finite entry")
+    require_finite("ICSI matrix", mags)
     diag = mags[np.arange(len(points)), points]
     if np.any(diag == 0.0):
         raise DomainError("ICSI undefined: zero diagonal entry")

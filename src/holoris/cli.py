@@ -74,7 +74,8 @@ def run_correlation(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     s = cfg.sweep
     seps = np.linspace(0.0, s.correlation_max_separation, s.correlation_points)
     dx, dz = np.meshgrid(seps, seps)
-    corr = np.sinc(2.0 * np.hypot(dx, dz))
+    # seps[1] is linspace's step; rows of the surface run along dz
+    corr = correlation.sinc_table(len(seps), len(seps), seps[1], seps[1], 1.0).T
     rows = list(zip(dx.ravel().tolist(), dz.ravel().tolist(), corr.ravel().tolist()))
     csv = write_csv(
         outdir / "fig2_correlation.csv",

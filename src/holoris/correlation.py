@@ -36,12 +36,18 @@ class CorrelationMatrix(BlockMatrix):
         self.kind = kind
 
 
+def sinc_table(nx: int, nz: int, step_x: float, step_z: float,
+               wavelength: float) -> np.ndarray:
+    """The sinc kernel sinc(2 |d| / wavelength) at the offsets
+    d = (l step_x, m step_z) for 0 <= l < nx and 0 <= m < nz, shape
+    (nx, nz): the package's one evaluation of the kernel."""
+    dist = np.hypot(np.arange(nx)[:, None] * step_x, np.arange(nz)[None, :] * step_z)
+    return np.sinc(2.0 * dist / wavelength)
+
+
 def sinc_offset_table(geom: ArrayGeometry) -> np.ndarray:
-    """The sinc kernel sinc(2 |d| / wavelength) at every lattice offset
-    (|di|, |dk|), shape (nx, nz)."""
-    dist = np.hypot(np.arange(geom.nx)[:, None] * geom.dx,
-                    np.arange(geom.nz)[None, :] * geom.dz)
-    return np.sinc(2.0 * dist / geom.wavelength)
+    """The sinc kernel at every lattice offset (|di|, |dk|), shape (nx, nz)."""
+    return sinc_table(geom.nx, geom.nz, geom.dx, geom.dz, geom.wavelength)
 
 
 def correlation_matrix_isotropic(geom: ArrayGeometry) -> CorrelationMatrix:

@@ -14,7 +14,7 @@ class DomainError(HolorisError, ValueError):
 
 
 class NumericalError(HolorisError, ArithmeticError):
-    """A numerical consistency check failed (singular solve, imaginary residue)."""
+    """A numerical consistency check failed (singular solve, uneven spectrum sequence)."""
 
 
 class KneeUndefinedError(HolorisError, ValueError):

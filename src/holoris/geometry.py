@@ -332,6 +332,12 @@ def _check_positive(**lengths: float) -> None:
             raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
+def require_finite(what: str, *arrays) -> None:
+    """Raise ``DomainError`` unless every entry of the arrays is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DomainError(f"{what} has a non-finite entry")
+
+
 def _count_from_ratio(aperture: float, spacing: float, label: str) -> int:
     ratio = aperture / spacing
     nearest = round(ratio)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .coupling import CouplingMatrix
 from .errors import DomainError, NumericalError
-from .geometry import ArrayGeometry, Direction, as_blocks, unit_direction
+from .geometry import ArrayGeometry, Direction, as_blocks, require_finite, unit_direction
 
 _POWER_TOL = 1e-9
 
@@ -41,8 +41,10 @@ def steering_vector(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
 
 
 def _coupling_values(coupling: CouplingMatrix | np.ndarray, a0) -> np.ndarray:
-    """The values of C, checked to match the length of the response a0."""
+    """The values of C, checked to be finite and to match the length of
+    the response a0."""
     c = coupling.values if isinstance(coupling, CouplingMatrix) else np.asarray(coupling)
+    require_finite("coupling", c)
     length = np.shape(a0)[0] if np.ndim(a0) else None
     if length != len(c):
         raise DomainError(f"response length {length} does not match coupling dimension {len(c)}")
@@ -132,7 +134,8 @@ def gain_sweep(geom: ArrayGeometry, coupling, scheme: BeamformingScheme,
     A lattice coupling is used as its parity blocks: P is real and
     orthogonal, so with a0_b = P_b^T a0 the response is a_b = C_b^T a0_b,
     the excitations are found block by block, and ||w||^2 and a^T w are
-    sums over the blocks.  A dense C is the one-block case.
+    sums over the blocks.  A dense C is the one-block case.  A coupling
+    with a non-finite entry raises ``DomainError`` before any product.
     """
     phis = np.array(list(phi_grid), dtype=float)
     if phis.size == 0:
@@ -140,6 +143,7 @@ def gain_sweep(geom: ArrayGeometry, coupling, scheme: BeamformingScheme,
     for phi in (phis.min(), phis.max()):  # range and finiteness of the whole grid
         Direction(phi=float(phi), theta=theta)
     blocks = as_blocks(coupling)
+    require_finite("coupling", *blocks.blocks)
     if blocks.geom is not None and blocks.geom is not geom:
         raise DomainError("gain sweep needs coupling blocks on the same lattice")
     # steering exp(j kappa (x sin(theta) cos(phi) + z cos(theta))) of the

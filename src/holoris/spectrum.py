@@ -10,11 +10,14 @@ per axis (n grid points, never hitting w = pi).  Sorted samples of the
 transform approximate the sorted eigenvalues of the correlation matrix
 divided by the element count.
 
-The odd grid is the n-point DFT grid shifted by (n-1) pi / n, so the
-transform is computed exactly, with no resampling: each axis of the
-sequence is modulated by exp(j l (n-1) pi / n), folded modulo n, and
-passed through an n-point FFT, O(n log n) per line instead of a direct
-sum over all 2n - 1 offsets for each of the n grid points.
+b is even along each axis, so its transform is the real cosine sum
+
+    G(wx, wz) = sum over 0 <= l < nx, 0 <= m < nz of
+                c_l c_m b[l, m] cos(l wx) cos(m wz) / (nx nz)
+
+with c_0 = 1 and c_l = 2 otherwise: two small matrix products with the
+quarter table b[l >= 0, m >= 0], exact on the grid and with no complex
+arithmetic.
 """
 
 import math
@@ -22,10 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .correlation import sinc_table
 from .errors import DomainError, NumericalError
 from .geometry import ArrayGeometry
 
-_IMAG_RESIDUE_TOL = 1e-6
+_EVEN_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,13 +85,9 @@ def generator_sequence(geom: ArrayGeometry) -> GeneratorSequence:
     _require_uniform(geom)
     step_x = geom.lx / geom.nx
     step_z = geom.lz / geom.nz
-    lidx = np.arange(-(geom.nx - 1), geom.nx)
-    midx = np.arange(-(geom.nz - 1), geom.nz)
-    ll, mm = np.meshgrid(lidx, midx, indexing="ij")
-    dist = np.hypot(ll * step_x, mm * step_z)
-    values = np.sinc(2.0 * dist / geom.wavelength)
+    quarter = sinc_table(geom.nx, geom.nz, step_x, step_z, geom.wavelength)
     return GeneratorSequence(
-        values=values,
+        values=np.pad(quarter, ((geom.nx - 1, 0), (geom.nz - 1, 0)), mode="reflect"),
         half_extents=(geom.nx - 1, geom.nz - 1),
         step_x=step_x,
         step_z=step_z,
@@ -98,21 +98,15 @@ def _odd_grid(n: int) -> np.ndarray:
     return (2.0 * np.arange(n) - (n - 1)) * np.pi / n
 
 
-def _fold(values: np.ndarray, axis: int) -> np.ndarray:
-    """Modulate a centred axis of a 2D array, of length 2n - 1 (offsets
-    l = -(n-1)..n-1), by exp(j l (n-1) pi / n) and fold it modulo n.
-
-    The n-point DFT of the result is the transform on the odd grid:
-    exp(-j l w_p) = exp(-2 pi j l p / n) exp(j l (n-1) pi / n), and the
-    first factor depends on l only modulo n.
-    """
-    n = (values.shape[axis] + 1) // 2
-    lidx = np.arange(-(n - 1), n)
-    phase = np.exp(1j * lidx * ((n - 1) * np.pi / n))
-    c = np.moveaxis(values, axis, 0) * phase[:, None]
-    folded = c[n - 1:].copy()
-    folded[1:] += c[:n - 1]
-    return np.moveaxis(folded, 0, axis)
+def _cosines(n: int) -> np.ndarray:
+    """C[l, p] = c_l cos(l w_p) for the offsets 0 <= l < n and the odd
+    grid w_p, with c_0 = 1 and c_l = 2 for the offset pair +-l.  The
+    phase l w_p = pi l (2p - (n-1)) / n is reduced modulo 2 pi in
+    integers, so it carries no rounding of large l w_p."""
+    lidx = np.arange(n)
+    c = np.cos(np.pi * (np.outer(lidx, 2 * lidx - (n - 1)) % (2 * n)) / n)
+    c[1:] *= 2.0
+    return c
 
 
 def power_spectrum(seq: GeneratorSequence, geom: ArrayGeometry) -> WavenumberSpectrum:
@@ -120,33 +114,32 @@ def power_spectrum(seq: GeneratorSequence, geom: ArrayGeometry) -> WavenumberSpe
     the odd wavenumber grid.
 
     The transform value at (wx, wz) is sum over (l, m) of
-    b[l, m] exp(-j (l wx + m wz)) / (nx nz).  The odd grid is the
-    n-point DFT grid shifted by (n-1) pi / n, so each axis is evaluated
-    exactly as a phase-modulated fold of the sequence modulo n followed
-    by an n-point FFT.  Even symmetry of b makes the transform real, and
-    the imaginary residue is checked before being discarded.
+    b[l, m] exp(-j (l wx + m wz)) / (nx nz).  For a sequence that is even
+    along each axis this is Cx^T B Cz / (nx nz), with B the quarter
+    table b[l >= 0, m >= 0] and C the cosine matrices of ``_cosines``.
+    The evenness that this relies on is checked first: a sequence whose
+    mirror images differ from it by more than 1e-6 of its largest
+    magnitude, or that holds a non-finite value, raises
+    ``NumericalError``.
     """
     nx, nz = geom.nx, geom.nz
     if seq.half_extents != (nx - 1, nz - 1):
         raise DomainError(
             f"sequence extents {seq.half_extents} do not match geometry ({nx - 1}, {nz - 1})"
         )
-    wx = _odd_grid(nx)
-    wz = _odd_grid(nz)
-    g = np.fft.fft2(_fold(_fold(seq.values, 0), 1)) / (nx * nz)
-    residue = float(np.abs(g.imag).max())
-    scale = float(np.abs(g.real).max())
-    if residue > _IMAG_RESIDUE_TOL * scale:
-        raise NumericalError(
-            f"imaginary residue {residue:.3e} exceeds {_IMAG_RESIDUE_TOL:.0e} * max|G|"
-        )
+    b = seq.values
+    defect = max(float(np.abs(b - b[::-1]).max()), float(np.abs(b - b[:, ::-1]).max()))
+    if not defect <= _EVEN_TOL * float(np.abs(b).max()):
+        raise NumericalError(f"sequence not even: defect {defect:.3e} exceeds "
+                             f"{_EVEN_TOL:.0e} * max|b|")
+    g = _cosines(nx).T @ b[nx - 1:, nz - 1:] @ _cosines(nz) / (nx * nz)
     kappa = geom.wavenumber
-    kx = wx / seq.step_x
-    kz = wz / seq.step_z
+    kx = _odd_grid(nx) / seq.step_x
+    kz = _odd_grid(nz) / seq.step_z
     kxg, kzg = np.meshgrid(kx, kz, indexing="ij")
     propagating = kxg**2 + kzg**2 <= kappa**2
     return WavenumberSpectrum(
-        kx_grid=kx, kz_grid=kz, values=g.real,
+        kx_grid=kx, kz_grid=kz, values=g,
         wavenumber=kappa, propagating=propagating,
     )
 

@@ -273,6 +273,13 @@ class TestNonFiniteEntries:
         with pytest.raises(DomainError, match="non-finite"):
             icsi([[1, math.nan], [0.5, 1]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("metric", [dominant_count, knee_index])
+    def test_eigenvalue_list(self, metric, bad):
+        values = [10, 5, 3, bad, 1, 0.5, 0.2, 0.1, 0.05, 0.01]
+        with pytest.raises(DomainError, match="non-finite"):
+            metric(np.array(values))
+
 class TestOrderingInvariants:
     def test_tx_icsi_ordering_half_wavelength(self, dipole_correlations,
                                               dipole_impedances):

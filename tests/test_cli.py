@@ -545,3 +545,22 @@ def test_runtime_imports_only_numpy():
                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_reproduce_all_imports_only_numpy(tmp_path):
+    """A whole ``reproduce-all`` run, on the regression test's reduced
+    config, loads no test oracle and no ``numpy.fft``: the wavenumber
+    transform is a cosine sum of two matrix products."""
+    from test_regression import CONFIG
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; from holoris.cli import main; "
+             "assert main(['reproduce-all', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "{'scipy', 'mpmath', 'jsonschema'} or m.split('.')[:2] == ['numpy', 'fft']))")
+    result = subprocess.run([sys.executable, "-c", probe, str(cfg), str(tmp_path / "out")],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"  # after the written paths

@@ -20,7 +20,7 @@ definitions, on small lattices with odd and even axis lengths (1 included):
 * every block operation on a lattice matrix against the same operation on
   its values-only twin, held as one block, mixed pairs included, and the
   Hermitian-PSD check of ``eigen_spectrum`` in both forms;
-* the folded-FFT wavenumber transform against a per-point direct sum;
+* the cosine-sum wavenumber transform against a per-point direct sum;
 * the offset-table gather against the pairwise-distance formula, and
   the values of table-backed matrices against the gather, bit for bit.
 """
@@ -324,7 +324,7 @@ def test_split_eigenvalues_effective_correlation(nx, nz, dx, gap, port, transmit
 
 @PROPERTY
 @given(axis_len, axis_len, spacing, spacing)
-def test_fft_transform_matches_direct_sum(nx, nz, dx, dz):
+def test_cosine_transform_matches_direct_sum(nx, nz, dx, dz):
     g = lattice(nx, nz, dx, dz)
     seq = generator_sequence(g)
     spec = power_spectrum(seq, g)

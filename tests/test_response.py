@@ -6,8 +6,9 @@ import pytest
 
 from holoris import (ArrayGeometry, BeamformingScheme, Direction, DomainError,
                      ElementKind, NumericalError, array_gain, beamforming_vector,
-                     coupling_tx, gain_sweep, make_dipole_array,
-                     max_gain_closed_form, steering_vector)
+                     coupling_tx, gain_sweep, make_dipole_array, make_uniform_grid,
+                     max_gain_closed_form, parity_blocks, steering_vector)
+from holoris.correlation import sinc_offset_table
 
 from conftest import random_coupling
 
@@ -221,3 +222,44 @@ class TestGainSweep:
         with pytest.raises(DomainError):
             gain_sweep(g, identity_coupling(g.n), BeamformingScheme.CONJUGATE_MC_UNAWARE,
                        math.pi / 2, phis)
+
+
+class TestNonFiniteCoupling:
+    """A coupling with a NaN or infinite entry raises DomainError before
+    any product: the gains would otherwise come out NaN, because a NaN
+    excitation norm passes the unit-power check."""
+
+    GRID = make_uniform_grid(1.0, 1.0, 0.5, 0.5, 1.0)
+
+    @staticmethod
+    def coupling(bad):
+        c = np.eye(9, dtype=complex)
+        c[1, 2] = bad
+        return c
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("scheme", list(BeamformingScheme))
+    def test_gain_sweep(self, scheme, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            gain_sweep(self.GRID, self.coupling(bad), scheme, math.pi / 2, [0.0, 1.0])
+
+    @pytest.mark.parametrize("scheme", list(BeamformingScheme))
+    def test_gain_sweep_of_blocks(self, scheme):
+        t = sinc_offset_table(self.GRID).astype(complex)
+        t[1, 2] = math.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            gain_sweep(self.GRID, parity_blocks(t, self.GRID), scheme, math.pi / 2, [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    @pytest.mark.parametrize("scheme", list(BeamformingScheme))
+    def test_beamforming_vector(self, scheme, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            beamforming_vector(scheme, self.coupling(bad), np.ones(9))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("scheme", list(BeamformingScheme))
+    def test_array_gain(self, scheme, bad):
+        a0 = steering_vector(self.GRID, BROADSIDE)
+        w = beamforming_vector(scheme, identity_coupling(9), a0)
+        with pytest.raises(DomainError, match="non-finite"):
+            array_gain(self.coupling(bad), a0, w)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,14 +7,17 @@ import pytest
 from holoris import (ArrayGeometry, DomainError, ElementKind, NumericalError,
                      asymptotic_spectrum, correlation_matrix_isotropic,
                      generator_sequence, make_uniform_grid, power_spectrum)
+from holoris.correlation import sinc_table
 from holoris.spectrum import GeneratorSequence, _odd_grid
 
 KAPPA = 2 * math.pi
 
 
-def single_element_geometry():
-    return ArrayGeometry(wavelength=1.0, dx=0.5, dz=0.5, lx=0.5, lz=0.5,
-                         nx=1, nz=1, positions=np.zeros((1, 3)),
+def axis_geometry(nx, nz, dx, dz):
+    """An nx x nz lattice at spacings dx, dz, one-point axes included."""
+    ix, iz = np.tile(np.arange(nx), nz), np.repeat(np.arange(nz), nx)
+    return ArrayGeometry(wavelength=1.0, dx=dx, dz=dz, lx=nx * dx, lz=nz * dz, nx=nx, nz=nz,
+                         positions=np.column_stack([ix * dx, np.zeros(nx * nz), iz * dz]),
                          element_kind=ElementKind.ISOTROPIC)
 
 
@@ -66,6 +70,26 @@ class TestGeneratorSequence:
         assert seq.step_z == g.lz / g.nz
         assert seq.step_x < g.dx and seq.step_z < g.dz
 
+    @pytest.mark.parametrize("g", [
+        make_uniform_grid(4.0, 4.0, 0.5, 0.5, 1.0),
+        make_uniform_grid(1.2, 0.6, 0.15, 0.1, 0.3),
+        axis_geometry(6, 6, 0.25, 0.25),
+        axis_geometry(5, 8, 1 / 3, 0.125),
+        axis_geometry(1, 6, 0.5, 0.7),
+        axis_geometry(7, 1, 0.1, 0.5),
+        axis_geometry(1, 1, 0.5, 0.5),
+    ], ids=["9x9", "9x7", "6x6", "5x8", "1x6", "7x1", "1x1"])
+    def test_values_are_mirrored_sinc_table(self, g):
+        # bit for bit: the quarter table at the aperture step, mirrored,
+        # and the kernel evaluated on the whole centred lattice
+        seq = generator_sequence(g)
+        lidx, midx = np.arange(1 - g.nx, g.nx), np.arange(1 - g.nz, g.nz)
+        quarter = sinc_table(g.nx, g.nz, g.lx / g.nx, g.lz / g.nz, g.wavelength)
+        assert np.array_equal(seq.values, quarter[np.abs(lidx)][:, np.abs(midx)])
+        ll, mm = np.meshgrid(lidx, midx, indexing="ij")
+        dist = np.hypot(ll * seq.step_x, mm * seq.step_z)
+        assert np.array_equal(seq.values, np.sinc(2.0 * dist / g.wavelength))
+
 
 class TestPowerSpectrum:
     def test_sum_identity(self):
@@ -81,7 +105,7 @@ class TestPowerSpectrum:
         assert spec.total == pytest.approx(brute_force_sum(seq, g), abs=1e-10)
 
     def test_single_element(self):
-        g = single_element_geometry()
+        g = axis_geometry(1, 1, 0.5, 0.5)
         spec = power_spectrum(generator_sequence(g), g)
         assert spec.values.shape == (1, 1)
         assert spec.values[0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -159,7 +183,7 @@ class TestPowerSpectrum:
         with pytest.raises(DomainError):
             power_spectrum(generator_sequence(g1), g2)
 
-    def test_imaginary_residue_detected(self):
+    def test_uneven_sequence_detected(self):
         g = make_uniform_grid(2.0, 2.0, 0.5, 0.5, 1.0)
         seq = generator_sequence(g)
         values = seq.values.copy()
@@ -168,6 +192,25 @@ class TestPowerSpectrum:
                                 step_x=seq.step_x, step_z=seq.step_z)
         with pytest.raises(NumericalError):
             power_spectrum(bad, g)
+
+    def test_point_symmetric_defect_detected(self):
+        # b[l, m] = b[-l, -m] keeps the transform real, so only the test
+        # of evenness along each axis catches this sequence
+        g = make_uniform_grid(2.0, 2.0, 0.5, 0.5, 1.0)
+        seq = generator_sequence(g)
+        values = seq.values.copy()
+        values[0, 1] += 0.4
+        values[-1, -2] += 0.4
+        with pytest.raises(NumericalError, match="not even"):
+            power_spectrum(dataclasses.replace(seq, values=values), g)
+
+    def test_non_finite_sequence_rejected(self):
+        g = make_uniform_grid(2.0, 2.0, 0.5, 0.5, 1.0)
+        seq = generator_sequence(g)
+        values = seq.values.copy()
+        values[2, 2] = math.nan
+        with pytest.raises(NumericalError, match="not even"):
+            power_spectrum(dataclasses.replace(seq, values=values), g)
 
 
 class TestAsymptoticSpectrum:
