@@ -70,6 +70,15 @@ def _eigen_csv(path: Path, target: str, spec, note: str) -> Path:
                      eigen_rows(spec.values), notes=[note])
 
 
+def _matrix_csv(outdir: Path, name: str, what: str, geom, values, *notes: str) -> Path:
+    """``values``, a matrix of the configured geometry ``geom``, as
+    (row, col, re, im) rows."""
+    geometry_note = f"elements: {geom.n}, spacing_x: {geom.dx / geom.wavelength} wavelengths"
+    return write_csv(outdir / name, f"matrix export ({what} of the configured geometry)",
+                     ["row", "col", "re", "im"], complex_matrix_rows(values),
+                     notes=[geometry_note, *notes])
+
+
 def run_correlation(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     s = cfg.sweep
     seps = np.linspace(0.0, s.correlation_max_separation, s.correlation_points)
@@ -84,38 +93,34 @@ def run_correlation(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         rows,
     )
     gp = write_gnuplot(
-        outdir / "fig2_correlation.gp",
+        csv.with_suffix(".gp"),
         "Spatial correlation vs element separation",
         ["set xlabel 'dx (wavelengths)'", "set ylabel 'dz (wavelengths)'",
          "set view map", "set pm3d interpolate 2,2",
-         "splot 'fig2_correlation.csv' using 1:2:3 with pm3d notitle"],
+         f"splot '{csv.name}' using 1:2:3 with pm3d notitle"],
     )
     geom = cfg.geometry.build()
     r0 = correlation.correlation_matrix_isotropic(geom)
-    matrix = write_csv(
-        outdir / "matrix_r0.csv",
-        "matrix export (correlation matrix of the configured geometry)",
-        ["row", "col", "re", "im"],
-        complex_matrix_rows(r0.values),
-        notes=[f"elements: {geom.n}, spacing_x: {geom.dx / geom.wavelength} wavelengths"],
-    )
-    return [csv, gp, matrix]
+    return [csv, gp, _matrix_csv(outdir, "matrix_r0.csv", "correlation matrix", geom, r0.values)]
 
 
 def run_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     s = cfg.sweep
     paths = []
+    series = []
     summary = []
     for sp in s.eigen_spacings:
         geom = _square_grid(cfg, s.eigen_aperture, sp)
         # lazy: the solve gathers and holds one block at a time, so the
         # peak memory of this runner is small beside the other runners'
         spec = analysis.eigen_spectrum(_r0_blocks(geom, lazy=True), normalize_by_n=True)
-        paths.append(_eigen_csv(
+        csv = _eigen_csv(
             outdir / f"fig3_eigenvalues_dx{spacing_label(sp)}.csv",
             "fig3 (eigenvalue decay of the normalized correlation matrix)", spec,
             f"aperture: {s.eigen_aperture} wavelengths square, spacing: {sp} wavelengths",
-        ))
+        )
+        paths.append(csv)
+        series.append(f"'{csv.name}' using 1:2 with lines title 'dx={sp:g}'")
         summary.append((sp, geom.n, spec.dominant_count,
                         -1 if spec.knee_index is None else spec.knee_index,
                         spec.asymptotic_dof))
@@ -127,19 +132,16 @@ def run_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         summary,
         notes=["knee_index is -1 when no knee is detectable"],
     ))
-    plot_lines = ["set logscale y", "set xlabel 'eigenvalue index'",
-                  "set ylabel 'eigenvalue'"]
-    series = ", ".join(
-        f"'fig3_eigenvalues_dx{spacing_label(sp)}.csv' using 1:2 with lines title 'dx={sp:g}'"
-        for sp in s.eigen_spacings
-    )
-    plot_lines.append("plot " + series)
-    paths.append(write_gnuplot(outdir / "fig3_eigenvalues.gp",
-                               "Eigenvalue decay vs index", plot_lines))
+    paths.append(write_gnuplot(
+        outdir / "fig3_eigenvalues.gp", "Eigenvalue decay vs index",
+        ["set logscale y", "set xlabel 'eigenvalue index'", "set ylabel 'eigenvalue'",
+         "plot " + ", ".join(series)],
+    ))
     return paths
 
 
-def _spectrum_csv(outdir: Path, name: str, target: str, geom, notes) -> tuple[Path, dict]:
+def _spectrum_csv(outdir: Path, name: str, target: str, geom,
+                  notes) -> tuple[Path, spectrum.WavenumberSpectrum]:
     seq = spectrum.generator_sequence(geom)
     spec = spectrum.power_spectrum(seq, geom)
     kx, kz = np.meshgrid(spec.kx_grid / spec.wavenumber, spec.kz_grid / spec.wavenumber,
@@ -150,12 +152,7 @@ def _spectrum_csv(outdir: Path, name: str, target: str, geom, notes) -> tuple[Pa
     path = write_csv(outdir / name, target,
                      ["kx_over_kappa", "kz_over_kappa", "g", "tag"], rows,
                      notes=notes)
-    stats = {
-        "sum_g": spec.total,
-        "propagating_count": spec.propagating_count,
-        "evanescent_fraction": 1.0 - spec.propagating_count / spec.values.size,
-    }
-    return path, stats
+    return path, spec
 
 
 def run_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
@@ -163,25 +160,26 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     paths = []
     for sp in s.eigen_spacings:
         geom = _square_grid(cfg, s.eigen_aperture, sp)
-        path, _ = _spectrum_csv(
+        paths.append(_spectrum_csv(
             outdir, f"fig4_spectrum_dx{spacing_label(sp)}.csv",
             "fig4 (wavenumber-domain power spectrum, large aperture)",
             geom,
             [f"aperture: {s.eigen_aperture} wavelengths, spacing: {sp} wavelengths"],
-        )
-        paths.append(path)
+        )[0])
+    fig5 = []
     checks = []
     for sp in s.spacings:
         geom = _square_grid(cfg, cfg.geometry.aperture_x, sp)
-        path, stats = _spectrum_csv(
+        path, spec = _spectrum_csv(
             outdir, f"fig5_spectrum_dx{spacing_label(sp)}.csv",
             "fig5 (wavenumber-domain power spectrum, overview and zoom source)",
             geom,
             [f"aperture: {cfg.geometry.aperture_x} wavelengths, spacing: {sp} wavelengths"],
         )
-        paths.append(path)
-        checks.append((sp, geom.n, stats["sum_g"], stats["propagating_count"],
-                       stats["evanescent_fraction"]))
+        fig5.append(path)
+        checks.append((sp, geom.n, spec.total, spec.propagating_count,
+                       1.0 - spec.propagating_count / spec.values.size))
+    paths.extend(fig5)
     paths.append(write_csv(
         outdir / "fig5_sum_check.csv",
         "fig5 (spectrum sum and propagating-point counts per geometry)",
@@ -189,14 +187,13 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
          "evanescent_fraction"],
         checks,
     ))
-    for sp in s.spacings:
-        label = spacing_label(sp)
+    for sp, csv in zip(s.spacings, fig5):
         paths.append(write_gnuplot(
-            outdir / f"fig5_spectrum_dx{label}.gp",
+            csv.with_suffix(".gp"),
             f"Wavenumber spectrum, dx = {sp:g} wavelengths",
             ["set xlabel 'kx / kappa'", "set ylabel 'kz / kappa'",
              "set view map",
-             f"splot 'fig5_spectrum_dx{label}.csv' using 1:2:3 with points pt 5 ps 0.6 palette notitle"],
+             f"splot '{csv.name}' using 1:2:3 with points pt 5 ps 0.6 palette notitle"],
         ))
     return paths
 
@@ -206,32 +203,34 @@ def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     theta = math.radians(s.zenith_deg)
     phis = np.linspace(0.0, math.pi, s.azimuth_points)
     paths = []
+    series = []
     summary = []
-    peak = {}
+    proposed = {}  # gains of the proposed scheme by spacing, for the ratio note
     for sp in s.gain_spacings:
         geom, z = _stack(cfg, sp)
         ct = coupling.coupling_tx(z, cfg.impedance.z_source)
         for scheme in response.BeamformingScheme:
             gains = response.gain_sweep(geom, ct, scheme, theta, phis)
             rows = list(zip(np.degrees(phis).tolist(), gains.tolist(), decibels(gains).tolist()))
-            label = spacing_label(sp)
-            paths.append(write_csv(
-                outdir / f"fig7_gain_dx{label}_{scheme.value}.csv",
+            csv = write_csv(
+                outdir / f"fig7_gain_dx{spacing_label(sp)}_{scheme.value}.csv",
                 "fig7 (transmit array gain vs azimuth)",
                 ["phi_deg", "gain", "gain_db"],
                 rows,
                 notes=[f"spacing: {sp} wavelengths, elements: {geom.n}, "
                        f"zenith: {s.zenith_deg} deg, scheme: {scheme.value}"],
-            ))
-            peak[(sp, scheme)] = gains
+            )
+            paths.append(csv)
+            series.append(f"'{csv.name}' using 1:2 with lines title 'dx={sp:g} {scheme.value}'")
+            if scheme is response.BeamformingScheme.PROPOSED_MC_AWARE:
+                proposed[sp] = gains
             summary.append((sp, scheme.value, geom.n, float(gains.max()),
                             float(gains.max()) / geom.n))
     notes = []
     if len(s.gain_spacings) >= 2:
         dense = min(s.gain_spacings)
         coarse = max(s.gain_spacings)
-        key = response.BeamformingScheme.PROPOSED_MC_AWARE
-        ratio = peak[(dense, key)] / peak[(coarse, key)]
+        ratio = proposed[dense] / proposed[coarse]
         notes.append(
             f"peak per-azimuth gain ratio dx={dense:g} vs dx={coarse:g} "
             f"(proposed scheme): {float(ratio.max()):.6g}"
@@ -242,13 +241,6 @@ def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         ["spacing_wavelengths", "scheme", "n_elements", "max_gain", "max_gain_over_n"],
         summary, notes=notes,
     ))
-    series = []
-    for sp in s.gain_spacings:
-        for scheme in response.BeamformingScheme:
-            series.append(
-                f"'fig7_gain_dx{spacing_label(sp)}_{scheme.value}.csv' "
-                f"using 1:2 with lines title 'dx={sp:g} {scheme.value}'"
-            )
     paths.append(write_gnuplot(
         outdir / "fig7_gain.gp", "Transmit array gain vs azimuth",
         ["set xlabel 'azimuth (deg)'", "set ylabel 'array gain'",
@@ -344,22 +336,14 @@ def _matrix_exports(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     geom, z = _stack(cfg)
     ct = coupling.coupling_tx(z, cfg.impedance.z_source)
     cr = coupling.coupling_rx(z, cfg.impedance.z_load)
-    note = f"elements: {geom.n}, spacing_x: {geom.dx / geom.wavelength} wavelengths"
-    out = []
-    for name, target, values, extra in (
-        ("matrix_z.csv", "impedance matrix of the configured geometry",
-         z.values, f"z_self: {z.z_self}"),
-        ("matrix_ct.csv", "transmit coupling matrix of the configured geometry",
-         ct.values, f"z_source: {ct.port_impedance}"),
-        ("matrix_cr.csv", "receive coupling matrix of the configured geometry",
-         cr.values, f"z_load: {cr.port_impedance}"),
-    ):
-        out.append(write_csv(
-            outdir / name, f"matrix export ({target})",
-            ["row", "col", "re", "im"], complex_matrix_rows(values),
-            notes=[note, extra],
-        ))
-    return out
+    return [
+        _matrix_csv(outdir, "matrix_z.csv", "impedance matrix", geom, z.values,
+                    f"z_self: {z.z_self}"),
+        _matrix_csv(outdir, "matrix_ct.csv", "transmit coupling matrix", geom, ct.values,
+                    f"z_source: {ct.port_impedance}"),
+        _matrix_csv(outdir, "matrix_cr.csv", "receive coupling matrix", geom, cr.values,
+                    f"z_load: {cr.port_impedance}"),
+    ]
 
 
 SUBCOMMANDS = {

@@ -58,9 +58,9 @@ class ArrayGeometry:
         extent ``nz*wavelength/2 + (nz-1)*gap`` of the half-wave dipoles.
     nx, nz : int
         Element counts per axis; total count is ``nx * nz``.
-    positions : ndarray, shape (nx*nz, 3)
-        Element positions in the xoz plane (y = 0), x index fastest.
     element_kind : ElementKind
+
+    Two geometries with equal fields compare equal and hash alike.
     """
 
     wavelength: float
@@ -70,15 +70,21 @@ class ArrayGeometry:
     lz: float
     nx: int
     nz: int
-    positions: np.ndarray = field(repr=False)
     element_kind: ElementKind
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", read_only_view(self.positions))
 
     @property
     def n(self) -> int:
         return self.nx * self.nz
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Element positions in the xoz plane (y = 0), (n, 3), x index
+        fastest; a new read-only array on each read."""
+        pos = np.zeros((self.n, 3))
+        pos[:, 0] = np.tile(np.arange(self.nx), self.nz) * self.dx
+        pos[:, 2] = np.repeat(np.arange(self.nz), self.nx) * self.dz
+        pos.flags.writeable = False
+        return pos
 
     @property
     def wavenumber(self) -> float:
@@ -130,6 +136,12 @@ class ParityBlocks:
     matrix that also commutes with the x <-> z transpose, which maps the
     (even, odd) block onto (odd, even): the table is square and exactly
     symmetric.
+
+    Blocks that contradict the lattice raise ``DomainError``: a table
+    without a lattice or not of shape (nx, nz), a block count other than
+    the lattice's non-empty parities (one without a lattice), or a tuple
+    block that is not square at its parity size mz * mx.  Other
+    sequences are checked by count only, since reading one gathers it.
     """
 
     blocks: Sequence[np.ndarray]
@@ -138,7 +150,19 @@ class ParityBlocks:
     swap: bool = field(init=False)
 
     def __post_init__(self):
-        t = self.table
+        g, t = self.geom, self.table
+        if t is not None and (g is None or t.shape != (g.nx, g.nz)):
+            raise DomainError(f"offset table shape {t.shape} does not match lattice "
+                              f"{None if g is None else (g.nx, g.nz)}")
+        sizes = [None] if g is None else [mz * mx for _, _, mz, mx in _parities(g)]
+        if len(self.blocks) != len(sizes):
+            raise DomainError(f"{len(self.blocks)} blocks given for {len(sizes)} parities")
+        if isinstance(self.blocks, tuple):
+            for b, m in zip(self.blocks, sizes):
+                shape = np.shape(b)
+                if len(shape) != 2 or shape != (m or shape[0],) * 2:
+                    at = "" if m is None else f" at its parity size {m}"
+                    raise DomainError(f"matrix must be square{at}, got shape {shape}")
         object.__setattr__(self, "swap", t is not None and t.shape[0] == t.shape[1]
                            and np.array_equal(t, t.T))
 
@@ -282,13 +306,9 @@ def parity_blocks(table: np.ndarray, geom: ArrayGeometry, lazy: bool = False) ->
     its build holds nothing else of block size.  With ``lazy`` a block
     is gathered only when read, so a caller that reads each block once
     holds one at a time."""
-    if table.shape != (geom.nx, geom.nz):
-        raise DomainError(
-            f"offset table shape {table.shape} does not match lattice ({geom.nx}, {geom.nz})"
-        )
     table = read_only_view(table)
-    blocks = _TableBlocks(table, geom)
-    return ParityBlocks(blocks if lazy else tuple(blocks), geom, table)
+    blocks = ParityBlocks(_TableBlocks(table, geom), geom, table)  # checks the table
+    return blocks if lazy else ParityBlocks(tuple(blocks.blocks), geom, table)
 
 
 def as_blocks(matrix) -> ParityBlocks:
@@ -298,10 +318,7 @@ def as_blocks(matrix) -> ParityBlocks:
         return matrix
     if isinstance(matrix, BlockMatrix):
         return matrix.blocks
-    values = np.asarray(matrix)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise DomainError(f"matrix must be square, got shape {values.shape}")
-    return ParityBlocks((values,))
+    return ParityBlocks((np.asarray(matrix),))
 
 
 class BlockMatrix:
@@ -348,15 +365,6 @@ def _count_from_ratio(aperture: float, spacing: float, label: str) -> int:
     return int(nearest) + 1
 
 
-def _lattice(nx: int, nz: int, dx: float, dz: float) -> np.ndarray:
-    ix = np.tile(np.arange(nx), nz)
-    iz = np.repeat(np.arange(nz), nx)
-    pos = np.zeros((nx * nz, 3))
-    pos[:, 0] = ix * dx
-    pos[:, 2] = iz * dz
-    return pos
-
-
 def make_uniform_grid(lx: float, lz: float, dx: float, dz: float,
                       wavelength: float) -> ArrayGeometry:
     """Uniform grid of isotropic elements with elements at both aperture ends,
@@ -367,7 +375,6 @@ def make_uniform_grid(lx: float, lz: float, dx: float, dz: float,
     return ArrayGeometry(
         wavelength=wavelength,
         dx=dx, dz=dz, lx=lx, lz=lz, nx=nx, nz=nz,
-        positions=_lattice(nx, nz, dx, dz),
         element_kind=ElementKind.ISOTROPIC,
     )
 
@@ -394,7 +401,6 @@ def make_dipole_array(lx: float, dx: float, n_rows: int, gap: float,
     return ArrayGeometry(
         wavelength=wavelength,
         dx=dx, dz=dz_eff, lx=lx, lz=lz, nx=nx, nz=nz,
-        positions=_lattice(nx, nz, dx, dz_eff),
         element_kind=ElementKind.HALF_WAVE_DIPOLE,
     )
 

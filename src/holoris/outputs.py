@@ -32,9 +32,7 @@ def spacing_label(spacing: float) -> str:
 
 
 def impedance_label(prefix: str, z: complex) -> str:
-    re = _FLOAT_FMT % z.real
-    im = _FLOAT_FMT % z.imag
-    return f"{prefix}_{re}_{im}".replace(".", "p").replace("-", "m")
+    return f"{prefix}_{spacing_label(z.real)}_{spacing_label(z.imag)}"
 
 
 def write_gnuplot(path: Path, title: str, lines: list[str]) -> Path:

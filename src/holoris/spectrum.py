@@ -35,10 +35,10 @@ _EVEN_TOL = 1e-6
 @dataclass(frozen=True)
 class GeneratorSequence:
     """Centered samples of the correlation kernel, b[l, m] with
-    l in [-(nx-1), nx-1] and m in [-(nz-1), nz-1]."""
+    l in [-(nx-1), nx-1] and m in [-(nz-1), nz-1], as ``values`` of shape
+    (2nx - 1, 2nz - 1), sampled at ``step_x`` and ``step_z``."""
 
     values: np.ndarray = field(repr=False)
-    half_extents: tuple[int, int]
     step_x: float
     step_z: float
 
@@ -88,7 +88,6 @@ def generator_sequence(geom: ArrayGeometry) -> GeneratorSequence:
     quarter = sinc_table(geom.nx, geom.nz, step_x, step_z, geom.wavelength)
     return GeneratorSequence(
         values=np.pad(quarter, ((geom.nx - 1, 0), (geom.nz - 1, 0)), mode="reflect"),
-        half_extents=(geom.nx - 1, geom.nz - 1),
         step_x=step_x,
         step_z=step_z,
     )
@@ -123,11 +122,11 @@ def power_spectrum(seq: GeneratorSequence, geom: ArrayGeometry) -> WavenumberSpe
     ``NumericalError``.
     """
     nx, nz = geom.nx, geom.nz
-    if seq.half_extents != (nx - 1, nz - 1):
-        raise DomainError(
-            f"sequence extents {seq.half_extents} do not match geometry ({nx - 1}, {nz - 1})"
-        )
     b = seq.values
+    if b.shape != (2 * nx - 1, 2 * nz - 1):
+        raise DomainError(
+            f"sequence shape {b.shape} does not match geometry ({2 * nx - 1}, {2 * nz - 1})"
+        )
     defect = max(float(np.abs(b - b[::-1]).max()), float(np.abs(b - b[:, ::-1]).max()))
     if not defect <= _EVEN_TOL * float(np.abs(b).max()):
         raise NumericalError(f"sequence not even: defect {defect:.3e} exceeds "

@@ -165,7 +165,7 @@ class TestBttb:
 def test_empty_geometry_rejected():
     from holoris import ArrayGeometry, ElementKind
     g = ArrayGeometry(wavelength=1.0, dx=0.5, dz=0.5, lx=0.5, lz=0.5,
-                      nx=0, nz=0, positions=np.zeros((0, 3)),
+                      nx=0, nz=0,
                       element_kind=ElementKind.ISOTROPIC)
     with pytest.raises(DomainError):
         correlation_matrix_isotropic(g)

@@ -92,7 +92,7 @@ class TestDipoleMutualImpedance:
 class TestImpedanceMatrixDipoles:
     def test_single_element(self):
         g = ArrayGeometry(wavelength=1.0, dx=0.5, dz=0.52, lx=0.5, lz=0.5,
-                          nx=1, nz=1, positions=np.zeros((1, 3)),
+                          nx=1, nz=1,
                           element_kind=ElementKind.HALF_WAVE_DIPOLE)
         z = impedance_matrix_dipoles(g)
         assert z.values.shape == (1, 1)

@@ -61,11 +61,8 @@ ohms = st.builds(complex, st.floats(20.0, 400.0), st.floats(-100.0, 100.0))
 
 def lattice(nx, nz, dx, dz, kind=ElementKind.ISOTROPIC):
     """Lattice geometry of any axis lengths, x index fastest."""
-    ix = np.tile(np.arange(nx), nz)
-    iz = np.repeat(np.arange(nz), nx)
-    positions = np.column_stack([ix * dx, np.zeros(nx * nz), iz * dz])
     return ArrayGeometry(wavelength=1.0, dx=dx, dz=dz, lx=nx * dx, lz=nz * dz,
-                         nx=nx, nz=nz, positions=positions, element_kind=kind)
+                         nx=nx, nz=nz, element_kind=kind)
 
 
 def mirror_basis(n, odd):
@@ -240,6 +237,36 @@ def test_swap_is_derived_from_the_table():
     asym = parity_blocks(t, g)
     assert not asym.swap
     assert_split_matches_dense(asym, gather_offsets(t, g))
+
+
+def test_blocks_that_contradict_their_lattice_are_rejected():
+    g = lattice(5, 5, 0.25, 0.25)
+    table = sinc_offset_table(g)
+    blocks = parity_blocks(table, g).blocks
+    # the cases that used to give a wrong answer or a foreign exception
+    # (two eigenvalues of a 25-point lattice, IndexError, ValueError, AttributeError)
+    for build in (lambda: ParityBlocks((np.eye(2),), g),
+                  lambda: ParityBlocks((np.ones((2, 3)),)),
+                  lambda: ParityBlocks((np.eye(3),), None, np.eye(3))):
+        with pytest.raises(DomainError):
+            eigen_spectrum(build())
+    with pytest.raises(DomainError, match="does not match lattice"):
+        ParityBlocks(blocks, g, table[:, :4])
+    with pytest.raises(DomainError, match="3 blocks given for 4 parities"):
+        ParityBlocks(blocks[:3], g)
+    with pytest.raises(DomainError, match="2 blocks given for 1 parities"):
+        ParityBlocks((np.eye(2), np.eye(2)))
+    with pytest.raises(DomainError, match="square"):
+        ParityBlocks((blocks[0][:, :-1],) + blocks[1:], g)
+    with pytest.raises(DomainError, match=r"square at its parity size 9, got shape \(8, 8\)"):
+        ParityBlocks((np.eye(8),) + blocks[1:], g)
+    with pytest.raises(DomainError, match=r"matrix must be square, got shape \(3,\)"):
+        eigen_spectrum(np.ones(3))
+    # a lazy sequence is checked by its count, without reading a block
+    lazy = RecordingBlocks(parity_blocks(table, g, lazy=True).blocks)
+    assert ParityBlocks(lazy, g, table).swap and lazy.reads == []
+    with pytest.raises(DomainError, match="blocks given"):
+        ParityBlocks(RecordingBlocks(blocks[:2]), g)
 
 
 @PROPERTY

@@ -38,7 +38,7 @@ class TestSteeringVector:
 
     def test_single_element(self):
         g = ArrayGeometry(wavelength=1.0, dx=0.5, dz=0.5, lx=0.5, lz=0.5,
-                          nx=1, nz=1, positions=np.zeros((1, 3)),
+                          nx=1, nz=1,
                           element_kind=ElementKind.ISOTROPIC)
         for d in (BROADSIDE, END_FIRE, Direction(phi=0.7, theta=0.9)):
             assert np.allclose(steering_vector(g, d), [1.0])

@@ -15,9 +15,7 @@ KAPPA = 2 * math.pi
 
 def axis_geometry(nx, nz, dx, dz):
     """An nx x nz lattice at spacings dx, dz, one-point axes included."""
-    ix, iz = np.tile(np.arange(nx), nz), np.repeat(np.arange(nz), nx)
     return ArrayGeometry(wavelength=1.0, dx=dx, dz=dz, lx=nx * dx, lz=nz * dz, nx=nx, nz=nz,
-                         positions=np.column_stack([ix * dx, np.zeros(nx * nz), iz * dz]),
                          element_kind=ElementKind.ISOTROPIC)
 
 
@@ -183,13 +181,20 @@ class TestPowerSpectrum:
         with pytest.raises(DomainError):
             power_spectrum(generator_sequence(g1), g2)
 
+    def test_misshaped_sequence_rejected(self):
+        # the values of a smaller grid at this grid's steps
+        g = make_uniform_grid(2.0, 2.0, 0.5, 0.5, 1.0)
+        seq = generator_sequence(g)
+        bad = dataclasses.replace(seq, values=seq.values[1:-1, 1:-1])
+        with pytest.raises(DomainError, match=r"sequence shape \(7, 7\)"):
+            power_spectrum(bad, g)
+
     def test_uneven_sequence_detected(self):
         g = make_uniform_grid(2.0, 2.0, 0.5, 0.5, 1.0)
         seq = generator_sequence(g)
         values = seq.values.copy()
         values[0, 1] += 0.4  # break even symmetry
-        bad = GeneratorSequence(values=values, half_extents=seq.half_extents,
-                                step_x=seq.step_x, step_z=seq.step_z)
+        bad = GeneratorSequence(values=values, step_x=seq.step_x, step_z=seq.step_z)
         with pytest.raises(NumericalError):
             power_spectrum(bad, g)
 
