@@ -18,10 +18,11 @@ import numpy as np
 from .correlation import CorrelationKind, CorrelationMatrix
 from .coupling import CouplingMatrix, CouplingSide
 from .errors import DomainError, KneeUndefinedError, NumericalError
-from .geometry import ArrayGeometry, ParityBlocks, _parities, as_blocks, require_finite
+from .geometry import (ArrayGeometry, ParityBlocks, _parities, _swap_halves, as_blocks,
+                       require_finite)
 
 _HERMITIAN_TOL = 1e-8
-_CHECK_BYTES = 1 << 20  # scratch of one row chunk of the exact Hermitian test
+_CHECK_BYTES = 1 << 20  # scratch of one row chunk of the finiteness and Hermitian tests
 # Negative eigenvalues of a PSD matrix are round-off; more negative mass
 # than this share of the largest eigenvalue means the input is not PSD.
 _NEGATIVE_MASS_TOL = 1e-8
@@ -61,9 +62,11 @@ def effective_correlation(coupling: CouplingMatrix,
     cb, rb = as_blocks(coupling), as_blocks(r0)
     if (cb.geom is None) != (rb.geom is None):
         cb, rb = as_blocks(cb.dense()), as_blocks(rb.dense())
-    if cb.geom is not rb.geom or cb.n != rb.n:
-        raise DomainError(f"coupling dim {cb.n} and correlation dim {rb.n} must match, "
-                          "on the same lattice")
+    if cb.n != rb.n:
+        raise DomainError(f"coupling dim {cb.n} and correlation dim {rb.n} must match")
+    if cb.geom != rb.geom:
+        raise DomainError(f"coupling and correlation must be on the same lattice, "
+                          f"got {cb.geom} and {rb.geom}")
     kind = (CorrelationKind.EFFECTIVE_TX if coupling.side is CouplingSide.TX
             else CorrelationKind.EFFECTIVE_RX)
     return CorrelationMatrix(blocks=ParityBlocks(
@@ -87,11 +90,15 @@ def knee_index(values: np.ndarray) -> int:
     downward bend 2 y[i] - y[i-1] - y[i+1], over the positive-eigenvalue
     range, searching from index 4 onward and only at indices whose value
     is within 1e-6 of the maximum (entries below that are numerical
-    floor).  Ties resolve to the smallest index.  A non-finite value
-    raises ``DomainError``.
+    floor).  Ties resolve to the smallest index.  A list that is not
+    one-dimensional, finite and non-increasing raises ``DomainError``.
     """
     ev = np.asarray(values, dtype=float)
+    if ev.ndim != 1:
+        raise DomainError(f"eigenvalue list must be one-dimensional, got shape {ev.shape}")
     require_finite("eigenvalue list", ev)
+    if np.any(ev[1:] > ev[:-1]):
+        raise DomainError("eigenvalue list must be non-increasing")
     ev = ev[ev > 0.0]
     if len(ev) < 8:
         raise DomainError(f"knee detection needs >= 8 positive eigenvalues, got {len(ev)}")
@@ -111,17 +118,29 @@ def knee_index(values: np.ndarray) -> int:
     return int(idx[np.argmax(bend)])
 
 
+def _row_chunks(values: np.ndarray):
+    """Row slices of a square matrix whose tests below take about 1 MiB
+    of scratch each: the conjugate, when complex, and the bool results."""
+    rows = max(1, _CHECK_BYTES // ((values.itemsize + 1) * len(values)))
+    return (slice(i, i + rows) for i in range(0, len(values), rows))
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """A matrix that must be finite, tested a few rows at a time."""
+    for rows in _row_chunks(values):
+        require_finite("matrix", values[rows])
+    return values
+
+
 def _hermitian_part(values: np.ndarray) -> np.ndarray:
     """(A + A^H) / 2 of a finite matrix that must be Hermitian within 1e-8
     of its largest entry; an exactly Hermitian matrix is returned as it
     is.  The finiteness test reads a few rows at a time, and the exact
-    test compares them with the matching columns, so their scratch (the
-    conjugate, when complex, and the bool results) stays near 1 MiB."""
-    rows = max(1, _CHECK_BYTES // ((values.itemsize + 1) * len(values)))
+    test compares them with the matching columns."""
     exact = True
-    for i in range(0, len(values), rows):
-        require_finite("matrix", values[i:i + rows])
-        exact = exact and np.array_equal(values[i:i + rows], values[:, i:i + rows].conj().T)
+    for rows in _row_chunks(values):
+        require_finite("matrix", values[rows])
+        exact = exact and np.array_equal(values[rows], values[:, rows].conj().T)
     if exact:
         return values
     skew = values - values.conj().T
@@ -132,51 +151,50 @@ def _hermitian_part(values: np.ndarray) -> np.ndarray:
     return values - 0.5 * skew
 
 
-def _swap_half(b: np.ndarray, m: int, antisymmetric: bool) -> np.ndarray:
-    """Half of a swap-commuting diagonal parity block of m x m points, in
-    the basis (e_ab + e_ba) / sqrt(2) and e_aa, or (e_ab - e_ba) / sqrt(2),
-    a < b; terms are paired so that it is exactly Hermitian if b is.  It
-    is built m rows at a time, so beside the block and the half it holds
-    only scratch of m rows."""
-    a, c = np.triu_indices(m, k=int(antisymmetric))
-    i, j = a * m + c, c * m + a
-    w = np.where(a == c, 0.5, math.sqrt(0.5))
-    join = np.subtract if antisymmetric else np.add
-    h = np.empty((len(i), len(i)), b.dtype)
-    for p in range(0, len(i), m):
-        rows, ri, rj = h[p:p + m], i[p:p + m, None], j[p:p + m, None]
-        np.add(b[ri, i], b[rj, j], out=rows)
-        join(rows, b[ri, j] + b[rj, i], out=rows)
-        rows *= w[p:p + m, None] * w
-    return h
-
-
 def _parity_eigenvalues(r: ParityBlocks):
     """Eigenvalues of the blocks of ``r``, one array per solve; a block
     is read only after the last was released, so lazy blocks are
-    gathered one at a time, and under ``r.swap`` each half is built only
-    after the last was solved.  A diagonal block's antisymmetric half is
+    gathered one at a time.
+
+    Under ``r.swap`` the (odd, even) block is the swap image of (even,
+    odd), and each diagonal block is solved as its swap halves, built
+    from the real table and never gathered whole.  A real table's blocks
+    and halves are symmetric by construction, so only the table and
+    each solved matrix are tested, for finiteness; a complex table's
+    blocks are each read and tested as Hermitian within 1e-8, and its
+    halves are those of the real part, the Hermitian part of a
+    complex-symmetric block.  A diagonal block's antisymmetric half is
     solved before its symmetric one; they are yielded in the other order."""
-    # the parities matter only under swap, which needs a lattice
-    parities = _parities(r.geom) if r.swap else [(False, False, 0, 0)] * len(r.blocks)
-    for k, (odd_z, odd_x, m, _) in enumerate(parities):
-        if r.swap and odd_z and not odd_x:
-            continue  # (odd, even) is the swap image of (even, odd)
-        b = _hermitian_part(r.blocks[k])
-        if not r.swap:
+    if not r.swap:
+        for k in range(len(r.blocks)):
+            b = _hermitian_part(r.blocks[k])
             yield np.linalg.eigvalsh(b)
-        elif odd_z == odd_x:
-            # the smaller half is solved first: glibc maps a request at least
-            # as large as any mapped block freed before, and unmaps it when
-            # freed, so in ascending order no half or its LAPACK copy stays
-            # in the heap under the next block's solve (16 MiB at N = 9409)
-            anti = np.linalg.eigvalsh(_swap_half(b, m, True)) if m > 1 else None
-            yield np.linalg.eigvalsh(_swap_half(b, m, False))
-            if anti is not None:
-                yield anti
-        else:
-            yield np.tile(np.linalg.eigvalsh(b), 2)
-        del b
+            del b
+        return
+    real = not np.iscomplexobj(r.table)
+    if real:
+        require_finite("offset table", r.table)
+    for k, (odd_z, odd_x, m, _) in enumerate(_parities(r.geom)):
+        if odd_z and not odd_x:
+            continue  # (odd, even) is the swap image of (even, odd)
+        if odd_z != odd_x:
+            b = r.blocks[k]
+            ev = np.linalg.eigvalsh(_finite(b) if real else _hermitian_part(b))
+            del b
+            yield np.tile(ev, 2)
+            continue
+        if not real:
+            _hermitian_part(r.blocks[k])
+        anti, sym = _swap_halves(r.table.real, odd_z)
+        # the smaller half is solved first: glibc maps a request at least
+        # as large as any mapped block freed before, and unmaps it when
+        # freed, so in ascending order no LAPACK copy stays in the heap
+        # under the next solve
+        anti = np.linalg.eigvalsh(_finite(anti)) if m > 1 else None
+        yield np.linalg.eigvalsh(_finite(sym))
+        del sym
+        if anti is not None:
+            yield anti
 
 
 def eigen_spectrum(r: CorrelationMatrix | ParityBlocks,
@@ -190,7 +208,11 @@ def eigen_spectrum(r: CorrelationMatrix | ParityBlocks,
     with the x and z reversals.  The matrix's lattice, if it has one,
     sets ``asymptotic_dof``.  Under ``swap`` the (even, odd) block counts
     twice and each m^2 diagonal block is solved as swap halves of sizes
-    m (m + 1) / 2 and m (m - 1) / 2.
+    m (m + 1) / 2 and m (m - 1) / 2, built from the offset table.  A real
+    table's blocks are symmetric by construction, so the table and each
+    solved matrix are tested for finiteness only; a complex table's
+    blocks are tested as above, and the halves of its real part, their
+    Hermitian part, are solved.
 
     Effective correlation matrices can carry tiny negative round-off
     eigenvalues; magnitudes are reported (matching how eigenvalue decay

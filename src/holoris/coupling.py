@@ -111,8 +111,8 @@ def dipole_mutual_impedance(dh: float, dv: float, wavelength: float = 1.0) -> co
     """
     if dh < 0 or dv < 0 or not (math.isfinite(dh) and math.isfinite(dv)):
         raise DomainError(f"separations must be finite and >= 0, got ({dh}, {dv})")
-    if wavelength <= 0:
-        raise DomainError(f"wavelength must be positive, got {wavelength}")
+    if not (wavelength > 0 and math.isfinite(wavelength)):
+        raise DomainError(f"wavelength must be positive and finite, got {wavelength}")
     if dh == 0.0 and dv == 0.0:
         raise DomainError("coincident dipoles: use the self-impedance, not the mutual term")
     if dh == 0.0:

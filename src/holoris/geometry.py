@@ -19,6 +19,7 @@ from .errors import ConfigError, DomainError
 
 _RATIO_TOL = 1e-9
 _SQRT1_2 = math.sqrt(0.5)
+_ROW_CHUNK = 1 << 15  # entries of one row chunk of the swap halves' pair table
 
 
 class ElementKind(Enum):
@@ -295,6 +296,73 @@ class _TableBlocks(Sequence):
             if w is not None:
                 row *= w
         return out.reshape(mz * mx, mz * mx)
+
+
+def _swap_halves(table: np.ndarray, odd: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The swap-antisymmetric and swap-symmetric halves of the (even, even)
+    or (odd, odd) parity block of a real, exactly symmetric (n, n) offset
+    table, gathered without forming the m^2 x m^2 block B: in the bases
+    (e_ac - e_ca) / sqrt(2), a < c, and (e_ac + e_ca) / sqrt(2), a < c,
+    and e_aa, ordered as ``np.triu_indices``, where e_ac is the block
+    point of z row a and x column c.
+
+    A half entry is ((B[ac, a'c'] + B[ca, c'a']) -/+ (B[ac, c'a'] +
+    B[ca, a'c'])) w w', with w = 1 / sqrt(2), or 1 / 2 at a = c.  Each B
+    entry depends only on its z pair and its x pair as sets, so it is read
+    from the table P of unordered pairs (z pair, x pair), gathered as
+    ``_TableBlocks`` gathers B; then each sum of two terms is an entry of
+    S = P + P^T, and a half entry is (S[{a, a'}, {c, c'}] -/+ S[{a, c'},
+    {c, a'}]) w w'.  S is exactly symmetric, so both halves are, and they
+    are bit for bit the halves of the gathered block.  They are filled
+    one z row a at a time."""
+    near, far, join, w = _mirror_terms(len(table), odd)
+    m = len(near)
+    a, c = np.triu_indices(m)
+    size = len(a)
+    pair = np.empty((m, m), np.intp)  # index of each unordered pair {a, c}
+    pair[a, c] = pair[c, a] = np.arange(size)
+    near, far = near[a, c], far[a, c]
+    tz = join(table.T[near], table.T[far])  # z pairs first: (size, n)
+    if w is not None:  # pairs holding the centre of the even half of an odd n
+        w = w[a, c]
+        centre = np.flatnonzero(w != 1.0)
+        tz[centre] *= w[centre, None]
+    s = np.empty((size, size))
+    step = max(1, _ROW_CHUNK // size)  # then x, a few z pairs at a time
+    for i in range(0, size, step):
+        rows, t = s[i:i + step], tz[i:i + step]
+        join(t.take(near, 1), t.take(far, 1), out=rows)
+        if w is not None:
+            rows[:, centre] *= w[centre]
+    s += s.T
+    s = s.ravel()
+    w = np.where(a == c, 0.5, _SQRT1_2)
+    w_diag, w_off = 0.5 * w, _SQRT1_2 * w  # w w' of the rows (a, a) and (a, c > a)
+    strict = np.flatnonzero(a != c)
+    by_c, by_a = pair[:, c], pair[:, a] * size
+    anti, sym = np.empty((size - m, size - m)), np.empty((size, size))
+    # scratch of one z row, reused: the flat S index and the two terms;
+    # take's "clip" (the indices are in range) writes out unbuffered
+    index = np.empty((m, size), np.intp)
+    direct, crossed = np.empty((m, size)), np.empty((m, size))
+    row = 0
+    for r in range(m):  # rows (r, r..m-1)
+        k = m - r
+        i, d, x = index[:k], direct[:k], crossed[:k]
+        np.add(by_a[r], by_c[r:], out=i)  # S[{r, a'}, {c, c'}], each read along a row of S
+        s.take(i, out=d, mode="clip")
+        np.add(by_a[r:], by_c[r], out=i)  # S[{c, a'}, {r, c'}]
+        s.take(i, out=x, mode="clip")
+        out = sym[row:row + k]
+        np.add(d, x, out=out)
+        out[0] *= w_diag
+        out[1:] *= w_off
+        out = anti[row - r:row - r + k - 1]
+        np.subtract(d[1:], x[1:], out=d[1:])
+        np.take(d[1:], strict, 1, out=out, mode="clip")
+        out *= _SQRT1_2 * _SQRT1_2
+        row += k
+    return anti, sym
 
 
 def parity_blocks(table: np.ndarray, geom: ArrayGeometry, lazy: bool = False) -> ParityBlocks:

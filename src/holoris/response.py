@@ -144,8 +144,9 @@ def gain_sweep(geom: ArrayGeometry, coupling, scheme: BeamformingScheme,
         Direction(phi=float(phi), theta=theta)
     blocks = as_blocks(coupling)
     require_finite("coupling", *blocks.blocks)
-    if blocks.geom is not None and blocks.geom is not geom:
-        raise DomainError("gain sweep needs coupling blocks on the same lattice")
+    if blocks.geom is not None and blocks.geom != geom:
+        raise DomainError(f"gain sweep needs coupling blocks on the same lattice, "
+                          f"got {blocks.geom} for a sweep on {geom}")
     # steering exp(j kappa (x sin(theta) cos(phi) + z cos(theta))) of the
     # lattice point (iz, ix) is the product of one z and one x factor
     kappa = geom.wavenumber

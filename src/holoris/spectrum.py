@@ -151,6 +151,8 @@ def asymptotic_spectrum(kx: float, kz: float, kappa: float) -> float:
     """
     if not (kappa > 0.0 and math.isfinite(kappa)):
         raise DomainError(f"kappa must be positive, got {kappa}")
+    if not (math.isfinite(kx) and math.isfinite(kz)):
+        raise DomainError(f"wavenumbers must be finite, got ({kx}, {kz})")
     rho2 = kx * kx + kz * kz
     if rho2 > kappa * kappa:
         return 0.0

@@ -5,11 +5,12 @@ block-Toeplitz with Toeplitz blocks (BTTB) by construction; ``verify_bttb``
 checks that from the matrix entries alone.  ``isotropic_scattering_density``
 is the angular weight of the correlation quadrature oracle.
 
-``table_block``, ``swap_half`` and ``e1_continued_fraction`` are the
+``table_block``, ``swap_halves`` and ``e1_continued_fraction`` are the
 straightforward whole-array forms of the package's parity-block gather,
 swap-half build and exponential-integral continued fraction, which build
-their results in place or carry only the unconverged entries; each
-package result must equal its oracle bit for bit.
+their results in place, from a table of unordered index pairs without
+the whole block, or carry only the unconverged entries; each package
+result must equal its oracle bit for bit.
 """
 
 import math
@@ -98,6 +99,15 @@ def swap_half(b: np.ndarray, m: int, antisymmetric: bool) -> np.ndarray:
     w = np.where(a == c, 0.5, math.sqrt(0.5))
     h *= np.outer(w, w)
     return h
+
+
+def swap_halves(table: np.ndarray, geom: ArrayGeometry, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The antisymmetric and symmetric swap halves of diagonal parity
+    block k of a square lattice's offset table: the block gathered whole
+    by ``table_block``, and each half read from it whole."""
+    b = table_block(table, geom, k)
+    m = list(_parities(geom))[k][2]
+    return swap_half(b, m, True), swap_half(b, m, False)
 
 
 def e1_continued_fraction(x: np.ndarray) -> np.ndarray:

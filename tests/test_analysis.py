@@ -10,7 +10,7 @@ from holoris import (CorrelationKind, CorrelationMatrix, DomainError, ParityBloc
                      KneeUndefinedError, NumericalError,
                      asymptotic_dof, correlation_matrix_isotropic, coupling_rx,
                      coupling_tx, dominant_count, effective_correlation,
-                     eigen_spectrum, icsi, impedance_matrix_isotropic,
+                     eigen_spectrum, icsi, impedance_matrix_dipoles, impedance_matrix_isotropic,
                      knee_index, make_dipole_array, make_uniform_grid,
                      parity_blocks)
 from holoris.correlation import sinc_offset_table
@@ -60,6 +60,23 @@ class TestEffectiveCorrelation:
         c = random_coupling(rng, 5)
         with pytest.raises(DomainError):
             effective_correlation(c, dipole_correlations[0.5])
+
+    def test_equal_lattices_built_twice_match(self):
+        g1, g2 = (make_dipole_array(2.0, 0.5, 4, 0.02, 1.0) for _ in range(2))
+        assert g1 is not g2 and g1 == g2
+        c = coupling_rx(impedance_matrix_dipoles(g1), 50.0)
+        r = effective_correlation(c, correlation_matrix_isotropic(g2))
+        same = effective_correlation(c, correlation_matrix_isotropic(g1))
+        assert r.blocks.geom == g1
+        assert all(np.array_equal(a, b) for a, b in zip(r.blocks.blocks, same.blocks.blocks))
+
+    def test_different_lattices_are_named(self):
+        g1 = make_dipole_array(2.0, 0.5, 4, 0.02, 1.0)
+        g2 = make_dipole_array(2.0, 0.5, 4, 0.03, 1.0)
+        c = coupling_rx(impedance_matrix_dipoles(g1), 50.0)
+        with pytest.raises(DomainError, match=r"same lattice, got ArrayGeometry\(.*dz=0\.52.*"
+                                              r"ArrayGeometry\(.*dz=0\.53"):
+            effective_correlation(c, correlation_matrix_isotropic(g2))
 
     def test_readme_library_example_assembles_no_dense_coupling(self, monkeypatch, capsys):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -183,6 +200,14 @@ class TestKneeIndex:
     def test_too_few_positive(self):
         with pytest.raises(DomainError):
             knee_index(np.array([1, 1, 1, 0, 0, 0, 0, 0], dtype=float))
+
+    def test_increasing_list_rejected(self):
+        with pytest.raises(DomainError, match="non-increasing"):
+            knee_index(np.arange(1.0, 11.0))
+
+    def test_two_dimensional_list_rejected(self):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            knee_index(np.geomspace(1.0, 1e-7, 15)[None, :])
 
     def test_tie_breaks_to_smallest(self):
         # constant log-slope everywhere: all bends are zero, knee at start

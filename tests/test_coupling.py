@@ -88,6 +88,11 @@ class TestDipoleMutualImpedance:
         with pytest.raises(DomainError):
             dipole_mutual_impedance(-0.5, 0.0)
 
+    @pytest.mark.parametrize("wavelength", [math.inf, math.nan, 0.0, -1.0])
+    def test_non_positive_or_non_finite_wavelength_rejected(self, wavelength):
+        with pytest.raises(DomainError, match="wavelength must be positive"):
+            dipole_mutual_impedance(0.5, 0.0, wavelength=wavelength)
+
 
 class TestImpedanceMatrixDipoles:
     def test_single_element(self):

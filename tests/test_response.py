@@ -6,7 +6,8 @@ import pytest
 
 from holoris import (ArrayGeometry, BeamformingScheme, Direction, DomainError,
                      ElementKind, NumericalError, array_gain, beamforming_vector,
-                     coupling_tx, gain_sweep, make_dipole_array, make_uniform_grid,
+                     coupling_tx, gain_sweep, impedance_matrix_dipoles, make_dipole_array,
+                     make_uniform_grid,
                      max_gain_closed_form, parity_blocks, steering_vector)
 from holoris.correlation import sinc_offset_table
 
@@ -215,6 +216,18 @@ class TestGainSweep:
         with pytest.raises(NumericalError):
             gain_sweep(g, np.zeros((g.n, g.n)), BeamformingScheme.PROPOSED_MC_AWARE,
                        math.pi / 2, [0.0, 1.0])
+
+    def test_lattice_compared_by_value(self):
+        g1, g2 = (make_dipole_array(2.0, 0.5, 4, 0.02, 1.0) for _ in range(2))
+        ct = coupling_tx(impedance_matrix_dipoles(g1), 50.0)
+        phis = np.linspace(0, math.pi, 7)
+        for scheme in BeamformingScheme:
+            assert np.array_equal(gain_sweep(g2, ct, scheme, math.pi / 2, phis),
+                                  gain_sweep(g1, ct, scheme, math.pi / 2, phis))
+        other = make_dipole_array(2.0, 0.5, 4, 0.03, 1.0)
+        with pytest.raises(DomainError, match=r"same lattice, got ArrayGeometry\(.*dz=0\.52.*"
+                                              r"sweep on ArrayGeometry\(.*dz=0\.53"):
+            gain_sweep(other, ct, BeamformingScheme.PROPOSED_MC_AWARE, math.pi / 2, phis)
 
     @pytest.mark.parametrize("phis", [[0.0, 3.2], [-0.1, 1.0], [0.5, math.nan]])
     def test_azimuth_out_of_range_rejected(self, dipole_geometries, phis):

@@ -237,6 +237,11 @@ class TestAsymptoticSpectrum:
         with pytest.raises(DomainError):
             asymptotic_spectrum(0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("kx, kz", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_wavenumber_rejected(self, kx, kz):
+        with pytest.raises(DomainError, match="wavenumbers must be finite"):
+            asymptotic_spectrum(kx, kz, KAPPA)
+
 
 class TestClassifyWavenumber:
     """The propagating/evanescent tags of ``power_spectrum``: a grid point
