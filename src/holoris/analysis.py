@@ -73,11 +73,20 @@ def effective_correlation(coupling: CouplingMatrix,
         tuple(c.T @ r @ c.conj() for c, r in zip(cb.blocks, rb.blocks)), rb.geom), kind=kind)
 
 
+def _eigenvalue_list(values) -> np.ndarray:
+    """``values`` as a float array; one that is not one-dimensional and
+    finite raises ``DomainError``."""
+    ev = np.asarray(values, dtype=float)
+    if ev.ndim != 1:
+        raise DomainError(f"eigenvalue list must be one-dimensional, got shape {ev.shape}")
+    require_finite("eigenvalue list", ev)
+    return ev
+
+
 def dominant_count(values: np.ndarray) -> int:
-    """Number of eigenvalues above 1e-2 times the largest; a non-finite
-    value raises ``DomainError``."""
-    values = np.asarray(values)
-    require_finite("eigenvalue list", values)
+    """Number of eigenvalues above 1e-2 times the largest; a list that
+    is not one-dimensional and finite raises ``DomainError``."""
+    values = _eigenvalue_list(values)
     if len(values) == 0:
         return 0
     return int((values > _DOMINANCE_THRESHOLD * values.max()).sum())
@@ -93,10 +102,7 @@ def knee_index(values: np.ndarray) -> int:
     floor).  Ties resolve to the smallest index.  A list that is not
     one-dimensional, finite and non-increasing raises ``DomainError``.
     """
-    ev = np.asarray(values, dtype=float)
-    if ev.ndim != 1:
-        raise DomainError(f"eigenvalue list must be one-dimensional, got shape {ev.shape}")
-    require_finite("eigenvalue list", ev)
+    ev = _eigenvalue_list(values)
     if np.any(ev[1:] > ev[:-1]):
         raise DomainError("eigenvalue list must be non-increasing")
     ev = ev[ev > 0.0]

@@ -5,12 +5,11 @@ block-Toeplitz with Toeplitz blocks (BTTB) by construction; ``verify_bttb``
 checks that from the matrix entries alone.  ``isotropic_scattering_density``
 is the angular weight of the correlation quadrature oracle.
 
-``table_block``, ``swap_halves`` and ``e1_continued_fraction`` are the
-straightforward whole-array forms of the package's parity-block gather,
-swap-half build and exponential-integral continued fraction, which build
-their results in place, from a table of unordered index pairs without
-the whole block, or carry only the unconverged entries; each package
-result must equal its oracle bit for bit.
+``table_block`` and ``swap_halves`` are the straightforward whole-array
+forms of the package's parity-block gather and swap-half build, which
+build their results in place, or from a table of unordered index pairs
+without the whole block; each package result must equal its oracle bit
+for bit.
 """
 
 import math
@@ -108,26 +107,3 @@ def swap_halves(table: np.ndarray, geom: ArrayGeometry, k: int) -> tuple[np.ndar
     b = table_block(table, geom, k)
     m = list(_parities(geom))[k][2]
     return swap_half(b, m, True), swap_half(b, m, False)
-
-
-def e1_continued_fraction(x: np.ndarray) -> np.ndarray:
-    """E1(ix) by the Lentz continued fraction, every entry iterated until
-    the slowest converges, each one's factor frozen once it has."""
-    z = 1j * x
-    tiny = 1e-290
-    b = z + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    done = np.zeros(z.shape, dtype=bool)
-    for i in range(1, 200):
-        a = -float(i * i)
-        b = b + 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h = np.where(done, h, h * delta)
-        done |= np.abs(delta - 1.0) < 1e-16
-        if done.all():
-            break
-    return np.exp(-z) * h

@@ -233,6 +233,10 @@ class TestDominantCount:
     def test_empty(self):
         assert dominant_count(np.array([])) == 0
 
+    def test_two_dimensional_list_rejected(self):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            dominant_count(np.ones((3, 3)))
+
 
 class TestIcsi:
     def test_identity_is_zero(self):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import sici
 
 import holoris
 from holoris import (ArrayGeometry, CouplingMatrix, CouplingSide, DomainError,
@@ -148,6 +149,47 @@ class TestImpedanceMatrixDipoles:
                 impedance_matrix_dipoles(g)
         single_row = make_dipole_array(4.0, 0.0625, 1, 0.0, 1.0)
         assert impedance_matrix_dipoles(single_row).blocks.n == 65
+
+
+def exact_self_impedance(lam=1.0):
+    """Induced-EMF self-impedance of a filament half-wave dipole,
+    30 (gamma + ln 2 pi - Ci(2 pi)) + j 30 Si(2 pi): the limit of the
+    mutual closed forms as the side-by-side spacing goes to 0."""
+    si, ci = sici(2 * math.pi)
+    return 30 * (np.euler_gamma + math.log(2 * math.pi) - ci) + 30j * si
+
+
+def resistance_eigenvalues(geom, z_self):
+    """Eigenvalues of Re(Z), block by block: the parity basis is real, so
+    the real part of a block is the block of Re(Z)."""
+    z = impedance_matrix_dipoles(geom, z_self)
+    return np.concatenate([np.linalg.eigvalsh(b.real) for b in z.blocks.blocks])
+
+
+PASSIVITY_STACKS = [(4.0, 0.5, 8), (4.0, 0.25, 8), (4.0, 0.125, 8), (4.0, 1 / 16, 8),
+                    (8.0, 0.25, 16)]
+
+
+class TestPassivity:
+    """Re(Z) of a lossless array is its radiation-resistance matrix, a Gram
+    matrix of the element patterns, so it is positive semidefinite with
+    the exact self-impedance; this checks the echelon and collinear
+    closed forms together at every offset."""
+
+    @pytest.mark.parametrize("lx,dx,rows", PASSIVITY_STACKS)
+    def test_resistance_psd_with_exact_self_impedance(self, lx, dx, rows):
+        ev = resistance_eigenvalues(make_dipole_array(lx, dx, rows, 0.02, 1.0),
+                                    exact_self_impedance())
+        assert ev.min() >= -1e-12 * ev.max()
+
+    @pytest.mark.parametrize("dx", [0.25, 0.125, 1 / 16])
+    def test_packaged_self_resistance_margin(self, dx):
+        # below half a wavelength the smallest eigenvalue with the
+        # packaged 73.1 ohms is its shortfall from the exact 73.1296 ohms
+        ev = resistance_eigenvalues(make_dipole_array(4.0, dx, 8, 0.02, 1.0), Z_A)
+        shortfall = Z_A.real - exact_self_impedance().real
+        assert shortfall == pytest.approx(-0.0296, abs=1e-4)
+        assert ev.min() == pytest.approx(shortfall, abs=1e-9)
 
 
 class TestImpedanceMatrixIsotropic:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-import oracles
 from holoris import (DomainError, cosine_integral, impedance_matrix_dipoles, make_dipole_array,
                      sine_integral, specfun)
 from holoris.specfun import EULER_GAMMA, _e1_continued_fraction, _ein_series
@@ -102,22 +101,37 @@ def test_against_mpmath_high_precision():
         assert c == pytest.approx(float(mpmath.ci(x)), abs=1e-12), x
 
 
-def dipole_table_cf_arguments(monkeypatch):
-    """The continued-fraction arguments of the N = 520 dipole impedance
-    table (a 4-wavelength, 8-row stack at 1/16 wavelength)."""
+def test_continued_fraction_against_mpmath_on_dipole_table(monkeypatch):
+    # the continued-fraction arguments of the N = 520 dipole impedance
+    # table (a 4-wavelength, 8-row stack at 1/16 wavelength), each
+    # against an arbitrary-precision E1(ix)
     args = []
     monkeypatch.setattr(specfun, "_e1_continued_fraction",
                         lambda x: args.append(np.copy(x)) or _e1_continued_fraction(x))
     impedance_matrix_dipoles(make_dipole_array(4.0, 1 / 16, 8, 0.02, 1.0))
-    return np.concatenate(args)
+    xs = np.unique(np.concatenate(args))
+    assert xs.size > 2000 and xs.min() >= 6.0
+    ref = [complex(mpmath.e1(1j * mpmath.mpf(x))) for x in xs]
+    assert np.abs(_e1_continued_fraction(xs) - ref).max() <= 1e-15
 
 
-def test_continued_fraction_equals_whole_array_oracle(monkeypatch):
-    table_args = dipole_table_cf_arguments(monkeypatch)
-    assert table_args.size > 2000 and table_args.min() >= 6.0
-    for x in (table_args, np.geomspace(6, 1e15, 3000), np.array([6.0]), np.array([])):
-        out = _e1_continued_fraction(x)
-        assert out.shape == x.shape and np.array_equal(out, oracles.e1_continued_fraction(x))
+def test_series_truncation_at_crossover():
+    # at x = 6, where the series converges slowest, the first Horner
+    # term left out is below 1e-20 of each sum
+    x, n = 6.0, specfun._SERIES_TERMS
+    ein = _ein_series(np.array(x))
+    assert x ** (2 * n + 1) / ((2 * n + 1) * math.factorial(2 * n + 1)) < 1e-20 * ein.imag
+    assert x ** (2 * n + 2) / ((2 * n + 2) * math.factorial(2 * n + 2)) < 1e-20 * ein.real
+
+
+def test_continued_fraction_depth_at_crossover(monkeypatch):
+    # at x = 6, where the fraction converges slowest, depth K agrees
+    # with depth 2K
+    x = np.array([6.0])
+    out = _e1_continued_fraction(x)
+    monkeypatch.setattr(specfun, "_CF_DEPTH", 2 * specfun._CF_DEPTH)
+    deeper = _e1_continued_fraction(x)
+    assert abs(out - deeper).max() <= 1e-16 * abs(deeper).max()
 
 
 class TestArrayInput:
