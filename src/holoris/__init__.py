@@ -5,14 +5,11 @@ from .analysis import (EigenSpectrum, asymptotic_dof,
                        dominant_count, effective_correlation, eigen_spectrum,
                        icsi, knee_index)
 from .config import ExperimentConfig
-from .correlation import (CorrelationKind, CorrelationMatrix,
-                          correlation_matrix_isotropic)
+from .correlation import correlation_matrix_isotropic
 from .coupling import (DEFAULT_ISOTROPIC_RESISTANCE, FREE_SPACE_IMPEDANCE,
-                       HALF_WAVE_DIPOLE_SELF_IMPEDANCE, CouplingMatrix,
-                       CouplingSide, ImpedanceMatrix, coupling_rx,
-                       coupling_tx,
-                       dipole_mutual_impedance, impedance_matrix_dipoles,
-                       impedance_matrix_isotropic)
+                       HALF_WAVE_DIPOLE_SELF_IMPEDANCE, ImpedanceMatrix,
+                       coupling_rx, coupling_tx, dipole_mutual_impedance,
+                       impedance_matrix_dipoles, impedance_matrix_isotropic)
 from .errors import (ConfigError, DomainError, HolorisError,
                      KneeUndefinedError, NumericalError)
 from .geometry import (ArrayGeometry, Direction, ElementKind, ParityBlocks,
@@ -27,8 +24,7 @@ from .spectrum import (GeneratorSequence, WavenumberSpectrum, asymptotic_spectru
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayGeometry", "BeamformingScheme", "ConfigError", "CorrelationKind",
-    "CorrelationMatrix", "CouplingMatrix", "CouplingSide",
+    "ArrayGeometry", "BeamformingScheme", "ConfigError",
     "DEFAULT_ISOTROPIC_RESISTANCE", "Direction", "DomainError",
     "EigenSpectrum", "ElementKind", "ExperimentConfig",
     "FREE_SPACE_IMPEDANCE", "GeneratorSequence",

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlation import CorrelationKind, CorrelationMatrix
-from .coupling import CouplingMatrix, CouplingSide
 from .errors import DomainError, KneeUndefinedError, NumericalError
 from .geometry import (ArrayGeometry, ParityBlocks, _parities, _swap_halves, as_blocks,
                        require_finite)
@@ -51,14 +49,11 @@ class EigenSpectrum:
     negative_mass: float = 0.0
 
 
-def effective_correlation(coupling: CouplingMatrix,
-                          r0: CorrelationMatrix | ParityBlocks) -> CorrelationMatrix:
+def effective_correlation(coupling, r0) -> ParityBlocks:
     """Effective correlation C^T R0 conj(C) under a coupling matrix,
     C_b^T R0_b conj(C_b) for each parity block: the basis is real and
     orthogonal, so transposes and conjugates stay inside it.  When only
     one of C and R0 has a lattice, both are taken whole, as one block."""
-    if getattr(r0, "kind", CorrelationKind.MC_UNAWARE) is not CorrelationKind.MC_UNAWARE:
-        raise DomainError(f"base correlation must be mc_unaware, got {r0.kind.value}")
     cb, rb = as_blocks(coupling), as_blocks(r0)
     if (cb.geom is None) != (rb.geom is None):
         cb, rb = as_blocks(cb.dense()), as_blocks(rb.dense())
@@ -67,10 +62,7 @@ def effective_correlation(coupling: CouplingMatrix,
     if cb.geom != rb.geom:
         raise DomainError(f"coupling and correlation must be on the same lattice, "
                           f"got {cb.geom} and {rb.geom}")
-    kind = (CorrelationKind.EFFECTIVE_TX if coupling.side is CouplingSide.TX
-            else CorrelationKind.EFFECTIVE_RX)
-    return CorrelationMatrix(blocks=ParityBlocks(
-        tuple(c.T @ r @ c.conj() for c, r in zip(cb.blocks, rb.blocks)), rb.geom), kind=kind)
+    return ParityBlocks(tuple(c.T @ r @ c.conj() for c, r in zip(cb.blocks, rb.blocks)), rb.geom)
 
 
 def _eigenvalue_list(values) -> np.ndarray:
@@ -203,8 +195,7 @@ def _parity_eigenvalues(r: ParityBlocks):
             yield anti
 
 
-def eigen_spectrum(r: CorrelationMatrix | ParityBlocks,
-                   normalize_by_n: bool = True) -> EigenSpectrum:
+def eigen_spectrum(r, normalize_by_n: bool = True) -> EigenSpectrum:
     """Eigenvalues of a correlation matrix, sorted non-increasing: the
     package's one check that a matrix is Hermitian PSD.
 
@@ -264,7 +255,7 @@ def asymptotic_dof(geom: ArrayGeometry) -> int:
 
 def icsi(q) -> float:
     """Inter-element correlation/coupling strength indicator of a square
-    matrix: a raw array, any of the matrix wrapper types, or blocks.
+    matrix, given as an array or as blocks.
 
     A lattice matrix commutes with both lattice reversals, so the row
     ratios of a point and of its mirror images are equal: only the rows

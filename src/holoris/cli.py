@@ -340,9 +340,9 @@ def _matrix_exports(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         _matrix_csv(outdir, "matrix_z.csv", "impedance matrix", geom, z.values,
                     f"z_self: {z.z_self}"),
         _matrix_csv(outdir, "matrix_ct.csv", "transmit coupling matrix", geom, ct.values,
-                    f"z_source: {ct.port_impedance}"),
+                    f"z_source: {cfg.impedance.z_source}"),
         _matrix_csv(outdir, "matrix_cr.csv", "receive coupling matrix", geom, cr.values,
-                    f"z_load: {cr.port_impedance}"),
+                    f"z_load: {cfg.impedance.z_load}"),
     ]
 
 

@@ -10,30 +10,10 @@ so the full matrix on a uniform lattice is symmetric block-Toeplitz
 with Toeplitz blocks (BTTB).
 """
 
-from enum import Enum
-
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ArrayGeometry, BlockMatrix, ParityBlocks, parity_blocks
-
-
-class CorrelationKind(Enum):
-    MC_UNAWARE = "mc_unaware"
-    EFFECTIVE_TX = "effective_tx"
-    EFFECTIVE_RX = "effective_rx"
-
-
-class CorrelationMatrix(BlockMatrix):
-    """Hermitian positive-semidefinite correlation matrix (``eigen_spectrum``
-    checks both): its ``values``, or the mirror-parity ``blocks`` of a
-    lattice matrix."""
-
-    def __init__(self, values: np.ndarray | None = None,
-                 kind: CorrelationKind = CorrelationKind.MC_UNAWARE, *,
-                 blocks: ParityBlocks | None = None):
-        super().__init__(values, blocks)
-        self.kind = kind
+from .geometry import ArrayGeometry, ParityBlocks, parity_blocks
 
 
 def sinc_table(nx: int, nz: int, step_x: float, step_z: float,
@@ -50,15 +30,16 @@ def sinc_offset_table(geom: ArrayGeometry) -> np.ndarray:
     return sinc_table(geom.nx, geom.nz, geom.dx, geom.dz, geom.wavelength)
 
 
-def correlation_matrix_isotropic(geom: ArrayGeometry) -> CorrelationMatrix:
+def correlation_matrix_isotropic(geom: ArrayGeometry) -> ParityBlocks:
     """Correlation matrix of a geometry under isotropic scattering.
 
     Entries are the closed-form sinc kernel of pairwise distances,
     evaluated once per lattice offset; the parity blocks are gathered
     from that table, and the matrix when first read.  It is real with
-    unit diagonal.
+    unit diagonal, and Hermitian positive-semidefinite (``eigen_spectrum``
+    checks both).
     """
     if geom.n == 0:
         raise DomainError("geometry has no elements")
-    return CorrelationMatrix(blocks=parity_blocks(sinc_offset_table(geom), geom))
+    return parity_blocks(sinc_offset_table(geom), geom)
 

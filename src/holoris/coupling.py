@@ -13,13 +13,12 @@ degenerates at dh = 0.
 """
 
 import math
-from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
 from .correlation import sinc_offset_table
-from .geometry import ArrayGeometry, BlockMatrix, ElementKind, ParityBlocks, parity_blocks
+from .geometry import ArrayGeometry, ElementKind, ParityBlocks, parity_blocks
 from .specfun import cosine_integral as Ci
 from .specfun import sine_integral as Si
 
@@ -29,20 +28,15 @@ DEFAULT_ISOTROPIC_RESISTANCE = 73.1  # ohms; shares the dipole resistance scale
 _SCALE = FREE_SPACE_IMPEDANCE / (8.0 * math.pi)  # closed-form prefactor, ohms
 
 
-class CouplingSide(Enum):
-    TX = "tx"
-    RX = "rx"
+class ImpedanceMatrix(ParityBlocks):
+    """Symmetric complex impedance matrix in ohms, as parity blocks.  Its
+    self-impedance ``z_self`` is read from it: the offset table's
+    zero-offset entry, or the first diagonal entry of a matrix with no
+    table."""
 
-
-class ImpedanceMatrix(BlockMatrix):
-    """Symmetric complex impedance matrix with constant self-impedance
-    on the diagonal, in ohms: its ``values``, or the mirror-parity
-    ``blocks`` of a lattice matrix."""
-
-    def __init__(self, values: np.ndarray | None = None, *, z_self: complex,
-                 blocks: ParityBlocks | None = None):
-        super().__init__(values, blocks)
-        self.z_self = z_self
+    @property
+    def z_self(self) -> complex:
+        return complex((self.values if self.table is None else self.table)[0, 0])
 
 
 def _shifted_condition(z: ImpedanceMatrix, shift: complex) -> float:
@@ -51,39 +45,16 @@ def _shifted_condition(z: ImpedanceMatrix, shift: complex) -> float:
     nan when an SVD fails, as it does on non-finite entries."""
     try:
         s = np.concatenate([np.linalg.svd(b + shift * np.eye(len(b)), compute_uv=False)
-                            for b in z.blocks.blocks])
+                            for b in z.blocks])
     except np.linalg.LinAlgError:
         return math.nan
     return float(s.max() / s.min()) if s.min() != 0 else math.inf
 
 
-class CouplingMatrix(BlockMatrix):
-    """Dimensionless port-domain coupling matrix.
-
-    Normalized so that an impedance matrix without mutual terms maps to
-    the identity for any admissible port impedance.  Given by its
-    ``values``, or by the mirror-parity ``blocks`` of a lattice coupling.
-    ``condition`` is the 2-norm condition number of the matrix that was
-    inverted, Z + port_impedance I: either given, or computed from the
-    ``impedance`` matrix Z on first read and cached.
-    """
-
-    def __init__(self, values: np.ndarray | None = None, *, side: CouplingSide,
-                 port_impedance: complex, condition: float | None = None,
-                 impedance: ImpedanceMatrix | None = None, blocks: ParityBlocks | None = None):
-        super().__init__(values, blocks)
-        if condition is None and impedance is None:
-            raise DomainError("a coupling matrix needs a condition number or an impedance matrix")
-        self.side = side
-        self.port_impedance = port_impedance
-        self._condition = condition
-        self._impedance = impedance
-
-    @property
-    def condition(self) -> float:
-        if self._condition is None:
-            self._condition = _shifted_condition(self._impedance, self.port_impedance)
-        return self._condition
+def _impedance_matrix(table: np.ndarray, geom: ArrayGeometry) -> ImpedanceMatrix:
+    """The impedance matrix gathered from an (nx, nz) offset table."""
+    b = parity_blocks(table, geom)
+    return ImpedanceMatrix(b.blocks, geom, b.table)
 
 
 def dipole_mutual_impedance(dh: float, dv: float, wavelength: float = 1.0) -> complex:
@@ -178,7 +149,7 @@ def impedance_matrix_dipoles(geom: ArrayGeometry,
     table[0, 0] = z_self
     table[0, 1:] = _collinear(dv[1:], geom.wavelength)
     table[1:] = _echelon(dh[:, None], dv[None, :], geom.wavelength)
-    return ImpedanceMatrix(z_self=complex(z_self), blocks=parity_blocks(table, geom))
+    return _impedance_matrix(table, geom)
 
 
 def impedance_matrix_isotropic(geom: ArrayGeometry,
@@ -190,39 +161,40 @@ def impedance_matrix_isotropic(geom: ArrayGeometry,
     if not (r_iso > 0 and math.isfinite(r_iso)):
         raise DomainError(f"r_iso must be positive, got {r_iso}")
     table = (r_iso * sinc_offset_table(geom)).astype(complex)
-    return ImpedanceMatrix(z_self=complex(r_iso), blocks=parity_blocks(table, geom))
+    return _impedance_matrix(table, geom)
 
 
-def _normalized_inverse(z: ImpedanceMatrix, port: complex, side: CouplingSide) -> CouplingMatrix:
-    """The coupling matrix of ``side``, solved block by block: the blocks
-    of Z give those of C, in the same basis."""
-    port = complex(port)
-    if z.z_self + port == 0:
-        name = "z_source" if side is CouplingSide.TX else "z_load"
+def _normalized_inverse(z: ImpedanceMatrix, port: complex, tx: bool) -> ParityBlocks:
+    """The transmit (``tx``) or receive coupling matrix, solved block by
+    block: the blocks of Z give those of C, in the same basis."""
+    port, z_self = complex(port), z.z_self
+    side, name = ("tx", "z_source") if tx else ("rx", "z_load")
+    if z_self + port == 0:
         raise DomainError(f"z_self + {name} = 0 leaves the normalization undefined")
-    prefactor = 1.0 + port / z.z_self if side is CouplingSide.TX else z.z_self + port
+    if tx and z_self == 0:
+        raise DomainError("z_self = 0 leaves the transmit normalization undefined")
+    prefactor = 1.0 + port / z_self if tx else z_self + port
     out = []
-    for zb in z.blocks.blocks:
+    for zb in z.blocks:
         eye = np.eye(len(zb), dtype=complex)
-        numerator = zb if side is CouplingSide.TX else eye
+        numerator = zb if tx else eye
         try:
             solved = np.linalg.solve((zb + port * eye).T, numerator.T).T  # numerator @ inv(a)
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular system in {side.value} coupling "
+            raise NumericalError(f"singular system in {side} coupling "
                                  f"(condition {_shifted_condition(z, port):.3e})") from exc
         if not np.all(np.isfinite(solved)):
-            raise NumericalError(f"non-finite {side.value} coupling entries "
+            raise NumericalError(f"non-finite {side} coupling entries "
                                  f"(condition {_shifted_condition(z, port):.3e})")
         out.append(prefactor * solved)
-    return CouplingMatrix(blocks=ParityBlocks(tuple(out), z.blocks.geom), side=side,
-                          port_impedance=port, impedance=z)
+    return ParityBlocks(tuple(out), z.geom)
 
 
-def coupling_tx(z: ImpedanceMatrix, z_source: complex) -> CouplingMatrix:
+def coupling_tx(z: ImpedanceMatrix, z_source: complex) -> ParityBlocks:
     """Transmit-side coupling matrix (1 + zS/zA) Z (Z + zS I)^-1."""
-    return _normalized_inverse(z, z_source, CouplingSide.TX)
+    return _normalized_inverse(z, z_source, tx=True)
 
 
-def coupling_rx(z: ImpedanceMatrix, z_load: complex) -> CouplingMatrix:
+def coupling_rx(z: ImpedanceMatrix, z_load: complex) -> ParityBlocks:
     """Receive-side coupling matrix (zA + zL) (Z + zL I)^-1."""
-    return _normalized_inverse(z, z_load, CouplingSide.RX)
+    return _normalized_inverse(z, z_load, tx=False)

@@ -11,6 +11,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -127,7 +128,9 @@ class ParityBlocks:
     both axes, plus the centre e_{n // 2} in the even half of an odd
     axis.  Blocks are ordered (even, even), (even, odd), (odd, even),
     (odd, odd) in (z, x) parity; empty ones are left out.  With no
-    lattice (``geom`` None), the one block is the matrix.
+    lattice (``geom`` None), the one block is the matrix.  This is the
+    package's one matrix type: correlations, impedances, couplings and
+    effective correlations are all held this way.
 
     ``blocks`` is a tuple, or for ``parity_blocks(..., lazy=True)`` a
     sequence that gathers a block each time it is read and keeps none;
@@ -170,6 +173,14 @@ class ParityBlocks:
     @property
     def n(self) -> int:
         return len(self.blocks[0]) if self.geom is None else self.geom.n
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The (N, N) matrix, read-only, made on first read: gathered
+        exactly from the offset table when there is one, otherwise
+        assembled from the blocks."""
+        return read_only_view(self.dense() if self.table is None
+                              else gather_offsets(self.table, self.geom))
 
     def dense(self) -> np.ndarray:
         """The (N, N) matrix, assembled from the blocks in O(N^2)."""
@@ -380,35 +391,9 @@ def parity_blocks(table: np.ndarray, geom: ArrayGeometry, lazy: bool = False) ->
 
 
 def as_blocks(matrix) -> ParityBlocks:
-    """Any square matrix as blocks: ``ParityBlocks`` as they are, one of
-    the matrix types as its blocks, and an array as one block."""
-    if isinstance(matrix, ParityBlocks):
-        return matrix
-    if isinstance(matrix, BlockMatrix):
-        return matrix.blocks
-    return ParityBlocks((np.asarray(matrix),))
-
-
-class BlockMatrix:
-    """Base of the matrix types: a square matrix held as its ``blocks``,
-    given as ``ParityBlocks`` or, for ``values``, as one block in the
-    identity basis that shares their memory.  The ``values`` of blocks
-    are gathered on first read: exactly from the offset table of blocks
-    that carry one, otherwise assembled from the blocks."""
-
-    def __init__(self, values: np.ndarray | None = None, blocks: ParityBlocks | None = None):
-        if (values is None) == (blocks is None):
-            raise DomainError("a matrix needs its values or its parity blocks")
-        self._values = None if values is None else read_only_view(values)
-        self.blocks = blocks if values is None else as_blocks(self._values)
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            b = self.blocks
-            self._values = read_only_view(b.dense() if b.table is None
-                                          else gather_offsets(b.table, b.geom))
-        return self._values
+    """Any square matrix as blocks: ``ParityBlocks`` as they are, and an
+    array as one block."""
+    return matrix if isinstance(matrix, ParityBlocks) else ParityBlocks((np.asarray(matrix),))
 
 
 def _check_positive(**lengths: float) -> None:

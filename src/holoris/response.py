@@ -18,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-from .coupling import CouplingMatrix
 from .errors import DomainError, NumericalError
 from .geometry import ArrayGeometry, Direction, as_blocks, require_finite, unit_direction
 
@@ -40,10 +39,10 @@ def steering_vector(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
     return np.exp(1j * geom.wavenumber * (geom.positions @ d_hat))
 
 
-def _coupling_values(coupling: CouplingMatrix | np.ndarray, a0) -> np.ndarray:
-    """The values of C, checked to be finite and to match the length of
-    the response a0."""
-    c = coupling.values if isinstance(coupling, CouplingMatrix) else np.asarray(coupling)
+def _coupling_values(coupling, a0) -> np.ndarray:
+    """The values of C, blocks or an array, checked to be finite and to
+    match the length of the response a0."""
+    c = as_blocks(coupling).values
     require_finite("coupling", c)
     length = np.shape(a0)[0] if np.ndim(a0) else None
     if length != len(c):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holoris import (correlation_matrix_isotropic, impedance_matrix_dipoles,
+from holoris import (ParityBlocks, correlation_matrix_isotropic, impedance_matrix_dipoles,
                      make_dipole_array)
 
 Z_ANTENNA = 73.1 + 42.5j
@@ -33,11 +33,9 @@ def dipole_impedances(dipole_geometries):
             for sp, g in dipole_geometries.items()}
 
 
-def random_coupling(rng, n, side="tx", scale=0.3):
-    """Well-conditioned random complex coupling matrix for property tests."""
-    from holoris import CouplingMatrix, CouplingSide
+def random_coupling(rng, n, scale=0.3):
+    """Well-conditioned random complex coupling matrix for property tests,
+    as one block."""
     m = np.eye(n) + scale * (rng.standard_normal((n, n))
                              + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
-    return CouplingMatrix(values=m, side=CouplingSide(side),
-                          port_impedance=50.0 + 0j,
-                          condition=float(np.linalg.cond(m)))
+    return ParityBlocks((m,))

@@ -6,8 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holoris import (CorrelationKind, CorrelationMatrix, DomainError, ParityBlocks,
-                     KneeUndefinedError, NumericalError,
+from holoris import (DomainError, ParityBlocks, KneeUndefinedError, NumericalError,
                      asymptotic_dof, correlation_matrix_isotropic, coupling_rx,
                      coupling_tx, dominant_count, effective_correlation,
                      eigen_spectrum, icsi, impedance_matrix_dipoles, impedance_matrix_isotropic,
@@ -21,24 +20,15 @@ from conftest import Z_MATCH, random_coupling
 class TestEffectiveCorrelation:
     def test_identity_coupling_is_noop(self, rng, dipole_correlations):
         r0 = dipole_correlations[0.5]
-        c = random_coupling(rng, r0.blocks.n, scale=0.0)
+        c = random_coupling(rng, r0.n, scale=0.0)
         r = effective_correlation(c, r0)
         assert np.allclose(r.values, r0.values, atol=1e-14)
-        assert r.kind is CorrelationKind.EFFECTIVE_TX
 
     def test_scaling_squares(self, rng, dipole_correlations):
         r0 = dipole_correlations[0.5]
-        base = random_coupling(rng, r0.blocks.n, scale=0.0)
-        c = type(base)(values=2.0 * base.values, side=base.side,
-                       port_impedance=base.port_impedance,
-                       condition=base.condition)
+        c = ParityBlocks((2.0 * random_coupling(rng, r0.n, scale=0.0).values,))
         r = effective_correlation(c, r0)
         assert np.allclose(r.values, 4.0 * r0.values, rtol=1e-12)
-
-    def test_rx_side_sets_kind(self, rng, dipole_correlations):
-        r0 = dipole_correlations[0.5]
-        c = random_coupling(rng, r0.blocks.n, side="rx")
-        assert effective_correlation(c, r0).kind is CorrelationKind.EFFECTIVE_RX
 
     def test_tx_match_raises_top_eigenvalue(self, dipole_correlations,
                                             dipole_impedances):
@@ -48,13 +38,6 @@ class TestEffectiveCorrelation:
         top0 = eigen_spectrum(r0, normalize_by_n=False).values[0]
         top = eigen_spectrum(r, normalize_by_n=False).values[0]
         assert top > top0
-
-    def test_requires_mc_unaware_base(self, rng, dipole_correlations):
-        r0 = dipole_correlations[0.5]
-        c = random_coupling(rng, r0.blocks.n)
-        derived = effective_correlation(c, r0)
-        with pytest.raises(DomainError):
-            effective_correlation(c, derived)
 
     def test_dimension_mismatch(self, rng, dipole_correlations):
         c = random_coupling(rng, 5)
@@ -67,8 +50,8 @@ class TestEffectiveCorrelation:
         c = coupling_rx(impedance_matrix_dipoles(g1), 50.0)
         r = effective_correlation(c, correlation_matrix_isotropic(g2))
         same = effective_correlation(c, correlation_matrix_isotropic(g1))
-        assert r.blocks.geom == g1
-        assert all(np.array_equal(a, b) for a, b in zip(r.blocks.blocks, same.blocks.blocks))
+        assert r.geom == g1
+        assert all(np.array_equal(a, b) for a, b in zip(r.blocks, same.blocks))
 
     def test_different_lattices_are_named(self):
         g1 = make_dipole_array(2.0, 0.5, 4, 0.02, 1.0)
@@ -89,8 +72,7 @@ class TestEffectiveCorrelation:
         exec(code, names)
         # no dense() at all, so none for the coupling C
         assert assembled == []
-        assert isinstance(names["r"], CorrelationMatrix)
-        assert names["r"].kind is CorrelationKind.EFFECTIVE_TX
+        assert isinstance(names["r"], ParityBlocks)
         # the figures the example's comments quote
         printed = capsys.readouterr().out.split()
         quoted = re.search(r"# ([\d.]+) -> ([\d.]+)", code).groups()
@@ -99,7 +81,7 @@ class TestEffectiveCorrelation:
 
 class TestEigenSpectrum:
     def test_identity_matrix(self):
-        r = CorrelationMatrix(values=np.eye(5), kind=CorrelationKind.MC_UNAWARE)
+        r = ParityBlocks((np.eye(5),))
         spec = eigen_spectrum(r, normalize_by_n=True)
         assert np.allclose(spec.values, 0.2)
         assert spec.knee_index is None
@@ -135,14 +117,12 @@ class TestEigenSpectrum:
         assert np.all(np.abs(spec.values[820:]) < 1e-9)
 
     def test_non_hermitian_rejected(self):
-        bad = CorrelationMatrix(values=np.array([[1.0, 0.9], [0.1, 1.0]]),
-                                kind=CorrelationKind.MC_UNAWARE)
+        bad = ParityBlocks((np.array([[1.0, 0.9], [0.1, 1.0]]),))
         with pytest.raises(DomainError):
             eigen_spectrum(bad)
 
     def test_negative_mass_recorded_and_folded(self):
-        r = CorrelationMatrix(values=np.diag([2.0, 1.0, -1e-12]),
-                              kind=CorrelationKind.MC_UNAWARE)
+        r = ParityBlocks((np.diag([2.0, 1.0, -1e-12]),))
         spec = eigen_spectrum(r, normalize_by_n=False)
         assert spec.negative_mass == pytest.approx(5e-13, rel=1e-12)
         assert spec.values == pytest.approx([2.0, 1.0, 1e-12], rel=1e-12)
@@ -154,7 +134,7 @@ class TestEigenSpectrum:
         assert math.copysign(1.0, spec.negative_mass) == 1.0
 
     @pytest.mark.parametrize("empty", [lambda: np.zeros((0, 0)),
-                                       lambda: CorrelationMatrix(values=np.zeros((0, 0)))],
+                                       lambda: ParityBlocks((np.zeros((0, 0)),))],
                              ids=["array", "correlation_matrix"])
     def test_empty_matrix_rejected(self, empty):
         with pytest.raises(DomainError, match="empty"):
@@ -169,8 +149,7 @@ class TestEigenSpectrum:
         assert 0.0 <= spec.negative_mass < 1e-11
 
     def test_non_psd_rejected(self):
-        r = CorrelationMatrix(values=np.diag([1.0, 0.5, -1e-6]),
-                              kind=CorrelationKind.MC_UNAWARE)
+        r = ParityBlocks((np.diag([1.0, 0.5, -1e-6]),))
         with pytest.raises(NumericalError, match="negative eigenvalue mass"):
             eigen_spectrum(r)
 
@@ -288,7 +267,7 @@ class TestNonFiniteEntries:
         m = np.eye(4)
         m[1, 2] = m[2, 1] = bad
         with pytest.raises(DomainError, match="non-finite"):
-            eigen_spectrum(CorrelationMatrix(values=m))
+            eigen_spectrum(ParityBlocks((m,)))
 
     def test_offset_table(self):
         g = make_uniform_grid(2.0, 2.0, 0.5, 0.5, 1.0)

@@ -467,6 +467,21 @@ class TestMain:
         assert "z_load" in capsys.readouterr().err
         assert not (tmp_path / "o" / "fig9_rx_dx0p5_zl_m73p1_m42p5.csv").exists()
 
+    @pytest.mark.parametrize("impedance", [
+        {"z_antenna": [0.0, 0.0]},
+        # gain reads z_source, mc-eigen and icsi sweep z_source_cases
+        {"z_source": [-73.1, -42.5], "z_source_cases": [[-73.1, -42.5]]},
+    ], ids=["zero_self_impedance", "source_cancelling_self_impedance"])
+    @pytest.mark.parametrize("subcommand", ["gain", "mc-eigen", "icsi"])
+    def test_exit_code_undefined_transmit_normalization(self, tmp_path, capsys, subcommand,
+                                                        impedance):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**FAST_CONFIG, "impedance": impedance}))
+        code = main([subcommand, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: z_self") and "Traceback" not in err
+
     @pytest.mark.parametrize("subcommand, edit", [
         ("correlation", {"sweep": {"correlation_max_separation": math.nan}}),
         ("mc-eigen", {"geometry": {"spacing_x": math.nan}}),

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from holoris import (CorrelationKind, CorrelationMatrix, Direction,
-                     DomainError, correlation_matrix_isotropic, coupling_tx,
+from holoris import (Direction, DomainError, ParityBlocks, correlation_matrix_isotropic, coupling_tx,
                      effective_correlation, eigen_spectrum, icsi, impedance_matrix_isotropic,
                      make_dipole_array, make_uniform_grid)
 
@@ -52,13 +51,12 @@ class TestCorrelationMatrix:
     def test_unit_diagonal_and_trace(self, dipole_correlations):
         r = dipole_correlations[0.5]
         assert np.allclose(np.diag(r.values), 1.0, atol=1e-12)
-        assert np.trace(r.values) == pytest.approx(r.blocks.n, abs=1e-9)
-        assert r.kind is CorrelationKind.MC_UNAWARE
+        assert np.trace(r.values) == pytest.approx(r.n, abs=1e-9)
         assert np.isrealobj(r.values)
 
     def test_normalized_eigenvalues(self, dipole_correlations):
         r = dipole_correlations[0.25]
-        ev = np.linalg.eigvalsh(r.values / r.blocks.n)
+        ev = np.linalg.eigvalsh(r.values / r.n)
         assert ev.min() >= -1e-10
         assert ev.max() <= 1.0 + 1e-12
         assert ev.sum() == pytest.approx(1.0, abs=1e-9)
@@ -74,14 +72,14 @@ class TestCorrelationMatrix:
     def test_congruence_stays_hermitian_psd(self, rng, dipole_correlations):
         r0 = dipole_correlations[0.5]
         for _ in range(50):
-            c = random_coupling(rng, r0.blocks.n)
+            c = random_coupling(rng, r0.n)
             r = effective_correlation(c, r0)
             assert np.abs(r.values - r.values.conj().T).max() <= 1e-9
             eigen_spectrum(r)  # raises unless Hermitian and PSD
 
     def test_invariant_checker_rejects_non_hermitian(self):
         bad = np.array([[1.0, 0.5], [0.2, 1.0]])
-        m = CorrelationMatrix(values=bad, kind=CorrelationKind.MC_UNAWARE)
+        m = ParityBlocks((bad,))
         with pytest.raises(DomainError, match="not Hermitian"):
             eigen_spectrum(m)
 

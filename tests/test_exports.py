@@ -18,7 +18,7 @@ UNCALLED = {
 
 # members without a reader yet, with the reason: the run health record
 # writes them (ROADMAP item 3)
-UNREAD = {"EigenSpectrum.negative_mass", "CouplingMatrix.condition"}
+UNREAD = {"EigenSpectrum.negative_mass"}
 
 # modules whose attribute reads count: the package, the acceptance suite
 # and the benchmark
@@ -93,7 +93,7 @@ def test_every_member_of_an_exported_class_is_read():
     read |= referenced_names(ROOT / "perfbench" / "spans.py", strings=True)
     classes = {base for name in holoris.__all__ if inspect.isclass(obj := getattr(holoris, name))
                for base in obj.__mro__ if base.__module__.startswith("holoris.")}
-    assert len(classes) > 15
+    assert len(classes) >= 15
     unread = {f"{cls.__name__}.{member}" for cls in classes
               for member in class_members(cls) if member not in read}
     assert unread == UNREAD

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from holoris import (ArrayGeometry, ConfigError, CorrelationKind,
-                     CorrelationMatrix, CouplingMatrix, CouplingSide, Direction,
-                     DomainError, ElementKind, ImpedanceMatrix,
-                     make_dipole_array, make_uniform_grid, unit_direction)
+from holoris import (ArrayGeometry, ConfigError, Direction, DomainError, ElementKind,
+                     ImpedanceMatrix, ParityBlocks, make_dipole_array, make_uniform_grid,
+                     unit_direction)
+from holoris.geometry import as_blocks
 
 
 class TestUniformGrid:
@@ -136,10 +136,9 @@ def test_geometry_compares_and_hashes_as_a_value():
 
 
 @pytest.mark.parametrize("build, attr", [
-    (lambda a: CorrelationMatrix(values=a, kind=CorrelationKind.MC_UNAWARE), "values"),
-    (lambda a: ImpedanceMatrix(values=a, z_self=73.1 + 0j), "values"),
-    (lambda a: CouplingMatrix(values=a, side=CouplingSide.TX, port_impedance=50.0 + 0j,
-                              condition=1.0), "values"),
+    (lambda a: ParityBlocks((a,)), "values"),
+    (lambda a: ImpedanceMatrix((a,)), "values"),
+    (as_blocks, "values"),  # a coupling given to the gain functions as an array
 ], ids=["correlation", "impedance", "coupling"])
 def test_caller_array_stays_writeable(build, attr):
     caller = np.eye(3)

@@ -35,8 +35,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from holoris import (ArrayGeometry, BeamformingScheme, CorrelationMatrix, CouplingMatrix,
-                     CouplingSide, Direction, DomainError, ElementKind, ImpedanceMatrix, NumericalError,
+from holoris import (ArrayGeometry, BeamformingScheme, Direction, DomainError, ElementKind,
+                     ImpedanceMatrix, NumericalError,
                      ParityBlocks, array_gain, beamforming_vector,
                      correlation_matrix_isotropic, coupling_rx, coupling_tx,
                      effective_correlation, eigen_spectrum, gain_sweep, generator_sequence,
@@ -44,7 +44,8 @@ from holoris import (ArrayGeometry, BeamformingScheme, CorrelationMatrix, Coupli
                      make_uniform_grid, parity_blocks, power_spectrum, steering_vector)
 from holoris import cli
 from holoris.analysis import _hermitian_part
-from holoris.coupling import HALF_WAVE_DIPOLE_SELF_IMPEDANCE
+from holoris.coupling import (HALF_WAVE_DIPOLE_SELF_IMPEDANCE, _impedance_matrix,
+                              _shifted_condition)
 from holoris.correlation import sinc_offset_table
 from holoris.geometry import _parities, _swap_halves, gather_offsets
 from holoris.spectrum import _odd_grid
@@ -93,7 +94,7 @@ def dense_spectrum(values):
 
 def coupling_formula(z, port, transmit):
     """(1 + zS/zA) Z (Z + zS I)^-1 or (zA + zL) (Z + zL I)^-1 of a Z."""
-    inv = np.linalg.inv(z.values + port * np.eye(z.blocks.n))
+    inv = np.linalg.inv(z.values + port * np.eye(z.n))
     return (1.0 + port / z.z_self) * z.values @ inv if transmit else (z.z_self + port) * inv
 
 
@@ -161,8 +162,8 @@ def test_swap_flag_not_carried_into_effective_correlation():
     g, _, c = dipole_coupling(3, 3, 0.75, 0.25, 50.0, True)
     r0 = parity_blocks(sinc_offset_table(g), g)
     assert r0.swap  # dx = dz = 0.75
-    assert not c.blocks.swap
-    assert not effective_correlation(c, r0).blocks.swap
+    assert not c.swap
+    assert not effective_correlation(c, r0).swap
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8])
@@ -481,7 +482,7 @@ def test_dense_assembly_round_trips_to_gathered_matrix(nx, nz, complex_entries, 
 def test_blockwise_coupling_matches_dense(nx, nz, dx, gap, port, transmit):
     g, z, c = dipole_coupling(nx, nz, dx, gap, port, transmit)
     ref = coupling_formula(z, port, transmit)
-    assert np.abs(c.blocks.dense() - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(c.dense() - ref).max() <= 1e-12 * np.abs(ref).max()
     r0 = correlation_matrix_isotropic(g).values
     dense = ref.T @ r0 @ ref.conj()
     blocks = effective_correlation(c, parity_blocks(sinc_offset_table(g), g)).values
@@ -498,24 +499,24 @@ def test_lattice_coupling_assembles_values_on_first_read(transmit, monkeypatch):
     dense = ParityBlocks.dense
     monkeypatch.setattr(ParityBlocks, "dense", lambda self: assembled.append(self) or dense(self))
     c = coupling_tx(z, 50.0 + 10j) if transmit else coupling_rx(z, 50.0 + 10j)
-    assert c.blocks.n == g.n and len(c.blocks.blocks) == 4
-    assert assembled == [] and c._values is None and z._values is None
+    assert c.n == g.n and len(c.blocks) == 4
+    assert assembled == [] and "values" not in vars(c) and "values" not in vars(z)
     values = c.values
-    assert assembled == [c.blocks] and c.values is values and not values.flags.writeable
+    assert assembled == [c] and c.values is values and not values.flags.writeable
     ref = coupling_formula(z, 50.0 + 10j, transmit)
     assert np.abs(values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def assert_one_block(m):
     """``m`` is held as one block in the identity basis, its values."""
-    (b,) = m.blocks.blocks
-    assert m.blocks.geom is None and m.blocks.table is None and not m.blocks.swap
-    assert np.shares_memory(b, m.values) and m.blocks.n == len(m.values)
+    (b,) = m.blocks
+    assert m.geom is None and m.table is None and not m.swap
+    assert np.shares_memory(b, m.values) and m.n == len(m.values)
 
 
 def test_values_only_matrix_is_one_block():
     g = lattice(3, 2, 0.25, 0.6, ElementKind.HALF_WAVE_DIPOLE)
-    z = ImpedanceMatrix(values=impedance_matrix_dipoles(g).values, z_self=73.1 + 42.5j)
+    z = ImpedanceMatrix((impedance_matrix_dipoles(g).values,))
     c = coupling_rx(z, 50.0)
     assert_one_block(z)
     assert_one_block(c)
@@ -529,14 +530,12 @@ def test_values_only_matrix_is_one_block():
 def test_lattice_impedance_gathers_values_on_first_read():
     g = lattice(4, 3, 0.25, 0.6, ElementKind.HALF_WAVE_DIPOLE)
     z = impedance_matrix_dipoles(g)
-    assert z._values is None and z.blocks.n == g.n and len(z.blocks.blocks) == 4
-    assert np.abs(z.values - z.blocks.dense()).max() <= 1e-13 * np.abs(z.values).max()
+    assert "values" not in vars(z) and z.n == g.n and len(z.blocks) == 4
+    assert np.abs(z.values - z.dense()).max() <= 1e-13 * np.abs(z.values).max()
     assert z.values is z.values and not z.values.flags.writeable
-    with pytest.raises(DomainError, match="its values or its parity blocks"):
-        ImpedanceMatrix(z_self=73.1 + 0j)
-    with pytest.raises(TypeError):
-        ImpedanceMatrix(z_self=73.1 + 0j, table=z.blocks.table, geom=g)
-    assert_one_block(ImpedanceMatrix(values=np.eye(3, dtype=complex), z_self=73.1 + 0j))
+    with pytest.raises(TypeError):  # z_self is read from the matrix, never given
+        ImpedanceMatrix(z.blocks, g, z.table, z_self=73.1 + 0j)
+    assert_one_block(ImpedanceMatrix((np.eye(3, dtype=complex),)))
 
 
 @pytest.mark.parametrize("nx, nz", [(1, 1), (1, 4), (3, 1), (2, 3), (5, 2), (4, 4), (7, 6)])
@@ -547,21 +546,21 @@ def test_table_backed_values_are_the_exact_gather(nx, nz):
                            (impedance_matrix_isotropic(iso, 73.1), iso, 73.1),
                            (impedance_matrix_dipoles(dipoles), dipoles,
                             HALF_WAVE_DIPOLE_SELF_IMPEDANCE)):
-        assert m.blocks.geom is g
-        assert np.array_equal(m.values, gather_offsets(m.blocks.table, g))
+        assert m.geom is g
+        assert np.array_equal(m.values, gather_offsets(m.table, g))
         assert np.all(m.values.diagonal() == diagonal)
 
 
 def values_only(z):
     """The same impedance matrix held as its dense values alone."""
-    return ImpedanceMatrix(values=z.values, z_self=z.z_self)
+    return ImpedanceMatrix((z.values,))
 
 
 def test_blockwise_singular_coupling_raises_as_dense():
     g = lattice(3, 2, 0.25, 0.25)
     table = np.zeros((3, 2), dtype=complex)
-    table[0, 0] = -50.0  # Z = -50 I, so Z + 50 I is singular
-    z = ImpedanceMatrix(z_self=73.1 + 0j, blocks=parity_blocks(table, g))
+    table[0, :] = -25.0  # Z + 50 I = [[25, -25], [-25, 25]] along z is singular
+    z = _impedance_matrix(table, g)
     with pytest.raises(NumericalError, match="singular system in rx coupling") as blocks:
         coupling_rx(z, 50.0)
     with pytest.raises(NumericalError, match="singular system in rx coupling") as dense:
@@ -587,11 +586,11 @@ def test_nan_impedance_raises_numerical_error(solve, side, table_backed):
     table = 73.1 * sinc_offset_table(g).astype(complex)
     if table_backed:
         table[1, 0] = np.nan
-        z = ImpedanceMatrix(z_self=73.1 + 0j, blocks=parity_blocks(table, g))
+        z = _impedance_matrix(table, g)
     else:
         values = gather_offsets(table, g)
         values[0, 1] = np.nan
-        z = ImpedanceMatrix(values=values, z_self=73.1 + 0j)
+        z = ImpedanceMatrix((values,))
     with pytest.raises(NumericalError, match=f"{side} coupling.*condition"):
         solve(z, 50.0)
 
@@ -611,7 +610,7 @@ def random_tx_coupling(nx, nz, seed):
     rng = np.random.default_rng(seed)
     table = rng.uniform(-1.0, 1.0, (nx, nz)) + 1j * rng.uniform(-1.0, 1.0, (nx, nz))
     table[0, 0] = 2.0 * g.n * (1.0 + 0.3j)
-    z = ImpedanceMatrix(z_self=complex(table[0, 0]), blocks=parity_blocks(table, g))
+    z = _impedance_matrix(table, g)
     return g, coupling_tx(z, complex(rng.uniform(20.0, 400.0), rng.uniform(-100.0, 100.0)))
 
 
@@ -674,23 +673,22 @@ def test_lattice_form_matches_one_block_twin(nx, nz, seed, transmit):
     rng = np.random.default_rng(seed)
     table = rng.uniform(-1.0, 1.0, (nx, nz)) + 1j * rng.uniform(-1.0, 1.0, (nx, nz))
     table[0, 0] = 2.0 * g.n * (1.0 + 0.3j)  # Z strictly diagonally dominant
-    z = ImpedanceMatrix(z_self=complex(table[0, 0]), blocks=parity_blocks(table, g))
+    z = _impedance_matrix(table, g)
     port = complex(rng.uniform(20.0, 400.0), rng.uniform(-100.0, 100.0))
     solve = coupling_tx if transmit else coupling_rx
     c, c1 = solve(z, port), solve(values_only(z), port)
     assert np.abs(c.values - c1.values).max() <= 1e-12 * np.abs(c1.values).max()
     cond = np.linalg.cond(z.values + port * np.eye(g.n))
-    assert c.condition == pytest.approx(cond, rel=1e-12)
-    assert c1.condition == pytest.approx(cond, rel=1e-12)
+    assert _shifted_condition(z, port) == pytest.approx(cond, rel=1e-12)
+    assert _shifted_condition(values_only(z), port) == pytest.approx(cond, rel=1e-12)
     r0 = correlation_matrix_isotropic(g)
-    r01 = CorrelationMatrix(values=r0.values, kind=r0.kind)
+    r01 = ParityBlocks((r0.values,))
     ref = effective_correlation(c1, r01)
     ref_spec = eigen_spectrum(ref, normalize_by_n=False)
     top = ref_spec.values[0]
     # both on the lattice, then the mixed pairs
     for cc, rr in ((c, r0), (c, r01), (c1, r0)):
         r = effective_correlation(cc, rr)
-        assert isinstance(r, CorrelationMatrix) and r.kind is ref.kind
         assert np.abs(r.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
         spec = eigen_spectrum(r, normalize_by_n=False)
         np.testing.assert_allclose(spec.values, ref_spec.values, rtol=1e-12, atol=1e-12 * top)
@@ -723,8 +721,7 @@ def test_block_path_checks_hermitian_psd_as_one_block_twin(nx, nz, seed):
     expected = np.linalg.eigvalsh(gather_offsets(table, g))[::-1]
 
     def forms(t):
-        return (CorrelationMatrix(blocks=parity_blocks(t, g)),
-                CorrelationMatrix(values=gather_offsets(t, g)))
+        return parity_blocks(t, g), ParityBlocks((gather_offsets(t, g),))
 
     for r in forms(far):
         with pytest.raises(DomainError, match="not Hermitian"):
@@ -741,11 +738,10 @@ def zeroed_coupling(nx, nz, count):
     """A lattice and a transmit coupling whose last ``count`` parity
     blocks are zero (all of them when there are fewer)."""
     g, c = random_tx_coupling(nx, nz, 5)
-    blocks = list(c.blocks.blocks)
+    blocks = list(c.blocks)
     keep = max(len(blocks) - count, 0)
     blocks[keep:] = [np.zeros_like(b) for b in blocks[keep:]]
-    return g, CouplingMatrix(blocks=ParityBlocks(tuple(blocks), g), side=CouplingSide.TX,
-                             port_impedance=50.0 + 0j, condition=math.inf)
+    return g, ParityBlocks(tuple(blocks), g)
 
 
 @pytest.mark.parametrize("nx, nz", [(3, 2), (2, 3), (3, 3), (4, 1)])
