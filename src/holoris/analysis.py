@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, KneeUndefinedError, NumericalError
-from .geometry import (ArrayGeometry, ParityBlocks, _parities, _swap_halves, as_blocks,
-                       require_finite)
+from .geometry import ArrayGeometry, ParityBlocks, as_blocks, require_finite
 
 _HERMITIAN_TOL = 1e-8
 _CHECK_BYTES = 1 << 20  # scratch of one row chunk of the finiteness and Hermitian tests
@@ -149,50 +148,18 @@ def _hermitian_part(values: np.ndarray) -> np.ndarray:
     return values - 0.5 * skew
 
 
-def _parity_eigenvalues(r: ParityBlocks):
-    """Eigenvalues of the blocks of ``r``, one array per solve; a block
-    is read only after the last was released, so lazy blocks are
-    gathered one at a time.
-
-    Under ``r.swap`` the (odd, even) block is the swap image of (even,
-    odd), and each diagonal block is solved as its swap halves, built
-    from the real table and never gathered whole.  A real table's blocks
-    and halves are symmetric by construction, so only the table and
-    each solved matrix are tested, for finiteness; a complex table's
-    blocks are each read and tested as Hermitian within 1e-8, and its
-    halves are those of the real part, the Hermitian part of a
-    complex-symmetric block.  A diagonal block's antisymmetric half is
-    solved before its symmetric one; they are yielded in the other order."""
-    if not r.swap:
-        for k in range(len(r.blocks)):
-            b = _hermitian_part(r.blocks[k])
-            yield np.linalg.eigvalsh(b)
-            del b
-        return
-    real = not np.iscomplexobj(r.table)
-    if real:
-        require_finite("offset table", r.table)
-    for k, (odd_z, odd_x, m, _) in enumerate(_parities(r.geom)):
-        if odd_z and not odd_x:
-            continue  # (odd, even) is the swap image of (even, odd)
-        if odd_z != odd_x:
-            b = r.blocks[k]
-            ev = np.linalg.eigvalsh(_finite(b) if real else _hermitian_part(b))
-            del b
-            yield np.tile(ev, 2)
-            continue
-        if not real:
-            _hermitian_part(r.blocks[k])
-        anti, sym = _swap_halves(r.table.real, odd_z)
-        # the smaller half is solved first: glibc maps a request at least
-        # as large as any mapped block freed before, and unmaps it when
-        # freed, so in ascending order no LAPACK copy stays in the heap
-        # under the next solve
-        anti = np.linalg.eigvalsh(_finite(anti)) if m > 1 else None
-        yield np.linalg.eigvalsh(_finite(sym))
-        del sym
-        if anti is not None:
-            yield anti
+def _parity_eigenvalues(r: ParityBlocks) -> np.ndarray:
+    """Eigenvalues of ``r``, solved piece by piece (``ParityBlocks.pieces``)
+    and each tiled by its multiplicity.  A piece gathered from a real
+    table is exactly symmetric, so it is tested for finiteness only; any
+    other is tested as Hermitian within 1e-8.  Each is released before
+    the next is read, so lazy blocks are gathered one at a time."""
+    evs = []
+    for piece, count, symmetric in r.pieces():
+        piece = _finite(piece) if symmetric else _hermitian_part(piece)
+        evs.append(np.tile(np.linalg.eigvalsh(piece), count))
+        del piece
+    return np.concatenate(evs)
 
 
 def eigen_spectrum(r, normalize_by_n: bool = True) -> EigenSpectrum:
@@ -206,10 +173,8 @@ def eigen_spectrum(r, normalize_by_n: bool = True) -> EigenSpectrum:
     sets ``asymptotic_dof``.  Under ``swap`` the (even, odd) block counts
     twice and each m^2 diagonal block is solved as swap halves of sizes
     m (m + 1) / 2 and m (m - 1) / 2, built from the offset table.  A real
-    table's blocks are symmetric by construction, so the table and each
-    solved matrix are tested for finiteness only; a complex table's
-    blocks are tested as above, and the halves of its real part, their
-    Hermitian part, are solved.
+    table's blocks and halves are symmetric by construction, so each is
+    tested for finiteness only.
 
     Effective correlation matrices can carry tiny negative round-off
     eigenvalues; magnitudes are reported (matching how eigenvalue decay
@@ -221,7 +186,7 @@ def eigen_spectrum(r, normalize_by_n: bool = True) -> EigenSpectrum:
     blocks = as_blocks(r)
     if blocks.n == 0:
         raise DomainError("eigen spectrum of an empty matrix")
-    ev = np.concatenate(list(_parity_eigenvalues(blocks)))
+    ev = _parity_eigenvalues(blocks)
     top = float(ev.max())
     negative = float(np.abs(ev[ev < 0.0]).sum())  # +0.0, not -0.0, when there is none
     negative_mass = negative / top if top > 0.0 else (math.inf if negative else 0.0)

@@ -33,7 +33,7 @@ import numpy as np
 from . import analysis, correlation, coupling, response, spectrum
 from .config import ExperimentConfig
 from .errors import ConfigError, HolorisError, NumericalError
-from .geometry import ElementKind, make_uniform_grid, parity_blocks
+from .geometry import ElementKind, make_uniform_grid
 from .outputs import (complex_matrix_rows, decibels, eigen_rows, impedance_label,
                       spacing_label, write_csv, write_gnuplot)
 
@@ -113,7 +113,8 @@ def run_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         geom = _square_grid(cfg, s.eigen_aperture, sp)
         # lazy: the solve gathers and holds one block at a time, so the
         # peak memory of this runner is small beside the other runners'
-        spec = analysis.eigen_spectrum(_r0_blocks(geom, lazy=True), normalize_by_n=True)
+        r0 = correlation.correlation_matrix_isotropic(geom, lazy=True)
+        spec = analysis.eigen_spectrum(r0, normalize_by_n=True)
         csv = _eigen_csv(
             outdir / f"fig3_eigenvalues_dx{spacing_label(sp)}.csv",
             "fig3 (eigenvalue decay of the normalized correlation matrix)", spec,
@@ -249,11 +250,6 @@ def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     return paths
 
 
-def _r0_blocks(geom, lazy: bool = False):
-    """Parity blocks of the isotropic correlation matrix of a geometry."""
-    return parity_blocks(correlation.sinc_offset_table(geom), geom, lazy)
-
-
 _SIDES = {  # eigen CSV stem and target, ICSI table file and target
     "tx": ("fig8_tx", "fig8 (transmit effective correlation eigenvalues)",
            "table1_icsi_tx.csv", "table1 (coupling/correlation strength, transmit side)"),
@@ -277,7 +273,7 @@ def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool
     paths, rows = [], {side: [] for side in cases}
     for sp in cfg.sweep.spacings:
         geom, z = _stack(cfg, sp)
-        r0 = _r0_blocks(geom)
+        r0 = correlation.correlation_matrix_isotropic(geom)
         label = spacing_label(sp)
         note = f"spacing: {sp} wavelengths, elements: {geom.n}"
         fig9 = {}  # receive eigenvalues by load, for fig10

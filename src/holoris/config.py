@@ -20,6 +20,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .geometry import (ArrayGeometry, ElementKind, _count_from_ratio, make_dipole_array,
                        make_uniform_grid)
+from .outputs import impedance_label, spacing_label
 
 # JSON Schema (draft 2020-12) types; as there, 181.0 is an integer and True is no number
 _TYPES = {
@@ -128,6 +129,23 @@ def _spacing_error(merged: dict) -> tuple[tuple, str] | None:
     return None
 
 
+def _duplicate_error(merged: dict) -> tuple[tuple, str] | None:
+    """The (path, message) of the first swept spacing or port case whose
+    file label repeats an earlier entry's in its list: its CSVs would
+    overwrite that entry's, and its ICSI column would repeat."""
+    keys = [("sweep", key) for key in ("spacings", "gain_spacings", "eigen_spacings")]
+    keys += [("impedance", key) for key in ("z_source_cases", "z_load_cases")]
+    for block, key in keys:
+        first = {}
+        for i, value in enumerate(merged[block][key]):
+            label = (spacing_label(value) if block == "sweep"
+                     else impedance_label("", _pair(value)))
+            j = first.setdefault(label, i)
+            if j != i:
+                return (block, key, i), f"{value!r} has the file label of entry {j}"
+    return None
+
+
 def default_config_dict() -> dict:
     return _load_json("default_config.json")
 
@@ -204,7 +222,7 @@ class ExperimentConfig:
         error = _schema_error(data) or _non_finite(data)
         if error is None:
             merged = _merge_defaults(default_config_dict(), data)
-            error = _spacing_error(merged)
+            error = _spacing_error(merged) or _duplicate_error(merged)
         if error is not None:
             path, message = error
             raise ConfigError(f"config invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")

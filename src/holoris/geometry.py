@@ -138,8 +138,8 @@ class ParityBlocks:
     ``table`` is the (nx, nz) offset table the blocks were gathered from,
     if they were.  ``swap``, derived from it, marks a square-lattice
     matrix that also commutes with the x <-> z transpose, which maps the
-    (even, odd) block onto (odd, even): the table is square and exactly
-    symmetric.
+    (even, odd) block onto (odd, even): the table is real, square and
+    exactly symmetric.  ``pieces`` lays the blocks out for the eigensolve.
 
     Blocks that contradict the lattice raise ``DomainError``: a table
     without a lattice or not of shape (nx, nz), a block count other than
@@ -167,8 +167,8 @@ class ParityBlocks:
                 if len(shape) != 2 or shape != (m or shape[0],) * 2:
                     at = "" if m is None else f" at its parity size {m}"
                     raise DomainError(f"matrix must be square{at}, got shape {shape}")
-        object.__setattr__(self, "swap", t is not None and t.shape[0] == t.shape[1]
-                           and np.array_equal(t, t.T))
+        object.__setattr__(self, "swap", t is not None and not np.iscomplexobj(t)
+                           and t.shape[0] == t.shape[1] and np.array_equal(t, t.T))
 
     @property
     def n(self) -> int:
@@ -213,6 +213,36 @@ class ParityBlocks:
         iz, ix = np.arange(g.nz - g.nz // 2), np.arange(g.nx - g.nx // 2)
         weights = np.outer(2 - (2 * iz == g.nz - 1), 2 - (2 * ix == g.nx - 1))
         return (iz[:, None] * g.nx + ix).ravel(), weights.ravel()
+
+    def pieces(self):
+        """The matrices whose eigenvalues together are the matrix's, in
+        solve order, as (matrix, multiplicity, symmetric): ``symmetric``
+        marks a piece gathered from a real table, exactly symmetric by
+        construction.  They are the blocks, except under ``swap``: there
+        the (even, odd) block counts twice and its (odd, even) image is
+        left out, and each diagonal block is its ``_swap_halves``, built
+        from the table and never gathered whole, the smaller half first
+        (glibc maps a request at least as large as any mapped block freed
+        before, and unmaps it when freed, so in ascending order no LAPACK
+        copy stays in the heap under the next solve).  No piece is held
+        here once the next is built, so lazy blocks are read one at a
+        time."""
+        real = self.table is not None and not np.iscomplexobj(self.table)
+        if not self.swap:
+            for k in range(len(self.blocks)):
+                yield self.blocks[k], 1, real
+            return
+        for k, (odd_z, odd_x, m, _) in enumerate(_parities(self.geom)):
+            if odd_z != odd_x:
+                if odd_x:  # (odd, even) is the swap image of (even, odd)
+                    yield self.blocks[k], 2, True
+                continue
+            anti, sym = _swap_halves(self.table, odd_z)
+            if m > 1:
+                yield anti, 1, True
+            del anti
+            yield sym, 1, True
+            del sym
 
     def split_product(self, vz: np.ndarray, vx: np.ndarray) -> list[np.ndarray]:
         """P_b^T v for each block b, in block order, of the lattice vectors

@@ -338,10 +338,15 @@ class TestSubcommands:
         import tracemalloc
         from holoris import cli, correlation
         calls = []
-        monkeypatch.setattr(correlation, "correlation_matrix_isotropic",
-                            lambda *args: calls.append(args))
+        build = correlation.correlation_matrix_isotropic
+
+        def recording(geom, lazy=False):
+            calls.append((geom.n, lazy))
+            return build(geom, lazy)
+
+        monkeypatch.setattr(correlation, "correlation_matrix_isotropic", recording)
         cfg = ExperimentConfig.from_dict({"sweep": {"eigen_aperture": 10.0,
-                                                    "eigen_spacings": [0.25]}})
+                                                    "eigen_spacings": [0.5, 0.25]}})
         n = 41 * 41
         tracemalloc.start()
         try:
@@ -349,11 +354,12 @@ class TestSubcommands:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert calls == []
+        # one lazy build per eigen spacing, through the traced constructor
+        assert calls == [(21 * 21, True), (n, True)]
         # one dense N x N float64 matrix would be n * n * 8 bytes
         assert peak < 0.75 * n * n * 8
         _, rows = read_csv(tmp_path / "fig3_summary.csv")
-        assert int(rows[0][1]) == n
+        assert [int(row[1]) for row in rows] == [21 * 21, n]
 
     def test_correlation_matrix_export(self, fast_cfg, tmp_path):
         run("correlation", fast_cfg, tmp_path)
@@ -509,6 +515,27 @@ class TestMain:
         code = main(["reproduce-all", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"config invalid at {where}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand, block, key, entries", [
+        ("icsi", "sweep", "spacings", [0.5, 0.5]),
+        ("gain", "sweep", "gain_spacings", [0.5, 0.5]),
+        ("eigen", "sweep", "eigen_spacings", [0.5, 0.5]),
+        ("icsi", "impedance", "z_source_cases", [[50, 0], [50, 0]]),
+        # two values, one file label: zl_50_0
+        ("mc-eigen", "impedance", "z_load_cases", [[50, 0], [50.0000000000001, 0]]),
+    ])
+    def test_exit_code_duplicate_file_label(self, tmp_path, capsys, subcommand, block, key,
+                                            entries):
+        # the repeat would overwrite the first entry's CSVs or repeat its ICSI column
+        cfg_path = tmp_path / "cfg.json"
+        edit = copy.deepcopy(FAST_CONFIG)
+        edit.setdefault(block, {})[key] = entries
+        cfg_path.write_text(json.dumps(edit))
+        code = main([subcommand, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert (f"config invalid at {block}/{key}/1: {entries[1]!r} has the file label "
+                "of entry 0") in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_spacing_z_of_a_dipole_stack_is_not_checked(self):

@@ -4,7 +4,7 @@ makes a renamed or removed traced attribute fail the test suite, not
 only the traced benchmark run; so does a CSV of any subcommand written
 outside the traced ``cli.write_csv``, a ``write_csv`` call whose rows
 the tracer cannot count (rows passed by keyword, or not sized), and a
-gain sweep or ICSI that runs outside the wrapped names."""
+gain sweep, ICSI or R0 build that runs outside the wrapped names."""
 
 import ast
 import json
@@ -34,7 +34,8 @@ for sub in cli.SUBCOMMANDS:
     writes[sub] = (sum(span[1] == "outputs.write_csv" for span in tracer.spans) - before[0],
                    int(tracer.counts["outputs.rows"] - before[1]))
 runs = collections.Counter(span[1] for span in tracer.spans)
-print((calls, writes, runs["response.gain_sweep"], runs["analysis.icsi"]))
+print((calls, writes, runs["response.gain_sweep"], runs["analysis.icsi"],
+       runs["correlation.correlation_matrix_isotropic"]))
 """
 
 TINY = {"geometry": {"aperture_x": 2.0, "dipole_rows": 4},
@@ -59,7 +60,8 @@ def test_instrument_wraps_every_traced_attribute(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    calls, writes, sweeps, icsis = ast.literal_eval(result.stdout.strip().splitlines()[-1])
+    calls, writes, sweeps, icsis, r0_builds = ast.literal_eval(
+        result.stdout.strip().splitlines()[-1])
     # one table build: one Si and one Ci array call each for the echelon
     # and the collinear closed form, all through the wrapped attributes
     assert calls == {"coupling.impedance_matrix_dipoles": 1, "specfun.si_ci": 4}
@@ -82,3 +84,7 @@ def test_instrument_wraps_every_traced_attribute(tmp_path):
     # per spacing and side: no coupling and the three default port impedances;
     # mc-eigen takes no ICSI
     assert icsis == cells == 2 * 4 * len(TINY["sweep"]["spacings"])
+    # every R0 goes through the traced constructor: one in correlation, then
+    # one per spacing in eigen, mc-eigen and icsi
+    sweep = TINY["sweep"]
+    assert r0_builds == 1 + len(sweep["eigen_spacings"]) + 2 * len(sweep["spacings"])
