@@ -18,7 +18,8 @@ plus standalone gnuplot scripts:
 Everything is deterministic: for a fixed BLAS build and thread count,
 re-running a subcommand rewrites the same bytes.  Eigenvalue files can
 change in round-off with the BLAS thread count, within the regression
-tolerance.  Exit codes: 0 success, 2 configuration error, 3 numerical
+tolerance.  Exit codes: 0 success, 2 configuration error (an unreadable
+config file or an unwritable output directory included), 3 numerical
 error.
 """
 
@@ -394,6 +395,9 @@ def main(argv=None) -> int:
         paths = run(args.subcommand, cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import importlib.resources
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -210,6 +210,18 @@ class OutputBlock:
     directory: str
 
 
+# field type -> the conversion of its merged JSON value; other types pass as they are
+_CONVERT = {ElementKind: ElementKind, int: int, complex: _pair,
+            tuple[complex, ...]: lambda v: tuple(map(_pair, v)), tuple[float, ...]: tuple}
+
+
+def _block(cls, values: dict):
+    """The config block ``cls`` built from its merged JSON ``values``, one
+    field at a time; keys that are not fields (``output.formats``) are
+    ignored."""
+    return cls(**{f.name: _CONVERT.get(f.type, lambda v: v)(values[f.name]) for f in fields(cls)})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     geometry: GeometryBlock
@@ -226,53 +238,25 @@ class ExperimentConfig:
         if error is not None:
             path, message = error
             raise ConfigError(f"config invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
-        g = merged["geometry"]
-        i = merged["impedance"]
-        s = merged["sweep"]
-        o = merged["output"]
-        geometry = GeometryBlock(
-            element_kind=ElementKind(g["element_kind"]),
-            aperture_x=g["aperture_x"], aperture_z=g["aperture_z"],
-            spacing_x=g["spacing_x"], spacing_z=g["spacing_z"],
-            dipole_rows=int(g["dipole_rows"]), dipole_gap=g["dipole_gap"],
-            wavelength=g["wavelength"],
-        )
-        r_iso = _pair(i["r_iso"])
+        r_iso = _pair(merged["impedance"]["r_iso"])
         if r_iso.imag != 0.0 or r_iso.real <= 0.0:
             raise ConfigError(f"r_iso must be a positive resistance, got {r_iso}")
-        impedance = ImpedanceBlock(
-            model=i["model"],
-            z_antenna=_pair(i["z_antenna"]),
-            z_source=_pair(i["z_source"]),
-            z_load=_pair(i["z_load"]),
-            r_iso=r_iso.real,
-            z_source_cases=tuple(_pair(p) for p in i["z_source_cases"]),
-            z_load_cases=tuple(_pair(p) for p in i["z_load_cases"]),
-        )
-        sweep = SweepBlock(
-            zenith_deg=s["zenith_deg"],
-            azimuth_points=int(s["azimuth_points"]),
-            spacings=tuple(s["spacings"]),
-            gain_spacings=tuple(s["gain_spacings"]),
-            eigen_aperture=s["eigen_aperture"],
-            eigen_spacings=tuple(s["eigen_spacings"]),
-            correlation_max_separation=s["correlation_max_separation"],
-            correlation_points=int(s["correlation_points"]),
-        )
-        output = OutputBlock(directory=o["directory"])
+        merged["impedance"]["r_iso"] = r_iso.real
+        cfg = cls(**{f.name: _block(f.type, merged[f.name]) for f in fields(cls)})
+        geometry, impedance = cfg.geometry, cfg.impedance
         if geometry.element_kind is ElementKind.ISOTROPIC and impedance.model == "dipole":
             raise ConfigError("dipole impedance model requires half_wave_dipole elements")
         if (geometry.element_kind is ElementKind.HALF_WAVE_DIPOLE
                 and geometry.dipole_rows > 1 and geometry.dipole_gap == 0):
             raise ConfigError("dipole_gap 0 with several dipole_rows makes stacked dipoles touch")
-        return cls(geometry=geometry, impedance=impedance, sweep=sweep, output=output)
+        return cfg
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
         try:
             text = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
             data = json.loads(text)

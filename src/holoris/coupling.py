@@ -51,12 +51,6 @@ def _shifted_condition(z: ImpedanceMatrix, shift: complex) -> float:
     return float(s.max() / s.min()) if s.min() != 0 else math.inf
 
 
-def _impedance_matrix(table: np.ndarray, geom: ArrayGeometry) -> ImpedanceMatrix:
-    """The impedance matrix gathered from an (nx, nz) offset table."""
-    b = parity_blocks(table, geom)
-    return ImpedanceMatrix(b.blocks, geom, b.table)
-
-
 def dipole_mutual_impedance(dh: float, dv: float, wavelength: float = 1.0) -> complex:
     """Mutual impedance (ohms) of two parallel half-wave dipoles.
 
@@ -149,7 +143,7 @@ def impedance_matrix_dipoles(geom: ArrayGeometry,
     table[0, 0] = z_self
     table[0, 1:] = _collinear(dv[1:], geom.wavelength)
     table[1:] = _echelon(dh[:, None], dv[None, :], geom.wavelength)
-    return _impedance_matrix(table, geom)
+    return ImpedanceMatrix(parity_blocks(table, geom).blocks, geom)
 
 
 def impedance_matrix_isotropic(geom: ArrayGeometry,
@@ -161,7 +155,7 @@ def impedance_matrix_isotropic(geom: ArrayGeometry,
     if not (r_iso > 0 and math.isfinite(r_iso)):
         raise DomainError(f"r_iso must be positive, got {r_iso}")
     table = (r_iso * sinc_offset_table(geom)).astype(complex)
-    return _impedance_matrix(table, geom)
+    return ImpedanceMatrix(parity_blocks(table, geom).blocks, geom)
 
 
 def _normalized_inverse(z: ImpedanceMatrix, port: complex, tx: bool) -> ParityBlocks:

@@ -132,29 +132,34 @@ class ParityBlocks:
     package's one matrix type: correlations, impedances, couplings and
     effective correlations are all held this way.
 
-    ``blocks`` is a tuple, or for ``parity_blocks(..., lazy=True)`` a
-    sequence that gathers a block each time it is read and keeps none;
-    a read allocates the block and scratch of a few of its z rows.
-    ``table`` is the (nx, nz) offset table the blocks were gathered from,
-    if they were.  ``swap``, derived from it, marks a square-lattice
-    matrix that also commutes with the x <-> z transpose, which maps the
-    (even, odd) block onto (odd, even): the table is real, square and
-    exactly symmetric.  ``pieces`` lays the blocks out for the eigensolve.
+    ``blocks`` is a tuple, or the sequence ``parity_blocks`` gathers
+    from an offset table, which keeps that table: with ``lazy=True`` it
+    gathers a block each time it is read and keeps none; a read
+    allocates the block and scratch of a few of its z rows.  ``table``
+    is read from that sequence: the (nx, nz) offset table the blocks were
+    gathered from, or None for any other blocks.  ``swap``, derived from
+    it, marks a square-lattice matrix that also commutes with the
+    x <-> z transpose, which maps the (even, odd) block onto (odd, even):
+    the table is real, square and exactly symmetric.  ``pieces`` lays
+    the blocks out for the eigensolve.
 
     Blocks that contradict the lattice raise ``DomainError``: a table
     without a lattice or not of shape (nx, nz), a block count other than
     the lattice's non-empty parities (one without a lattice), or a tuple
     block that is not square at its parity size mz * mx.  Other
-    sequences are checked by count only, since reading one gathers it.
+    sequences, such as those of ``parity_blocks``, are checked by count
+    only, since reading a lazy one gathers it.
     """
 
     blocks: Sequence[np.ndarray]
     geom: ArrayGeometry | None = None
-    table: np.ndarray | None = None
+    table: np.ndarray | None = field(init=False)
     swap: bool = field(init=False)
 
     def __post_init__(self):
-        g, t = self.geom, self.table
+        g = self.geom
+        t = self.blocks.table if isinstance(self.blocks, _TableBlocks) else None
+        object.__setattr__(self, "table", t)
         if t is not None and (g is None or t.shape != (g.nx, g.nz)):
             raise DomainError(f"offset table shape {t.shape} does not match lattice "
                               f"{None if g is None else (g.nx, g.nz)}")
@@ -313,23 +318,26 @@ def _unmirror(n: int, odd: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _TableBlocks(Sequence):
-    """The parity blocks of an offset table, each gathered when read."""
+    """The parity blocks of the offset table ``table``, which they keep:
+    the blocks ``kept``, gathered before, or each gathered when read."""
 
-    def __init__(self, table: np.ndarray, geom: ArrayGeometry):
-        self._table, self._parities = table, tuple(_parities(geom))
+    def __init__(self, table: np.ndarray, geom: ArrayGeometry, kept: tuple | None = None):
+        self.table, self._parities, self._kept = table, tuple(_parities(geom)), kept
 
     def __len__(self) -> int:
         return len(self._parities)
 
     def __getitem__(self, k: int) -> np.ndarray:
+        if self._kept is not None:
+            return self._kept[k]
         pz, px, mz, mx = self._parities[k]
-        near, far, join, w = _mirror_terms(self._table.shape[1], pz)
+        near, far, join, w = _mirror_terms(self.table.shape[1], pz)
         # the z axis first, as (rz, cz, x): a table of mz^2 nx entries
-        tz = join(self._table.T[near], self._table.T[far])
+        tz = join(self.table.T[near], self.table.T[far])
         if w is not None:
             tz *= w[:, :, None]
         # then x, one z row at a time, into the z-major (rz, rx, cz, cx) block
-        near, far, join, w = _mirror_terms(self._table.shape[0], px)
+        near, far, join, w = _mirror_terms(self.table.shape[0], px)
         out = np.empty((mz, mx, mz, mx), tz.dtype)
         for t, row in zip(tz, out):
             row = row.transpose(1, 0, 2)  # (cz, rx, cx), a view
@@ -416,8 +424,8 @@ def parity_blocks(table: np.ndarray, geom: ArrayGeometry, lazy: bool = False) ->
     is gathered only when read, so a caller that reads each block once
     holds one at a time."""
     table = read_only_view(table)
-    blocks = ParityBlocks(_TableBlocks(table, geom), geom, table)  # checks the table
-    return blocks if lazy else ParityBlocks(tuple(blocks.blocks), geom, table)
+    blocks = ParityBlocks(_TableBlocks(table, geom), geom)  # checks the table
+    return blocks if lazy else ParityBlocks(_TableBlocks(table, geom, tuple(blocks.blocks)), geom)
 
 
 def as_blocks(matrix) -> ParityBlocks:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import importlib.resources
 import json
 import math
@@ -170,6 +171,18 @@ class TestConfig:
                 where = "/".join(map(str, path))
                 with pytest.raises(ConfigError, match=f"config invalid at {where}:"):
                     ExperimentConfig.from_file(cfg_path)
+
+    def test_block_fields_are_the_schema_and_default_keys(self):
+        # each block is built from its dataclass fields, so a schema key
+        # with no field would be dropped without a word
+        defaults = config.default_config_dict()
+        blocks = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+        assert list(blocks) == list(SCHEMA["properties"]) == list(defaults)
+        for name, cls in blocks.items():
+            fields = [f.name for f in dataclasses.fields(cls)]
+            ignored = ["formats"] if name == "output" else []  # accepted and ignored
+            assert fields + ignored == list(SCHEMA["properties"][name]["properties"])
+            assert fields + ignored == list(defaults[name])
 
     def test_output_formats_key_still_accepted(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -559,6 +572,32 @@ class TestMain:
     def test_missing_config_file(self, tmp_path):
         assert main(["icsi", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
+
+    def test_exit_code_config_not_utf8(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(b"\xff\xfe{")
+        assert main(["correlation", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert f"config error: cannot read config {cfg_path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["--out", "env", "config"])
+    def test_exit_code_unwritable_output_directory(self, tmp_path, capsys, monkeypatch, via):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        cfg = copy.deepcopy(FAST_CONFIG)
+        args = ["correlation", "--config", str(tmp_path / "cfg.json")]
+        if via == "--out":
+            args += ["--out", str(out)]
+        elif via == "env":
+            monkeypatch.setenv("HOLORIS_OUT", str(out))
+        else:
+            monkeypatch.delenv("HOLORIS_OUT", raising=False)
+            cfg["output"] = {"directory": str(out)}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write outputs: ") and str(out) in captured.err
+        assert captured.out == ""
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"

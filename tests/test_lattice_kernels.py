@@ -44,10 +44,9 @@ from holoris import (ArrayGeometry, BeamformingScheme, Direction, DomainError, E
                      icsi, impedance_matrix_dipoles, impedance_matrix_isotropic,
                      make_uniform_grid, parity_blocks, power_spectrum, steering_vector)
 from holoris.analysis import _hermitian_part
-from holoris.coupling import (HALF_WAVE_DIPOLE_SELF_IMPEDANCE, _impedance_matrix,
-                              _shifted_condition)
+from holoris.coupling import HALF_WAVE_DIPOLE_SELF_IMPEDANCE, _shifted_condition
 from holoris.correlation import sinc_offset_table
-from holoris.geometry import _parities, _swap_halves, gather_offsets
+from holoris.geometry import _TableBlocks, _parities, _swap_halves, gather_offsets
 from holoris.spectrum import _odd_grid
 
 import oracles
@@ -200,11 +199,25 @@ class RecordingBlocks(Sequence):
         return len(self.blocks)
 
     def __getitem__(self, k):
+        return self.record(k, self.blocks[k])
+
+    def record(self, k, b):
         assert all(ref() is None for ref in self.refs)
-        b = self.blocks[k]
         self.reads.append(k)
         self.refs.append(weakref.ref(b))
         return b
+
+
+class RecordingTableBlocks(_TableBlocks):
+    """The lazily gathered blocks of an offset table, which carry the
+    table, recording their reads as ``RecordingBlocks`` does."""
+
+    def __init__(self, table, geom):
+        super().__init__(table, geom)
+        self.reads, self.refs = [], []
+
+    def __getitem__(self, k):
+        return RecordingBlocks.record(self, k, super().__getitem__(k))
 
 
 @pytest.mark.parametrize("n, swap_reads", [(1, []), (2, [1]), (7, [1]), (8, [1])])
@@ -215,22 +228,26 @@ def test_lazy_blocks_are_gathered_and_solved_one_at_a_time(n, swap_reads):
     assert lazy.swap and len(lazy.blocks) == len(kept.blocks)
     assert all(np.array_equal(a, b) for a, b in zip(kept.blocks, lazy.blocks))
     assert np.array_equal(lazy.dense(), kept.dense())
-    # blocks given without their table take the four-block path
-    for t, reads in ((table, swap_reads), (None, list(range(len(kept.blocks))))):
-        blocks = RecordingBlocks(lazy.blocks)
-        spec = eigen_spectrum(ParityBlocks(blocks, g, t))
+    # blocks that carry their table take the swap path, others the four-block one
+    for blocks, reads, expected in (
+            (RecordingTableBlocks(table, g), swap_reads, kept),
+            (RecordingBlocks(lazy.blocks), list(range(len(kept.blocks))),
+             ParityBlocks(tuple(kept.blocks), g))):
+        spec = eigen_spectrum(ParityBlocks(blocks, g))
         assert blocks.reads == reads
-        expected = eigen_spectrum(ParityBlocks(kept.blocks, g, t))
-        assert np.array_equal(spec.values, expected.values)
+        assert np.array_equal(spec.values, eigen_spectrum(expected).values)
 
 
 def test_swap_is_derived_from_the_table():
     g = lattice(5, 5, 0.25, 0.25)
     pb = parity_blocks(sinc_offset_table(g), g)
     assert pb.swap and not pb.table.flags.writeable
-    assert not ParityBlocks(pb.blocks, g).swap
+    assert ParityBlocks(pb.blocks, g).swap  # the blocks carry their table
+    assert not ParityBlocks(tuple(pb.blocks), g).swap
     with pytest.raises(TypeError, match="swap"):
         ParityBlocks(pb.blocks, g, swap=True)
+    with pytest.raises(TypeError, match="table"):
+        ParityBlocks(tuple(pb.blocks), g, table=pb.table)
     with pytest.raises(dataclasses.FrozenInstanceError):
         pb.swap = False
     # blocks of an asymmetric table are never solved as swap halves
@@ -249,11 +266,13 @@ def test_blocks_that_contradict_their_lattice_are_rejected():
     # (two eigenvalues of a 25-point lattice, IndexError, ValueError, AttributeError)
     for build in (lambda: ParityBlocks((np.eye(2),), g),
                   lambda: ParityBlocks((np.ones((2, 3)),)),
-                  lambda: ParityBlocks((np.eye(3),), None, np.eye(3))):
+                  lambda: ParityBlocks(blocks)):  # a table without a lattice
         with pytest.raises(DomainError):
             eigen_spectrum(build())
     with pytest.raises(DomainError, match="does not match lattice"):
-        ParityBlocks(blocks, g, table[:, :4])
+        parity_blocks(table[:, :4], g)
+    with pytest.raises(DomainError, match=r"\(5, 5\) does not match lattice \(5, 4\)"):
+        ParityBlocks(blocks, lattice(5, 4, 0.25, 0.25))
     with pytest.raises(DomainError, match="3 blocks given for 4 parities"):
         ParityBlocks(blocks[:3], g)
     with pytest.raises(DomainError, match="2 blocks given for 1 parities"):
@@ -265,8 +284,8 @@ def test_blocks_that_contradict_their_lattice_are_rejected():
     with pytest.raises(DomainError, match=r"matrix must be square, got shape \(3,\)"):
         eigen_spectrum(np.ones(3))
     # a lazy sequence is checked by its count, without reading a block
-    lazy = RecordingBlocks(parity_blocks(table, g, lazy=True).blocks)
-    assert ParityBlocks(lazy, g, table).swap and lazy.reads == []
+    lazy = RecordingTableBlocks(table, g)
+    assert ParityBlocks(lazy, g).swap and lazy.reads == []
     with pytest.raises(DomainError, match="blocks given"):
         ParityBlocks(RecordingBlocks(blocks[:2]), g)
 
@@ -350,9 +369,24 @@ def test_complex_table_is_solved_as_four_hermitian_checked_blocks():
         with pytest.raises(DomainError, match="not Hermitian"):
             eigen_spectrum(r)
     # each block of a complex table is read once, for its Hermitian test and solve
-    blocks = RecordingBlocks(parity_blocks(near, g, lazy=True).blocks)
-    eigen_spectrum(ParityBlocks(blocks, g, near))
+    blocks = RecordingTableBlocks(near, g)
+    eigen_spectrum(ParityBlocks(blocks, g))
     assert blocks.reads == [0, 1, 2, 3]
+
+
+def test_blocks_that_do_not_carry_a_table_are_hermitian_tested():
+    # only parity_blocks pairs blocks with their table, so blocks edited
+    # after the gather are Hermitian-tested, not flagged symmetric
+    g = make_uniform_grid(0.5, 0.75, 0.25, 0.25, 1.0)  # 3 x 4
+    t = sinc_offset_table(g)
+    b = tuple(parity_blocks(t, g).blocks)
+    b = (b[0] + np.triu(np.ones_like(b[0]), 1),) + b[1:]
+    with pytest.raises(TypeError, match="table"):
+        ParityBlocks(b, g, table=t)
+    r = ParityBlocks(b, g)
+    assert r.table is None and not any(symmetric for _, _, symmetric in r.pieces())
+    with pytest.raises(DomainError, match="not Hermitian"):
+        eigen_spectrum(r)
 
 
 @PROPERTY
@@ -555,7 +589,7 @@ def test_lattice_impedance_gathers_values_on_first_read():
     assert np.abs(z.values - z.dense()).max() <= 1e-13 * np.abs(z.values).max()
     assert z.values is z.values and not z.values.flags.writeable
     with pytest.raises(TypeError):  # z_self is read from the matrix, never given
-        ImpedanceMatrix(z.blocks, g, z.table, z_self=73.1 + 0j)
+        ImpedanceMatrix(z.blocks, g, z_self=73.1 + 0j)
     assert_one_block(ImpedanceMatrix((np.eye(3, dtype=complex),)))
 
 
@@ -581,7 +615,7 @@ def test_blockwise_singular_coupling_raises_as_dense():
     g = lattice(3, 2, 0.25, 0.25)
     table = np.zeros((3, 2), dtype=complex)
     table[0, :] = -25.0  # Z + 50 I = [[25, -25], [-25, 25]] along z is singular
-    z = _impedance_matrix(table, g)
+    z = ImpedanceMatrix(parity_blocks(table, g).blocks, g)
     with pytest.raises(NumericalError, match="singular system in rx coupling") as blocks:
         coupling_rx(z, 50.0)
     with pytest.raises(NumericalError, match="singular system in rx coupling") as dense:
@@ -607,7 +641,7 @@ def test_nan_impedance_raises_numerical_error(solve, side, table_backed):
     table = 73.1 * sinc_offset_table(g).astype(complex)
     if table_backed:
         table[1, 0] = np.nan
-        z = _impedance_matrix(table, g)
+        z = ImpedanceMatrix(parity_blocks(table, g).blocks, g)
     else:
         values = gather_offsets(table, g)
         values[0, 1] = np.nan
@@ -631,7 +665,7 @@ def random_tx_coupling(nx, nz, seed):
     rng = np.random.default_rng(seed)
     table = rng.uniform(-1.0, 1.0, (nx, nz)) + 1j * rng.uniform(-1.0, 1.0, (nx, nz))
     table[0, 0] = 2.0 * g.n * (1.0 + 0.3j)
-    z = _impedance_matrix(table, g)
+    z = ImpedanceMatrix(parity_blocks(table, g).blocks, g)
     return g, coupling_tx(z, complex(rng.uniform(20.0, 400.0), rng.uniform(-100.0, 100.0)))
 
 
@@ -694,7 +728,7 @@ def test_lattice_form_matches_one_block_twin(nx, nz, seed, transmit):
     rng = np.random.default_rng(seed)
     table = rng.uniform(-1.0, 1.0, (nx, nz)) + 1j * rng.uniform(-1.0, 1.0, (nx, nz))
     table[0, 0] = 2.0 * g.n * (1.0 + 0.3j)  # Z strictly diagonally dominant
-    z = _impedance_matrix(table, g)
+    z = ImpedanceMatrix(parity_blocks(table, g).blocks, g)
     port = complex(rng.uniform(20.0, 400.0), rng.uniform(-100.0, 100.0))
     solve = coupling_tx if transmit else coupling_rx
     c, c1 = solve(z, port), solve(values_only(z), port)

@@ -1,0 +1,105 @@
+"""Check that another checkout writes the same outputs as this one, byte
+for byte.
+
+Each checkout runs the same cases: ``reproduce-all`` on its packaged
+config, and each benchmark workload's subcommands on
+``perfbench/workloads.config_for(workload, seed)`` for seeds 0 and 7 (the
+workloads of this checkout, one subcommand per case).  Every case is a
+fresh ``python -m holoris.cli`` with that checkout's ``src`` on
+``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``, writing into its own
+directory; its printed path list is kept beside its outputs.  Every file
+is then compared byte for byte, the printed lists included, and each
+difference and each failed run is named.
+
+Run from the repository root, for example against a second checkout of
+the parent commit:
+
+    mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
+    python3 tools/same_outputs.py ../parent
+
+Exit status: 0 when every output is the same, 1 otherwise.
+"""
+
+import argparse
+import json
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 7)
+
+
+def cases() -> dict[str, tuple[str, dict | None]]:
+    """Each case's name: its subcommand and config (None: the packaged one)."""
+    # run from source, so no bytecode cache is written under perfbench/
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    out = {"packaged/reproduce-all": ("reproduce-all", None)}
+    for name, spec in workloads["WORKLOADS"].items():
+        for seed in SEEDS:
+            config = workloads["config_for"](name, seed)
+            for sub in spec["subcommands"]:
+                out[f"{name}-seed{seed}/{sub}"] = (sub, config)
+    return out
+
+
+def run_cases(checkout: Path, work: Path, runs: dict) -> list[str]:
+    """Run every case on ``checkout``'s source, each in ``work / name``
+    with its outputs in ``out`` and its printed paths in ``stdout.txt``;
+    one line per case that did not exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("HOLORIS_OUT", None)
+    failed = []
+    for name, (sub, config) in runs.items():
+        case = work / name
+        case.mkdir(parents=True)
+        args = [sys.executable, "-m", "holoris.cli", sub, "--out", "out"]
+        if config is not None:
+            (case / "config.json").write_text(json.dumps(config))
+            args += ["--config", "config.json"]
+        result = subprocess.run(args, cwd=case, env=env, capture_output=True, text=True)
+        (case / "stdout.txt").write_text(result.stdout)
+        if result.returncode != 0:
+            failed.append(f"{name}: exit {result.returncode} in {checkout}: "
+                          f"{result.stderr.strip()}")
+    return failed
+
+
+def tree_differences(a: Path, b: Path) -> list[str]:
+    """One line per file, by its path relative to ``a`` and ``b``, that
+    is in only one of them or whose bytes differ."""
+    files = {p.relative_to(root) for root in (a, b) for p in root.rglob("*") if p.is_file()}
+    out = []
+    for rel in sorted(files):
+        x, y = a / rel, b / rel
+        if not y.is_file():
+            out.append(f"{rel}: only in {a}")
+        elif not x.is_file():
+            out.append(f"{rel}: only in {b}")
+        elif (bx := x.read_bytes()) != (by := y.read_bytes()):
+            at = next((i for i, (u, v) in enumerate(zip(bx, by)) if u != v), min(len(bx), len(by)))
+            out.append(f"{rel}: bytes differ from offset {at}")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other", type=Path, help="the other checkout's root")
+    other = parser.parse_args(argv).other.resolve()
+    runs = cases()
+    with tempfile.TemporaryDirectory() as tmp:
+        here, there = Path(tmp, "here"), Path(tmp, "other")
+        problems = run_cases(ROOT, here, runs) + run_cases(other, there, runs)
+        problems += tree_differences(here, there)
+    for line in problems:
+        print(line)
+    print(f"{len(runs)} cases, {len(problems)} differences or failures")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
