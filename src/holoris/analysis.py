@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, KneeUndefinedError, NumericalError
-from .geometry import ArrayGeometry, ParityBlocks, as_blocks, require_finite
+from .geometry import ArrayGeometry, ParityBlocks, as_blocks, chunks, require_finite
 
 _HERMITIAN_TOL = 1e-8
 _CHECK_BYTES = 1 << 20  # scratch of one row chunk of the finiteness and Hermitian tests
@@ -226,15 +226,21 @@ def icsi(q) -> float:
     ratios of a point and of its mirror images are equal: only the rows
     of one lattice quarter are assembled, each weighted by its count of
     mirror images (1, 2 or 4).  A matrix with no lattice is the one-block
-    case: every row, weight 1.
+    case: every row, weight 1.  The rows are assembled a chunk of points
+    at a time (``geometry.chunks``, about 512 KiB of complex rows each),
+    and the weighted row ratios of all chunks are summed once, so the
+    result does not depend on the chunking.
     """
     q = as_blocks(q)
     points, weights = q.quarter()
     if q.n < 2:
         raise DomainError("ICSI needs at least two elements")
-    mags = np.abs(q.rows(points))
-    require_finite("ICSI matrix", mags)
-    diag = mags[np.arange(len(points)), points]
-    if np.any(diag == 0.0):
-        raise DomainError("ICSI undefined: zero diagonal entry")
-    return float(((weights * mags.sum(axis=1) / diag).sum() - q.n) / (q.n * (q.n - 1)))
+    ratios = []
+    for k in chunks(len(points), q.n):
+        mags = np.abs(q.rows(points[k]))
+        require_finite("ICSI matrix", mags)
+        diag = mags[np.arange(len(mags)), points[k]]
+        if np.any(diag == 0.0):
+            raise DomainError("ICSI undefined: zero diagonal entry")
+        ratios.append(weights[k] * mags.sum(axis=1) / diag)
+    return float((np.concatenate(ratios).sum() - q.n) / (q.n * (q.n - 1)))

@@ -278,13 +278,16 @@ def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool
         label = spacing_label(sp)
         note = f"spacing: {sp} wavelengths, elements: {geom.n}"
         fig9 = {}  # receive eigenvalues by load, for fig10
+        # the no-coupling case of both sides is R0 itself: solved once
+        r0_spec = analysis.eigen_spectrum(r0, normalize_by_n=False) if eigen else None
         for side, solve in (("tx", coupling.coupling_tx), ("rx", coupling.coupling_rx)):
             stem, target = _SIDES[side][:2]
             cells = [sp]
             for zp, case, extra in cases[side]:
                 r = r0 if zp is None else analysis.effective_correlation(solve(z, zp), r0)
                 if eigen:
-                    spec = analysis.eigen_spectrum(r, normalize_by_n=False)
+                    spec = r0_spec if zp is None else analysis.eigen_spectrum(
+                        r, normalize_by_n=False)
                     paths.append(_eigen_csv(outdir / f"{stem}_dx{label}_{case}.csv", target, spec,
                                             f"{note}, {extra}"))
                     if side == "rx":

@@ -21,6 +21,7 @@ from .errors import ConfigError, DomainError
 _RATIO_TOL = 1e-9
 _SQRT1_2 = math.sqrt(0.5)
 _ROW_CHUNK = 1 << 15  # entries of one row chunk of the swap halves' pair table
+_CHUNK_BYTES = 1 << 19  # one (N, k) complex array of a gain-sweep or ICSI chunk
 
 
 class ElementKind(Enum):
@@ -209,12 +210,12 @@ class ParityBlocks:
             out += part
         return out
 
-    def quarter(self) -> tuple[np.ndarray, np.ndarray | float]:
+    def quarter(self) -> tuple[np.ndarray, np.ndarray]:
         """One lattice point of each set of mirror images, whose rows the
         reversals permute, and the set's size (1, 2 or 4), or all N at 1."""
         g = self.geom
         if g is None:
-            return np.arange(self.n), 1.0
+            return np.arange(self.n), np.ones(self.n)
         iz, ix = np.arange(g.nz - g.nz // 2), np.arange(g.nx - g.nx // 2)
         weights = np.outer(2 - (2 * iz == g.nz - 1), 2 - (2 * ix == g.nx - 1))
         return (iz[:, None] * g.nx + ix).ravel(), weights.ravel()
@@ -432,6 +433,16 @@ def as_blocks(matrix) -> ParityBlocks:
     """Any square matrix as blocks: ``ParityBlocks`` as they are, and an
     array as one block."""
     return matrix if isinstance(matrix, ParityBlocks) else ParityBlocks((np.asarray(matrix),))
+
+
+def chunks(count: int, n: int) -> list[slice]:
+    """Slices of ``count`` azimuths or lattice points, k at a time: the
+    largest multiple of 16 whose (n, k) complex array fits in 512 KiB,
+    and at least 16.  A BLAS matrix product gives each column the same
+    bits in any set of columns only while the column groups of its
+    kernels, which are narrower than 16, start at the same offsets."""
+    step = max(16, _CHUNK_BYTES // (16 * n) // 16 * 16)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def _check_positive(**lengths: float) -> None:

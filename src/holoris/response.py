@@ -19,7 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .geometry import ArrayGeometry, Direction, as_blocks, require_finite, unit_direction
+from .geometry import (ArrayGeometry, Direction, as_blocks, chunks, require_finite,
+                       unit_direction)
 
 _POWER_TOL = 1e-9
 
@@ -126,9 +127,12 @@ def gain_sweep(geom: ArrayGeometry, coupling, scheme: BeamformingScheme,
 
     Returns the gains as an array shaped like the azimuth grid.  For the
     no-coupling reference scheme the gain is evaluated with the identity
-    coupling, so it is flat at the element count.  The whole grid is
-    evaluated at once, one steering and excitation column per azimuth,
-    and every excitation column is checked to have unit norm.
+    coupling, so it is flat at the element count.  The grid is checked
+    whole, then evaluated a chunk of azimuths at a time
+    (``geometry.chunks``: as many as fill one (N, k) complex array of
+    about 512 KiB), one steering and excitation column per azimuth, and
+    every excitation column is checked to have unit norm.  Every step
+    is per column, so the gains do not depend on the chunking.
 
     A lattice coupling is used as its parity blocks: P is real and
     orthogonal, so with a0_b = P_b^T a0 the response is a_b = C_b^T a0_b,
@@ -149,17 +153,19 @@ def gain_sweep(geom: ArrayGeometry, coupling, scheme: BeamformingScheme,
     # steering exp(j kappa (x sin(theta) cos(phi) + z cos(theta))) of the
     # lattice point (iz, ix) is the product of one z and one x factor
     kappa = geom.wavenumber
-    a0 = blocks.split_product(
-        np.exp(1j * kappa * np.arange(geom.nz) * geom.dz * math.cos(theta)),
-        np.exp(1j * kappa * np.multiply.outer(np.arange(geom.nx) * geom.dx,
-                                              math.sin(theta) * np.cos(phis))))
-    ws, aw = [], 0.0
-    for c, a0b in zip(blocks.blocks, a0):
-        a = a0b if scheme is BeamformingScheme.NO_MC_REFERENCE else c.T @ a0b
-        ws.append(_unscaled_excitation(scheme, c, a0b, a))
-        aw = aw + np.einsum("np,np->p", a, ws[-1])
-    scale = _power_scale(scheme, _norm(ws))
-    for w in ws:
-        w *= scale
-    _check_power(_norm(ws))
-    return np.abs(scale * aw) ** 2
+    vz = np.exp(1j * kappa * np.arange(geom.nz) * geom.dz * math.cos(theta))
+    vx = np.exp(1j * kappa * np.multiply.outer(np.arange(geom.nx) * geom.dx,
+                                               math.sin(theta) * np.cos(phis)))
+    gains = []
+    for cols in chunks(len(phis), geom.n):
+        ws, aw = [], 0.0
+        for c, a0b in zip(blocks.blocks, blocks.split_product(vz, vx[:, cols])):
+            a = a0b if scheme is BeamformingScheme.NO_MC_REFERENCE else c.T @ a0b
+            ws.append(_unscaled_excitation(scheme, c, a0b, a))
+            aw = aw + np.einsum("np,np->p", a, ws[-1])
+        scale = _power_scale(scheme, _norm(ws))
+        for w in ws:
+            w *= scale
+        _check_power(_norm(ws))
+        gains.append(np.abs(scale * aw) ** 2)
+    return np.concatenate(gains)

@@ -30,6 +30,11 @@ from .errors import DomainError, NumericalError
 from .geometry import ArrayGeometry
 
 _EVEN_TOL = 1e-6
+# A grid point on the rim |k| = kappa, where a square aperture of a whole
+# number A of wavelengths puts some, lands a few ulps either side of
+# kappa^2 in floating point; a point off the rim lies at least 1 / (4 A^2)
+# of kappa^2 from it.
+_RIM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,8 @@ class GeneratorSequence:
 class WavenumberSpectrum:
     """Real spectrum samples on the wavenumber grid, with per-point
     propagating/evanescent tags: ``propagating`` holds where
-    kx^2 + kz^2 <= kappa^2, so the rim counts as propagating."""
+    kx^2 + kz^2 <= kappa^2 within a relative 1e-9, so a point on the rim
+    counts as propagating at any wavelength."""
 
     kx_grid: np.ndarray = field(repr=False)
     kz_grid: np.ndarray = field(repr=False)
@@ -136,7 +142,7 @@ def power_spectrum(seq: GeneratorSequence, geom: ArrayGeometry) -> WavenumberSpe
     kx = _odd_grid(nx) / seq.step_x
     kz = _odd_grid(nz) / seq.step_z
     kxg, kzg = np.meshgrid(kx, kz, indexing="ij")
-    propagating = kxg**2 + kzg**2 <= kappa**2
+    propagating = kxg**2 + kzg**2 <= kappa**2 * (1.0 + _RIM_TOL)
     return WavenumberSpectrum(
         kx_grid=kx, kz_grid=kz, values=g,
         wavenumber=kappa, propagating=propagating,

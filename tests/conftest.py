@@ -33,6 +33,14 @@ def dipole_impedances(dipole_geometries):
             for sp, g in dipole_geometries.items()}
 
 
+@pytest.fixture(scope="session")
+def dipole_stack_520():
+    """The reference stack at 1/16 wavelength (N = 520), the densest that
+    a benchmark workload builds: its geometry and impedance matrix."""
+    g = make_dipole_array(4.0, 1 / 16, 8, 0.02, 1.0)
+    return g, impedance_matrix_dipoles(g)
+
+
 def random_coupling(rng, n, scale=0.3):
     """Well-conditioned random complex coupling matrix for property tests,
     as one block."""

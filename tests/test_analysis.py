@@ -12,6 +12,7 @@ from holoris import (DomainError, ParityBlocks, KneeUndefinedError, NumericalErr
                      eigen_spectrum, icsi, impedance_matrix_dipoles, impedance_matrix_isotropic,
                      knee_index, make_dipole_array, make_uniform_grid,
                      parity_blocks)
+from holoris import geometry
 from holoris.correlation import sinc_offset_table
 
 from conftest import Z_MATCH, random_coupling
@@ -254,6 +255,17 @@ class TestIcsi:
                      for n in (2, 5, 40)]
         for q in matrices:
             assert icsi(q) == pytest.approx(ratio_formula(q), rel=1e-13)
+
+    def test_does_not_depend_on_the_chunk_budget(self, dipole_correlations,
+                                                 dipole_impedances, monkeypatch):
+        # the quarter rows are read a chunk of points at a time, and the
+        # row ratios of all chunks are summed once
+        r0, z = dipole_correlations[0.125], dipole_impedances[0.125]
+        matrices = [r0, z, effective_correlation(coupling_rx(z, Z_MATCH), r0), z.values]
+        whole = [icsi(q) for q in matrices]
+        monkeypatch.setattr(geometry, "_CHUNK_BYTES", 1)  # the least: 16 points
+        assert len(geometry.chunks(len(z.quarter()[0]), z.n)) == 5  # of 68 points
+        assert [icsi(q) for q in matrices] == whole
 
 
 

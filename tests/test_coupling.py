@@ -306,6 +306,21 @@ class TestCouplingMatrices:
         with pytest.raises(DomainError, match="z_self = 0"):
             coupling_tx(impedance_matrix_dipoles(dipole_geometries[0.5], 0j), 50)
 
+    @pytest.mark.parametrize("spacing", [0.5, 0.25, 0.125])
+    def test_transmit_and_receive_couplings_complement(self, dipole_impedances, spacing):
+        """zA / (zA + z) C_tx(z) + z / (zA + z) C_rx(z) = Z (Z + zI)^-1 +
+        z (Z + zI)^-1 = I for any port impedance z, so this checks both
+        sides' normalizations and block solves against each other, on
+        the default stack.  It holds for any Z, so it does not check the
+        impedance table.  Blind spot: an error that is an orthogonal
+        similarity of a block, made alike on both sides (a wrong but
+        orthogonal basis), maps I to I and leaves the sum unchanged."""
+        z = dipole_impedances[spacing]
+        for port in (Z_A.conjugate(), 50.0, 300.0, 1e-3, 1e4 + 5j):
+            total = (Z_A / (Z_A + port) * coupling_tx(z, port).values
+                     + port / (Z_A + port) * coupling_rx(z, port).values)
+            assert np.abs(total - np.eye(z.n)).max() <= 1e-12
+
     def test_tx_sparsity_grows_with_density(self, dipole_impedances):
         fractions = []
         for sp in (0.5, 0.25, 0.125):

@@ -12,7 +12,9 @@ definitions, on small lattices with odd and even axis lengths (1 included):
 * gathered blocks and swap halves against their whole-array oracles, bit
   for bit, those of a real table against their transpose, and the traced
   peak of a lazy block read and of the lazy eigensolve at N = 4225
-  against the block's bytes;
+  against the block's bytes, and the first two eigenvalue moments of
+  that lazy swap solve against the offset table;
+* the traced peaks of the chunked gain sweep and ICSI at N = 520;
 * the blockwise coupling against the closed-form coupling matrices;
 * the gain sweep and the ICSI of parity blocks against the same
   operation on the assembled dense matrix, errors included, and the gain
@@ -50,7 +52,7 @@ from holoris.geometry import _TableBlocks, _parities, _swap_halves, gather_offse
 from holoris.spectrum import _odd_grid
 
 import oracles
-from conftest import random_coupling
+from conftest import Z_MATCH, random_coupling
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -432,6 +434,43 @@ def test_lazy_eigen_spectrum_peaks_near_the_largest_block():
     assert len(spec.values) == g.n
     # a swap half held through the next solve reads about 1.34x
     assert peak <= 1.15 * largest
+
+
+def test_lazy_swap_eigenvalues_keep_the_moments_of_the_offset_table():
+    """The first two moments of the eigenvalues of R0 at N = 4225, on the
+    lazy swap path, against the offset table t alone: sum = tr R0 =
+    N t[0, 0], and the sum of squares = ||R0||_F^2 = sum over l, m of
+    c_l c_m (nx - l) (nz - m) t[l, m]^2, with c_0 = 1 and c_l = 2 else.
+    A lost multiplicity, a wrong weight or a wrong offset moves them.
+    Blind spot: an error that is an orthogonal similarity of a block (a
+    block's rows and columns mixed by the same orthogonal map) leaves
+    its eigenvalues, and so both moments, unchanged."""
+    g = make_uniform_grid(16.0, 16.0, 0.25, 0.25, 1.0)
+    r0 = correlation_matrix_isotropic(g, lazy=True)
+    assert r0.swap and g.n == 4225
+    ev = eigen_spectrum(r0, normalize_by_n=False).values
+    t = sinc_offset_table(g)
+    cx = np.where(np.arange(g.nx) == 0, 1, 2) * (g.nx - np.arange(g.nx))
+    cz = np.where(np.arange(g.nz) == 0, 1, 2) * (g.nz - np.arange(g.nz))
+    trace, frobenius = g.n * t[0, 0], cx @ t**2 @ cz
+    assert abs(ev.sum() - trace) <= 1e-12 * trace
+    assert abs((ev**2).sum() - frobenius) <= 1e-12 * frobenius
+
+
+def test_gain_sweep_and_icsi_transients_stay_within_the_chunk_budget(dipole_stack_520):
+    # at N = 520, chunks of 48 azimuths or points, each about 512 KiB of
+    # complex columns or rows; the whole grid at once peaked at 3.4-3.8 MiB
+    # (the gain sweep) and all (N / 4) N quarter rows at 3.4 MiB (ICSI)
+    g, z = dipole_stack_520
+    ct = coupling_tx(z, Z_MATCH)
+    phis = np.linspace(0.0, math.pi, 181)
+    for scheme in BeamformingScheme:
+        peak, gains = _traced_peak(lambda: gain_sweep(g, ct, scheme, math.pi / 2, phis))
+        assert gains.shape == phis.shape
+        assert peak <= 1.5 * 2**20  # 1.05-1.23 MiB measured
+    r = effective_correlation(coupling_rx(z, Z_MATCH), correlation_matrix_isotropic(g))
+    peak, _ = _traced_peak(lambda: icsi(r))
+    assert peak <= 1.75 * 2**20  # 1.44 MiB measured
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

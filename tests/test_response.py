@@ -9,9 +9,10 @@ from holoris import (ArrayGeometry, BeamformingScheme, Direction, DomainError,
                      coupling_tx, gain_sweep, impedance_matrix_dipoles, make_dipole_array,
                      make_uniform_grid,
                      max_gain_closed_form, parity_blocks, steering_vector)
+from holoris import geometry
 from holoris.correlation import sinc_offset_table
 
-from conftest import random_coupling
+from conftest import Z_MATCH, random_coupling
 
 BROADSIDE = Direction(phi=math.pi / 2, theta=math.pi / 2)
 END_FIRE = Direction(phi=0.0, theta=math.pi / 2)
@@ -203,6 +204,31 @@ class TestGainSweep:
         sweep = gain_sweep(g, ct, scheme, math.pi / 2, phis)
         np.testing.assert_allclose(sweep,
                                    looped_sweep(g, ct, scheme, math.pi / 2, phis), rtol=1e-12)
+
+    @pytest.mark.parametrize("scheme", list(BeamformingScheme))
+    def test_sweep_is_the_concatenation_of_sub_grid_sweeps(self, scheme, dipole_stack_520):
+        # every step is per azimuth column, so a sweep taken in chunks (of
+        # 48 azimuths at N = 520) is bit for bit the whole-grid sweep; the
+        # second sub-grid starts on a multiple of 16 azimuths
+        g, z = dipole_stack_520
+        ct = coupling_tx(z, Z_MATCH)
+        phis = np.linspace(0, math.pi, 181)
+        for c in (ct, ct.values):
+            whole = gain_sweep(g, c, scheme, math.pi / 2, phis)
+            parts = [gain_sweep(g, c, scheme, math.pi / 2, phis[k])
+                     for k in (slice(0, 64), slice(64, None))]
+            assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_gains_do_not_depend_on_the_chunk_budget(self, dipole_geometries,
+                                                     dipole_impedances, monkeypatch):
+        g = dipole_geometries[0.125]  # N = 136: 181 azimuths make one chunk
+        ct = coupling_tx(dipole_impedances[0.125], Z_MATCH)
+        phis = np.linspace(0, math.pi, 181)
+        whole = {s: gain_sweep(g, ct, s, math.pi / 2, phis) for s in BeamformingScheme}
+        monkeypatch.setattr(geometry, "_CHUNK_BYTES", 1)  # the least: 16 azimuths
+        assert len(geometry.chunks(len(phis), g.n)) == 12
+        for scheme in BeamformingScheme:
+            assert np.array_equal(gain_sweep(g, ct, scheme, math.pi / 2, phis), whole[scheme])
 
     def test_singular_coupling_rejected(self, dipole_geometries):
         g = dipole_geometries[0.5]

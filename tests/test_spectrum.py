@@ -267,3 +267,20 @@ class TestClassifyWavenumber:
         c = len(spec.kz_grid) // 2
         assert spec.kx_grid[-1] == KAPPA and spec.kz_grid[c] == 0.0
         assert spec.propagating[-1, c] and spec.propagating[c, -1]
+
+    @pytest.mark.parametrize("wavelength", [1.0, 3.0, 1e-3])
+    def test_rim_counted_exactly_at_any_wavelength(self, wavelength):
+        # on A wavelengths at spacing 1/s, kx / kappa = (2p - (n - 1)) / (2 A)
+        # exactly, so a point propagates when that integer radius is <= 2 A
+        wrong = []
+        for aperture in range(2, 17):
+            for per_wavelength in (2, 3, 4, 6, 8):
+                g = make_uniform_grid(aperture * wavelength, aperture * wavelength,
+                                      wavelength / per_wavelength,
+                                      wavelength / per_wavelength, wavelength)
+                i = 2 * np.arange(g.nx) - (g.nx - 1)
+                exact = int((np.add.outer(i**2, i**2) <= 4 * aperture**2).sum())
+                count = power_spectrum(generator_sequence(g), g).propagating_count
+                if count != exact:
+                    wrong.append((aperture, per_wavelength, count, exact))
+        assert wrong == []
