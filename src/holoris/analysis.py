@@ -16,13 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, KneeUndefinedError, NumericalError
-from .geometry import ArrayGeometry, ParityBlocks, as_blocks, chunks, require_finite
+from .geometry import ArrayGeometry, ParityBlocks, as_blocks, chunks, gram_blocks, require_finite
 
 _HERMITIAN_TOL = 1e-8
 _CHECK_BYTES = 1 << 20  # scratch of one row chunk of the finiteness and Hermitian tests
 # Negative eigenvalues of a PSD matrix are round-off; more negative mass
 # than this share of the largest eigenvalue means the input is not PSD.
 _NEGATIVE_MASS_TOL = 1e-8
+# Eigenpairs of R0 at or below this share of its largest eigenvalue are
+# round-off of the solve; its factor leaves them out.
+_RANK_CUTOFF = 1e-15
 _DOMINANCE_THRESHOLD = 1e-2
 # Knee detection looks at the dynamic range a log-scale eigenvalue plot
 # actually shows; entries further than this factor below the maximum are
@@ -52,8 +55,21 @@ def effective_correlation(coupling, r0) -> ParityBlocks:
     """Effective correlation C^T R0 conj(C) under a coupling matrix,
     C_b^T R0_b conj(C_b) for each parity block: the basis is real and
     orthogonal, so transposes and conjugates stay inside it.  When only
-    one of C and R0 has a lattice, both are taken whole, as one block."""
-    cb, rb = as_blocks(coupling), as_blocks(r0)
+    one of C and R0 has a lattice, both are taken whole, as one block.
+
+    With R0 held as its factor F F^H (``factor``, whose PSD check is
+    eigen_spectrum's), ``coupling`` is C^T F instead: the blocks
+    Y_b = C_b^T F_b that ``coupling_tx``/``coupling_rx`` solve with the
+    factors as right-hand sides.  The result is held as them, block b
+    being Y_b Y_b^H, so it is solved and its ICSI rows are assembled
+    without forming a block."""
+    rb = as_blocks(r0)
+    if rb.factors is not None:
+        ys = tuple(coupling)
+        if [np.shape(y) for y in ys] != [np.shape(f) for f in rb.factors]:
+            raise DomainError("a factored correlation takes C^T F, shaped as its factors")
+        return gram_blocks(ys, rb.geom)
+    cb = as_blocks(coupling)
     if (cb.geom is None) != (rb.geom is None):
         cb, rb = as_blocks(cb.dense()), as_blocks(rb.dense())
     if cb.n != rb.n:
@@ -62,6 +78,32 @@ def effective_correlation(coupling, r0) -> ParityBlocks:
         raise DomainError(f"coupling and correlation must be on the same lattice, "
                           f"got {cb.geom} and {rb.geom}")
     return ParityBlocks(tuple(c.T @ r @ c.conj() for c, r in zip(cb.blocks, rb.blocks)), rb.geom)
+
+
+def factor(r) -> ParityBlocks:
+    """A Hermitian PSD matrix as F F^H at its numerical rank: one
+    ``eigh`` per parity block, F_b = V_b sqrt(w_b) over the eigenpairs
+    above 1e-15 of the largest eigenvalue of all blocks, held as the
+    factors of ``gram_blocks``.  Each block is checked as
+    ``eigen_spectrum`` checks it, and so is the negative eigenvalue mass
+    of the whole: above 1e-8 of the largest, ``NumericalError``."""
+    blocks = as_blocks(r)
+    if blocks.n == 0:
+        raise DomainError("factor of an empty matrix")
+    real = blocks.table is not None and not np.iscomplexobj(blocks.table)
+    ev, kept = [], []
+    for b in blocks.blocks:
+        w, v = np.linalg.eigh(_finite(b) if real else _hermitian_part(b))
+        ev.append(w)
+        # the pairs above the cut-off of the block's own largest eigenvalue,
+        # a superset of those kept, so no block's whole V stays alive
+        keep = w > _RANK_CUTOFF * w[-1]
+        kept.append((w[keep], v[:, keep]))
+        del v
+    ev = np.concatenate(ev)
+    _negative_mass(ev)
+    cut = _RANK_CUTOFF * ev.max()
+    return gram_blocks((v[:, w > cut] * np.sqrt(w[w > cut]) for w, v in kept), blocks.geom)
 
 
 def _eigenvalue_list(values) -> np.ndarray:
@@ -162,6 +204,21 @@ def _parity_eigenvalues(r: ParityBlocks) -> np.ndarray:
     return np.concatenate(evs)
 
 
+def _negative_mass(ev: np.ndarray) -> float:
+    """Summed magnitude of the negative eigenvalues over the largest
+    one; above 1e-8 the matrix is not PSD and ``NumericalError`` is
+    raised."""
+    top = float(ev.max())
+    negative = float(np.abs(ev[ev < 0.0]).sum())  # +0.0, not -0.0, when there is none
+    mass = negative / top if top > 0.0 else (math.inf if negative else 0.0)
+    if mass > _NEGATIVE_MASS_TOL:
+        raise NumericalError(
+            f"negative eigenvalue mass {mass:.3e} of the largest eigenvalue "
+            f"exceeds {_NEGATIVE_MASS_TOL:.0e}: matrix is not PSD"
+        )
+    return mass
+
+
 def eigen_spectrum(r, normalize_by_n: bool = True) -> EigenSpectrum:
     """Eigenvalues of a correlation matrix, sorted non-increasing: the
     package's one check that a matrix is Hermitian PSD.
@@ -181,20 +238,16 @@ def eigen_spectrum(r, normalize_by_n: bool = True) -> EigenSpectrum:
     is normally displayed), which leaves exact PSD spectra untouched.
     Their summed magnitude over the largest eigenvalue is kept as
     ``negative_mass``; above 1e-8 the matrix is not PSD and
-    ``NumericalError`` is raised.
+    ``NumericalError`` is raised.  ``factor`` runs the same checks on
+    the R0 it factors, so an effective correlation held as Gram blocks
+    (``effective_correlation`` of a factored R0) was checked there:
+    its eigenvalues beyond the factor's rank are exact zeros.
     """
     blocks = as_blocks(r)
     if blocks.n == 0:
         raise DomainError("eigen spectrum of an empty matrix")
     ev = _parity_eigenvalues(blocks)
-    top = float(ev.max())
-    negative = float(np.abs(ev[ev < 0.0]).sum())  # +0.0, not -0.0, when there is none
-    negative_mass = negative / top if top > 0.0 else (math.inf if negative else 0.0)
-    if negative_mass > _NEGATIVE_MASS_TOL:
-        raise NumericalError(
-            f"negative eigenvalue mass {negative_mass:.3e} of the largest eigenvalue "
-            f"exceeds {_NEGATIVE_MASS_TOL:.0e}: matrix is not PSD"
-        )
+    negative_mass = _negative_mass(ev)
     ev = np.sort(np.abs(ev))[::-1]
     if normalize_by_n:
         ev = ev / blocks.n

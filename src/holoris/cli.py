@@ -262,10 +262,12 @@ _SIDES = {  # eigen CSV stem and target, ICSI table file and target
 def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool) -> list[Path]:
     """One pass over the coupling cases of each swept spacing: the
     no-coupling case and then each port impedance, transmit side first,
-    as effective correlations C^T R0 conj(C) in parity blocks.  Each case
-    is built once, gives its fig8/fig9 eigen CSV (``eigen``) and its
-    table1/table2 ICSI cell (``icsi``), and is freed before the next one
-    is built.  fig10 and the matrix exports go with ``eigen``."""
+    as effective correlations C^T R0 conj(C).  R0 is factored once per
+    spacing as F F^T at its numerical rank, and each case is held as the
+    blocks C_b^T F_b of one coupling solve.  Each case is built once,
+    gives its fig8/fig9 eigen CSV (``eigen``) and its table1/table2 ICSI
+    cell (``icsi``), and is freed before the next one is built.  fig10
+    and the matrix exports go with ``eigen``."""
     imp = cfg.impedance
     cases = {side: [(None, "no_mc", "coupling: none")]
              + [(zp, impedance_label(prefix, zp), f"{name}: {zp}") for zp in ports]
@@ -275,16 +277,19 @@ def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool
     for sp in cfg.sweep.spacings:
         geom, z = _stack(cfg, sp)
         r0 = correlation.correlation_matrix_isotropic(geom)
+        f = analysis.factor(r0)
         label = spacing_label(sp)
         note = f"spacing: {sp} wavelengths, elements: {geom.n}"
         fig9 = {}  # receive eigenvalues by load, for fig10
         # the no-coupling case of both sides is R0 itself: solved once
         r0_spec = analysis.eigen_spectrum(r0, normalize_by_n=False) if eigen else None
+        r0_icsi = analysis.icsi(r0) if icsi else None
         for side, solve in (("tx", coupling.coupling_tx), ("rx", coupling.coupling_rx)):
             stem, target = _SIDES[side][:2]
             cells = [sp]
             for zp, case, extra in cases[side]:
-                r = r0 if zp is None else analysis.effective_correlation(solve(z, zp), r0)
+                r = r0 if zp is None else analysis.effective_correlation(
+                    solve(z, zp, f.factors), f)
                 if eigen:
                     spec = r0_spec if zp is None else analysis.eigen_spectrum(
                         r, normalize_by_n=False)
@@ -293,7 +298,7 @@ def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool
                     if side == "rx":
                         fig9[zp] = spec
                 if icsi:
-                    cells.append(analysis.icsi(r))
+                    cells.append(r0_icsi if zp is None else analysis.icsi(r))
                 del r  # free this case's matrix before the next one is built
             rows[side].append(tuple(cells))
         # dipole vs isotropic elements at matched load; the configured
@@ -304,7 +309,8 @@ def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool
                 spec = fig9.get(load) if model == imp.model else None
                 if spec is None:
                     zm = z if model == imp.model else _impedance(geom, imp, model)
-                    r = analysis.effective_correlation(coupling.coupling_rx(zm, load), r0)
+                    r = analysis.effective_correlation(coupling.coupling_rx(zm, load, f.factors),
+                                                       f)
                     spec = analysis.eigen_spectrum(r, normalize_by_n=False)
                     del r
                 paths.append(_eigen_csv(

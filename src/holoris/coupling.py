@@ -158,9 +158,11 @@ def impedance_matrix_isotropic(geom: ArrayGeometry,
     return ImpedanceMatrix(parity_blocks(table, geom).blocks, geom)
 
 
-def _normalized_inverse(z: ImpedanceMatrix, port: complex, tx: bool) -> ParityBlocks:
-    """The transmit (``tx``) or receive coupling matrix, solved block by
-    block: the blocks of Z give those of C, in the same basis."""
+def _normalized_inverse(z: ImpedanceMatrix, port: complex, tx: bool, rhs=None):
+    """The transmit (``tx``) or receive coupling matrix C, solved block by
+    block: the blocks of Z give those of C, in the same basis.  With
+    ``rhs``, arrays F_b of (m_b, k_b) in block order, the tuple of
+    C_b^T F_b instead, from the same solve with k_b right-hand sides."""
     port, z_self = complex(port), z.z_self
     side, name = ("tx", "z_source") if tx else ("rx", "z_load")
     if z_self + port == 0:
@@ -169,26 +171,30 @@ def _normalized_inverse(z: ImpedanceMatrix, port: complex, tx: bool) -> ParityBl
         raise DomainError("z_self = 0 leaves the transmit normalization undefined")
     prefactor = 1.0 + port / z_self if tx else z_self + port
     out = []
-    for zb in z.blocks:
+    for zb, f in zip(z.blocks, rhs or [None] * len(z.blocks), strict=True):
         eye = np.eye(len(zb), dtype=complex)
         numerator = zb if tx else eye
+        # C = numerator @ inv(a), so C^T = inv(a^T) numerator^T
+        b = numerator.T if f is None else (zb.T @ f if tx else f)
         try:
-            solved = np.linalg.solve((zb + port * eye).T, numerator.T).T  # numerator @ inv(a)
+            solved = np.linalg.solve((zb + port * eye).T, b)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular system in {side} coupling "
                                  f"(condition {_shifted_condition(z, port):.3e})") from exc
         if not np.all(np.isfinite(solved)):
             raise NumericalError(f"non-finite {side} coupling entries "
                                  f"(condition {_shifted_condition(z, port):.3e})")
-        out.append(prefactor * solved)
-    return ParityBlocks(tuple(out), z.geom)
+        out.append(prefactor * (solved.T if f is None else solved))
+    return ParityBlocks(tuple(out), z.geom) if rhs is None else tuple(out)
 
 
-def coupling_tx(z: ImpedanceMatrix, z_source: complex) -> ParityBlocks:
-    """Transmit-side coupling matrix (1 + zS/zA) Z (Z + zS I)^-1."""
-    return _normalized_inverse(z, z_source, tx=True)
+def coupling_tx(z: ImpedanceMatrix, z_source: complex, rhs=None):
+    """Transmit-side coupling matrix (1 + zS/zA) Z (Z + zS I)^-1; with
+    ``rhs``, the tuple of C_b^T F_b (``_normalized_inverse``)."""
+    return _normalized_inverse(z, z_source, tx=True, rhs=rhs)
 
 
-def coupling_rx(z: ImpedanceMatrix, z_load: complex) -> ParityBlocks:
-    """Receive-side coupling matrix (zA + zL) (Z + zL I)^-1."""
-    return _normalized_inverse(z, z_load, tx=False)
+def coupling_rx(z: ImpedanceMatrix, z_load: complex, rhs=None):
+    """Receive-side coupling matrix (zA + zL) (Z + zL I)^-1; with
+    ``rhs``, the tuple of C_b^T F_b (``_normalized_inverse``)."""
+    return _normalized_inverse(z, z_load, tx=False, rhs=rhs)

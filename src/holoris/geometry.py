@@ -138,7 +138,11 @@ class ParityBlocks:
     gathers a block each time it is read and keeps none; a read
     allocates the block and scratch of a few of its z rows.  ``table``
     is read from that sequence: the (nx, nz) offset table the blocks were
-    gathered from, or None for any other blocks.  ``swap``, derived from
+    gathered from, or None for any other blocks.  Blocks made by
+    ``gram_blocks`` keep their factors instead: ``factors`` is the tuple
+    of (m_b, r_b) arrays Y_b whose Grams Y_b Y_b^H are the blocks, or
+    None for any other blocks; such a block is formed only when read,
+    and ``rows`` and ``pieces`` never form it.  ``swap``, derived from
     it, marks a square-lattice matrix that also commutes with the
     x <-> z transpose, which maps the (even, odd) block onto (odd, even):
     the table is real, square and exactly symmetric.  ``pieces`` lays
@@ -155,12 +159,15 @@ class ParityBlocks:
     blocks: Sequence[np.ndarray]
     geom: ArrayGeometry | None = None
     table: np.ndarray | None = field(init=False)
+    factors: tuple | None = field(init=False)
     swap: bool = field(init=False)
 
     def __post_init__(self):
         g = self.geom
         t = self.blocks.table if isinstance(self.blocks, _TableBlocks) else None
+        f = self.blocks.factors if isinstance(self.blocks, _GramBlocks) else None
         object.__setattr__(self, "table", t)
+        object.__setattr__(self, "factors", f)
         if t is not None and (g is None or t.shape != (g.nx, g.nz)):
             raise DomainError(f"offset table shape {t.shape} does not match lattice "
                               f"{None if g is None else (g.nx, g.nz)}")
@@ -173,12 +180,17 @@ class ParityBlocks:
                 if len(shape) != 2 or shape != (m or shape[0],) * 2:
                     at = "" if m is None else f" at its parity size {m}"
                     raise DomainError(f"matrix must be square{at}, got shape {shape}")
+        for y, m in zip(f or (), sizes):
+            shape = np.shape(y)
+            if len(shape) != 2 or shape[0] != (m or shape[0]):
+                at = "" if m is None else f" of {m} rows"
+                raise DomainError(f"factor must be a matrix{at}, got shape {shape}")
         object.__setattr__(self, "swap", t is not None and not np.iscomplexobj(t)
                            and t.shape[0] == t.shape[1] and np.array_equal(t, t.T))
 
     @property
     def n(self) -> int:
-        return len(self.blocks[0]) if self.geom is None else self.geom.n
+        return len((self.factors or self.blocks)[0]) if self.geom is None else self.geom.n
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -197,18 +209,25 @@ class ParityBlocks:
         assembled from the blocks."""
         g = self.geom
         if g is None:
-            return self.blocks[0][points]
-        out = np.zeros((len(points), g.n), dtype=np.result_type(*self.blocks))
-        for (pz, px, mz, mx), b in zip(_parities(g), self.blocks):
+            return self._block_rows(0, points)
+        out = np.zeros((len(points), g.n), dtype=np.result_type(*(self.factors or self.blocks)))
+        for k, (pz, px, mz, mx) in enumerate(_parities(g)):
             (rz, wz), (rx, wx) = _unmirror(g.nz, pz), _unmirror(g.nx, px)
             # lattice point (iz, ix) takes block row (rz[iz], rx[ix]), z-major
             r = (rz[:, None] * mx + rx).ravel()
             w = (wz[:, None] * wx).ravel()
-            part = b.take(r[points], axis=0).take(r, axis=1)
+            part = self._block_rows(k, r[points]).take(r, axis=1)
             part *= w[points, None]
             part *= w
             out += part
         return out
+
+    def _block_rows(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of block k; of a Gram block, Y_b[rows] Y_b^H."""
+        if self.factors is None:
+            return self.blocks[k].take(rows, axis=0)
+        y = self.factors[k]
+        return y.take(rows, axis=0) @ y.conj().T
 
     def quarter(self) -> tuple[np.ndarray, np.ndarray]:
         """One lattice point of each set of mirror images, whose rows the
@@ -223,16 +242,27 @@ class ParityBlocks:
     def pieces(self):
         """The matrices whose eigenvalues together are the matrix's, in
         solve order, as (matrix, multiplicity, symmetric): ``symmetric``
-        marks a piece gathered from a real table, exactly symmetric by
-        construction.  They are the blocks, except under ``swap``: there
-        the (even, odd) block counts twice and its (odd, even) image is
-        left out, and each diagonal block is its ``_swap_halves``, built
-        from the table and never gathered whole, the smaller half first
-        (glibc maps a request at least as large as any mapped block freed
-        before, and unmaps it when freed, so in ascending order no LAPACK
-        copy stays in the heap under the next solve).  No piece is held
-        here once the next is built, so lazy blocks are read one at a
-        time."""
+        marks a piece exactly symmetric by construction, one gathered
+        from a real table or a zero.  They are the blocks, except for
+        Gram blocks and under ``swap``.  A Gram block Y_b Y_b^H with
+        fewer columns r_b than rows m_b is the r_b x r_b Gram Y_b^H Y_b,
+        which has its nonzero eigenvalues, and a 1 x 1 zero counted
+        m_b - r_b times.  Under ``swap`` the (even, odd) block counts
+        twice and its (odd, even) image is left out, and each diagonal
+        block is its ``_swap_halves``, built from the table and never
+        gathered whole, the smaller half first (glibc maps a request at
+        least as large as any mapped block freed before, and unmaps it
+        when freed, so in ascending order no LAPACK copy stays in the
+        heap under the next solve).  No piece is held here once the next
+        is built, so lazy blocks are read one at a time."""
+        if self.factors is not None:
+            for y in self.factors:
+                m, r = y.shape
+                if r < m:
+                    yield np.zeros((1, 1)), m - r, True
+                if r:
+                    yield (y.conj().T @ y if r < m else y @ y.conj().T), 1, False
+            return
         real = self.table is not None and not np.iscomplexobj(self.table)
         if not self.swap:
             for k in range(len(self.blocks)):
@@ -348,6 +378,21 @@ class _TableBlocks(Sequence):
         return out.reshape(mz * mx, mz * mx)
 
 
+class _GramBlocks(Sequence):
+    """The blocks Y_b Y_b^H of the factors ``factors``, which they keep;
+    each block is formed when read."""
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+
+    def __len__(self) -> int:
+        return len(self.factors)
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        y = self.factors[k]
+        return y @ y.conj().T
+
+
 def _swap_halves(table: np.ndarray, odd: bool) -> tuple[np.ndarray, np.ndarray]:
     """The swap-antisymmetric and swap-symmetric halves of the (even, even)
     or (odd, odd) parity block of a real, exactly symmetric (n, n) offset
@@ -427,6 +472,14 @@ def parity_blocks(table: np.ndarray, geom: ArrayGeometry, lazy: bool = False) ->
     table = read_only_view(table)
     blocks = ParityBlocks(_TableBlocks(table, geom), geom)  # checks the table
     return blocks if lazy else ParityBlocks(_TableBlocks(table, geom, tuple(blocks.blocks)), geom)
+
+
+def gram_blocks(factors, geom: ArrayGeometry | None = None) -> ParityBlocks:
+    """The matrix whose parity block b is Y_b Y_b^H, held as the factors
+    Y_b, (m_b, r_b) arrays in block order (one (N, r) array with no
+    lattice): a PSD matrix of rank at most sum r_b, never formed whole
+    by its eigensolve or its rows."""
+    return ParityBlocks(_GramBlocks(factors), geom)
 
 
 def as_blocks(matrix) -> ParityBlocks:

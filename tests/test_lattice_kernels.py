@@ -15,6 +15,10 @@ definitions, on small lattices with odd and even axis lengths (1 included):
   against the block's bytes, and the first two eigenvalue moments of
   that lazy swap solve against the offset table;
 * the traced peaks of the chunked gain sweep and ICSI at N = 520;
+* the coupling cases of a factored R0, each held as the blocks C_b^T F_b
+  of one solve, against dense C_b^T R0_b conj(C_b) and ``eigvalsh`` on
+  the default stack from 1/2 to 1/16 wavelength, and the factor's PSD
+  check;
 * the blockwise coupling against the closed-form coupling matrices;
 * the gain sweep and the ICSI of parity blocks against the same
   operation on the assembled dense matrix, errors included, and the gain
@@ -45,7 +49,8 @@ from holoris import (ArrayGeometry, BeamformingScheme, Direction, DomainError, E
                      effective_correlation, eigen_spectrum, gain_sweep, generator_sequence,
                      icsi, impedance_matrix_dipoles, impedance_matrix_isotropic,
                      make_uniform_grid, parity_blocks, power_spectrum, steering_vector)
-from holoris.analysis import _hermitian_part
+from holoris.analysis import _hermitian_part, factor
+from holoris.config import ExperimentConfig
 from holoris.coupling import HALF_WAVE_DIPOLE_SELF_IMPEDANCE, _shifted_condition
 from holoris.correlation import sinc_offset_table
 from holoris.geometry import _TableBlocks, _parities, _swap_halves, gather_offsets
@@ -836,6 +841,41 @@ def zeroed_coupling(nx, nz, count):
     keep = max(len(blocks) - count, 0)
     blocks[keep:] = [np.zeros_like(b) for b in blocks[keep:]]
     return g, ParityBlocks(tuple(blocks), g)
+
+
+@pytest.mark.parametrize("sp", [0.5, 0.25, 0.125, 0.0625])
+def test_factored_coupling_cases_match_dense_blocks(sp):
+    """Every coupling case of the default stack, at the packaged ports
+    and at a near short and a near open port, from the factored R0:
+    eigenvalues within rtol 1e-10 plus 1e-12 of the largest, and ICSI
+    within rtol 1e-10, of the dense blockwise path built here."""
+    cfg = ExperimentConfig.default()
+    imp = cfg.impedance
+    g = cfg.geometry.build(spacing_x=sp)
+    z = impedance_matrix_dipoles(g, imp.z_antenna)
+    r0 = correlation_matrix_isotropic(g)
+    f = factor(r0)
+    rank = sum(y.shape[1] for y in f.factors)
+    # the rank of an isotropic correlation is set by the aperture, not by N
+    assert rank == g.n if sp >= 0.25 else rank < 0.6 * g.n
+    for solve, ports in ((coupling_tx, imp.z_source_cases), (coupling_rx, imp.z_load_cases)):
+        for port in (*ports, 1e-3, 1e4 + 5j):
+            c = solve(z, port)
+            dense = tuple(cb.T @ rb @ cb.conj() for cb, rb in zip(c.blocks, r0.blocks))
+            ref = np.sort(np.abs(np.concatenate([np.linalg.eigvalsh(b) for b in dense])))[::-1]
+            r = effective_correlation(solve(z, port, f.factors), f)
+            got = eigen_spectrum(r, normalize_by_n=False).values
+            assert np.all(np.abs(got - ref) <= 1e-10 * ref + 1e-12 * ref[0]), (solve, port)
+            assert np.count_nonzero(got == 0.0) == g.n - rank
+            assert icsi(r) == pytest.approx(icsi(ParityBlocks(dense, g)), rel=1e-10)
+
+
+def test_factor_of_a_correlation_with_a_negated_block_raises():
+    g = make_uniform_grid(2.0, 1.0, 0.25, 0.25, 1.0)
+    blocks = list(correlation_matrix_isotropic(g).blocks)
+    blocks[1] = -blocks[1]
+    with pytest.raises(NumericalError, match="negative eigenvalue mass"):
+        factor(ParityBlocks(tuple(blocks), g))
 
 
 @pytest.mark.parametrize("nx, nz", [(3, 2), (2, 3), (3, 3), (4, 1)])

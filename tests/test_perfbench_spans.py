@@ -73,7 +73,8 @@ def test_instrument_wraps_every_traced_attribute(tmp_path):
         assert count == len(csvs) > 0, sub
         assert rows == sum(data_lines(p) for p in csvs) > 0, sub
     # the gain and ICSI kernels run inside the wrapped names: one sweep per
-    # scheme and gain spacing, one ICSI call per table cell written
+    # scheme and gain spacing, one ICSI call per table cell written, except
+    # that R0's ICSI is written to both no_mc cells of its spacing
     gain_csvs = list((out / "gain").glob("fig7_gain_dx*.csv"))
     assert sweeps == len(gain_csvs) == 4 * len(TINY["sweep"]["gain_spacings"])
     cells = 0
@@ -83,7 +84,8 @@ def test_instrument_wraps_every_traced_attribute(tmp_path):
         cells += sum(len(line.split(",")) - 1 for line in lines[1:])
     # per spacing and side: no coupling and the three default port impedances;
     # mc-eigen takes no ICSI
-    assert icsis == cells == 2 * 4 * len(TINY["sweep"]["spacings"])
+    assert cells == 2 * 4 * len(TINY["sweep"]["spacings"])
+    assert icsis == cells - len(TINY["sweep"]["spacings"])
     # every R0 goes through the traced constructor: one in correlation, then
     # one per spacing in eigen, mc-eigen and icsi
     sweep = TINY["sweep"]

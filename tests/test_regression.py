@@ -2,9 +2,11 @@
 on a reduced config, against files recorded earlier under
 ``tests/data/regression/`` (gzip-compressed).
 
-Float columns match when ``|value - ref| <= RTOL |ref| + FLOOR * scale``,
-with ``scale`` the column's largest reference magnitude; the floor
-absorbs round-off tails (evanescent spectrum samples, eigenvalues at the
+CSVs are compared with the rule of ``tools/same_outputs.py``
+(``compare_csv``), which ``--tolerance`` applies there too.  Float
+columns match when ``|value - ref| <= RTOL |ref| + FLOOR * scale``, with
+``scale`` the column's largest reference magnitude; the floor absorbs
+round-off tails (evanescent spectrum samples, eigenvalues at the
 numerical floor).  A dB column is compared as the linear value it
 encodes, because the dB value of a round-off eigenvalue is itself
 round-off.  Integer and text columns, comment lines and gnuplot scripts
@@ -17,8 +19,8 @@ to re-record (all of them when none is named):
 """
 
 import gzip
+import importlib.util
 import json
-import math
 import os
 import subprocess
 import sys
@@ -29,67 +31,23 @@ import pytest
 
 from holoris.cli import main
 
-DATA = Path(__file__).resolve().parent / "data" / "regression"
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
+DATA = ROOT / "tests" / "data" / "regression"
 CONFIG = {"sweep": {"eigen_aperture": 4.0, "spacings": [0.5, 0.125]}}
 SUBCOMMANDS = ("correlation", "eigen", "spectrum", "gain", "mc-eigen", "icsi")
 
-RTOL = 1e-10
-FLOOR = 1e-12
-INT_COLUMNS = {"index", "n_elements", "dominant_count", "knee_index", "asymptotic_dof",
-               "propagating_count", "row", "col"}
-TEXT_COLUMNS = {"tag", "scheme"}
-DB_COLUMNS = {"eigenvalue_db"}
 
-
-def _run(subcommand: str, outdir: Path) -> Path:
+def _run(subcommand: str, outdir: Path, config: dict = CONFIG) -> Path:
+    outdir.mkdir(parents=True, exist_ok=True)
     cfg = outdir / "config.json"
-    cfg.write_text(json.dumps(CONFIG))
+    cfg.write_text(json.dumps(config))
     out = outdir / subcommand
     assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
     return out
-
-
-def _split(text: str) -> tuple[list[str], list[str], list[list[str]]]:
-    comments, header, rows = [], None, []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            comments.append(line)
-        elif header is None:
-            header = line.split(",")
-        else:
-            rows.append(line.split(","))
-    return comments, header or [], rows
-
-
-def _linear(name: str, cell: str) -> float:
-    value = float(cell)
-    return 10.0 ** (value / 10.0) if name in DB_COLUMNS else value
-
-
-def _compare_csv(name: str, got: str, ref: str) -> list[str]:
-    got_comments, got_header, got_rows = _split(got)
-    ref_comments, ref_header, ref_rows = _split(ref)
-    if (got_comments, got_header) != (ref_comments, ref_header):
-        return [f"{name}: comment or header lines differ"]
-    if len(got_rows) != len(ref_rows):
-        return [f"{name}: {len(got_rows)} rows, reference {len(ref_rows)}"]
-    errors = []
-    for j, col in enumerate(ref_header):
-        got_col = [r[j] for r in got_rows]
-        ref_col = [r[j] for r in ref_rows]
-        if col in INT_COLUMNS or col in TEXT_COLUMNS:
-            bad = [i for i, (g, r) in enumerate(zip(got_col, ref_col)) if g != r]
-        else:
-            got_v = [_linear(col, c) for c in got_col]
-            ref_v = [_linear(col, c) for c in ref_col]
-            scale = max((abs(v) for v in ref_v if math.isfinite(v)), default=0.0)
-            bad = [i for i, (g, r) in enumerate(zip(got_v, ref_v))
-                   if not (g == r or abs(g - r) <= RTOL * abs(r) + FLOOR * scale)]
-        if bad:
-            i = bad[0]
-            errors.append(f"{name}:{col}: {len(bad)} rows differ, first at row {i}: "
-                          f"{got_col[i]} vs reference {ref_col[i]}")
-    return errors
 
 
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
@@ -104,7 +62,7 @@ def test_outputs_match_recorded(subcommand, tmp_path):
         got = (out / name).read_text()
         ref = gzip.decompress((ref_dir / f"{name}.gz").read_bytes()).decode()
         if name.endswith(".csv"):
-            errors.extend(_compare_csv(name, got, ref))
+            errors.extend(same_outputs.compare_csv(name, got, ref))
         elif got != ref:
             errors.append(f"{name}: differs")
     assert not errors, "\n".join(errors)
@@ -117,7 +75,7 @@ def test_eigen_outputs_match_across_blas_thread_counts(tmp_path):
     regression tolerance (this does not assert that they differ)."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"sweep": {"eigen_aperture": 8.0, "eigen_spacings": [0.5, 0.25]}}))
-    src = Path(__file__).resolve().parent.parent / "src"
+    src = ROOT / "src"
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
@@ -134,9 +92,35 @@ def test_eigen_outputs_match_across_blas_thread_counts(tmp_path):
     for name in names:
         got, ref = ((out / name).read_text() for out in outs)
         if name.endswith(".csv"):
-            errors.extend(_compare_csv(name, got, ref))
+            errors.extend(same_outputs.compare_csv(name, got, ref))
         elif got != ref:
             errors.append(f"{name}: differs")
+    assert not errors, "\n".join(errors)
+
+
+def test_outputs_do_not_depend_on_the_unit_of_length(tmp_path):
+    """Every length is given in wavelengths, so the wavelength is a unit:
+    at 2 it scales every length by a power of two and each file is
+    byte-identical to wavelength 1, and at 3 every CSV is within the
+    regression tolerance of it, text cells equal and the rank cut-off of
+    the factored R0 included, and every other file is identical."""
+    outs = {wl: _run("reproduce-all", tmp_path / str(wl),
+                     {**CONFIG, "geometry": {"wavelength": wl}})
+            for wl in (1.0, 2.0, 3.0)}
+    names = sorted(p.name for p in outs[1.0].iterdir())
+    assert len(names) > 50
+    for wl in (2.0, 3.0):
+        assert sorted(p.name for p in outs[wl].iterdir()) == names
+    errors = []
+    for name in names:
+        ref = (outs[1.0] / name).read_text()
+        if (outs[2.0] / name).read_text() != ref:
+            errors.append(f"{name}: differs at wavelength 2")
+        got = (outs[3.0] / name).read_text()
+        if name.endswith(".csv"):
+            errors.extend(same_outputs.compare_csv(f"{name} at wavelength 3", got, ref))
+        elif got != ref:
+            errors.append(f"{name}: differs at wavelength 3")
     assert not errors, "\n".join(errors)
 
 

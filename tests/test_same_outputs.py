@@ -49,3 +49,24 @@ def test_cases_cover_the_packaged_config_and_every_workload_at_two_seeds():
     assert sorted(name for name in runs if name.startswith("dense-coupling-seed7/")) == [
         "dense-coupling-seed7/gain", "dense-coupling-seed7/icsi", "dense-coupling-seed7/mc-eigen"]
     assert len(runs) == 1 + 2 * (1 + 2 + 3)
+
+
+def test_tolerance_compares_differing_csvs_with_the_regression_rule(tmp_path):
+    header = b"# target: t\nindex,eigenvalue,eigenvalue_db,tag\n"
+    a = write_tree(tmp_path / "a", {
+        "near.csv": header + b"0,1,0,x\n1,1e-17,-170,x\n",
+        "far.csv": header + b"0,1,0,x\n",
+        "text.csv": header + b"0,1,0,x\n",
+        "f.gp": b"plot 1\n"})
+    b = write_tree(tmp_path / "b", {
+        # a round-off eigenvalue become 0, and a last-digit change
+        "near.csv": header + b"0,1.00000000000001,0,x\n1,0,-inf,x\n",
+        "far.csv": header + b"0,1.000001,0,x\n",
+        "text.csv": header + b"0,1,0,y\n",
+        "f.gp": b"plot 2\n"})
+    assert same_outputs.tree_differences(a, b, tolerance=True) == [
+        "f.gp: bytes differ from offset 5",
+        "far.csv:eigenvalue: 1 rows differ, first at row 0: 1 vs reference 1.000001",
+        "text.csv:tag: 1 rows differ, first at row 0: x vs reference y",
+    ]
+    assert len(same_outputs.tree_differences(a, b)) == 4

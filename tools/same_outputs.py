@@ -11,17 +11,27 @@ directory; its printed path list is kept beside its outputs.  Every file
 is then compared byte for byte, the printed lists included, and each
 difference and each failed run is named.
 
+With ``--tolerance`` a CSV whose bytes differ is compared instead with
+the rule of the output regression test (``tests/test_regression.py``,
+which imports it from here): float cells within ``RTOL`` of the other
+checkout's value plus ``FLOOR`` times its column's largest magnitude,
+dB cells as the linear values they encode, integer and text cells,
+comment lines and headers exactly.  Every other file must still match
+byte for byte.
+
 Run from the repository root, for example against a second checkout of
 the parent commit:
 
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
     python3 tools/same_outputs.py ../parent
+    python3 tools/same_outputs.py --tolerance ../parent
 
 Exit status: 0 when every output is the same, 1 otherwise.
 """
 
 import argparse
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -31,6 +41,59 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 7)
+
+RTOL = 1e-10
+FLOOR = 1e-12
+INT_COLUMNS = {"index", "n_elements", "dominant_count", "knee_index", "asymptotic_dof",
+               "propagating_count", "row", "col"}
+TEXT_COLUMNS = {"tag", "scheme"}
+DB_COLUMNS = {"eigenvalue_db"}
+
+
+def _split(text: str) -> tuple[list[str], list[str], list[list[str]]]:
+    comments, header, rows = [], None, []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            comments.append(line)
+        elif header is None:
+            header = line.split(",")
+        else:
+            rows.append(line.split(","))
+    return comments, header or [], rows
+
+
+def _linear(name: str, cell: str) -> float:
+    value = float(cell)
+    return 10.0 ** (value / 10.0) if name in DB_COLUMNS else value
+
+
+def compare_csv(name: str, got: str, ref: str) -> list[str]:
+    """One line per column of CSV text ``got`` outside the tolerance of
+    ``ref``: ``|value - ref| <= RTOL |ref| + FLOOR * scale``, with
+    ``scale`` the column's largest finite reference magnitude."""
+    got_comments, got_header, got_rows = _split(got)
+    ref_comments, ref_header, ref_rows = _split(ref)
+    if (got_comments, got_header) != (ref_comments, ref_header):
+        return [f"{name}: comment or header lines differ"]
+    if len(got_rows) != len(ref_rows):
+        return [f"{name}: {len(got_rows)} rows, reference {len(ref_rows)}"]
+    errors = []
+    for j, col in enumerate(ref_header):
+        got_col = [r[j] for r in got_rows]
+        ref_col = [r[j] for r in ref_rows]
+        if col in INT_COLUMNS or col in TEXT_COLUMNS:
+            bad = [i for i, (g, r) in enumerate(zip(got_col, ref_col)) if g != r]
+        else:
+            got_v = [_linear(col, c) for c in got_col]
+            ref_v = [_linear(col, c) for c in ref_col]
+            scale = max((abs(v) for v in ref_v if math.isfinite(v)), default=0.0)
+            bad = [i for i, (g, r) in enumerate(zip(got_v, ref_v))
+                   if not (g == r or abs(g - r) <= RTOL * abs(r) + FLOOR * scale)]
+        if bad:
+            i = bad[0]
+            errors.append(f"{name}:{col}: {len(bad)} rows differ, first at row {i}: "
+                          f"{got_col[i]} vs reference {ref_col[i]}")
+    return errors
 
 
 def cases() -> dict[str, tuple[str, dict | None]]:
@@ -69,9 +132,11 @@ def run_cases(checkout: Path, work: Path, runs: dict) -> list[str]:
     return failed
 
 
-def tree_differences(a: Path, b: Path) -> list[str]:
+def tree_differences(a: Path, b: Path, tolerance: bool = False) -> list[str]:
     """One line per file, by its path relative to ``a`` and ``b``, that
-    is in only one of them or whose bytes differ."""
+    is in only one of them or whose bytes differ; with ``tolerance``, a
+    CSV whose bytes differ gives the lines of ``compare_csv`` against
+    the one in ``b``."""
     files = {p.relative_to(root) for root in (a, b) for p in root.rglob("*") if p.is_file()}
     out = []
     for rel in sorted(files):
@@ -80,7 +145,11 @@ def tree_differences(a: Path, b: Path) -> list[str]:
             out.append(f"{rel}: only in {a}")
         elif not x.is_file():
             out.append(f"{rel}: only in {b}")
-        elif (bx := x.read_bytes()) != (by := y.read_bytes()):
+        elif (bx := x.read_bytes()) == (by := y.read_bytes()):
+            continue
+        elif tolerance and rel.suffix == ".csv":
+            out.extend(compare_csv(str(rel), bx.decode(), by.decode()))
+        else:
             at = next((i for i, (u, v) in enumerate(zip(bx, by)) if u != v), min(len(bx), len(by)))
             out.append(f"{rel}: bytes differ from offset {at}")
     return out
@@ -89,12 +158,15 @@ def tree_differences(a: Path, b: Path) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", type=Path, help="the other checkout's root")
-    other = parser.parse_args(argv).other.resolve()
+    parser.add_argument("--tolerance", action="store_true",
+                        help="compare differing CSVs with the regression tolerance")
+    args = parser.parse_args(argv)
+    other = args.other.resolve()
     runs = cases()
     with tempfile.TemporaryDirectory() as tmp:
         here, there = Path(tmp, "here"), Path(tmp, "other")
         problems = run_cases(ROOT, here, runs) + run_cases(other, there, runs)
-        problems += tree_differences(here, there)
+        problems += tree_differences(here, there, args.tolerance)
     for line in problems:
         print(line)
     print(f"{len(runs)} cases, {len(problems)} differences or failures")
