@@ -19,7 +19,6 @@ from .errors import DomainError, KneeUndefinedError, NumericalError
 from .geometry import ArrayGeometry, ParityBlocks, as_blocks, chunks, gram_blocks, require_finite
 
 _HERMITIAN_TOL = 1e-8
-_CHECK_BYTES = 1 << 20  # scratch of one row chunk of the finiteness and Hermitian tests
 # Negative eigenvalues of a PSD matrix are round-off; more negative mass
 # than this share of the largest eigenvalue means the input is not PSD.
 _NEGATIVE_MASS_TOL = 1e-8
@@ -157,16 +156,10 @@ def knee_index(values: np.ndarray) -> int:
     return int(idx[np.argmax(bend)])
 
 
-def _row_chunks(values: np.ndarray):
-    """Row slices of a square matrix whose tests below take about 1 MiB
-    of scratch each: the conjugate, when complex, and the bool results."""
-    rows = max(1, _CHECK_BYTES // ((values.itemsize + 1) * len(values)))
-    return (slice(i, i + rows) for i in range(0, len(values), rows))
-
-
 def _finite(values: np.ndarray) -> np.ndarray:
-    """A matrix that must be finite, tested a few rows at a time."""
-    for rows in _row_chunks(values):
+    """A matrix that must be finite, tested a few rows at a time
+    (``geometry.chunks``)."""
+    for rows in chunks(len(values), len(values)):
         require_finite("matrix", values[rows])
     return values
 
@@ -177,7 +170,7 @@ def _hermitian_part(values: np.ndarray) -> np.ndarray:
     is.  The finiteness test reads a few rows at a time, and the exact
     test compares them with the matching columns."""
     exact = True
-    for rows in _row_chunks(values):
+    for rows in chunks(len(values), len(values)):
         require_finite("matrix", values[rows])
         exact = exact and np.array_equal(values[rows], values[:, rows].conj().T)
     if exact:

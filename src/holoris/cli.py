@@ -112,10 +112,10 @@ def run_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     summary = []
     for sp in s.eigen_spacings:
         geom = _square_grid(cfg, s.eigen_aperture, sp)
-        # lazy: the solve gathers and holds one block at a time, so the
+        # the solve gathers and holds one block of R0 at a time, so the
         # peak memory of this runner is small beside the other runners'
-        r0 = correlation.correlation_matrix_isotropic(geom, lazy=True)
-        spec = analysis.eigen_spectrum(r0, normalize_by_n=True)
+        spec = analysis.eigen_spectrum(correlation.correlation_matrix_isotropic(geom),
+                                       normalize_by_n=True)
         csv = _eigen_csv(
             outdir / f"fig3_eigenvalues_dx{spacing_label(sp)}.csv",
             "fig3 (eigenvalue decay of the normalized correlation matrix)", spec,
@@ -262,12 +262,13 @@ _SIDES = {  # eigen CSV stem and target, ICSI table file and target
 def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool) -> list[Path]:
     """One pass over the coupling cases of each swept spacing: the
     no-coupling case and then each port impedance, transmit side first,
-    as effective correlations C^T R0 conj(C).  R0 is factored once per
-    spacing as F F^T at its numerical rank, and each case is held as the
-    blocks C_b^T F_b of one coupling solve.  Each case is built once,
-    gives its fig8/fig9 eigen CSV (``eigen``) and its table1/table2 ICSI
-    cell (``icsi``), and is freed before the next one is built.  fig10
-    and the matrix exports go with ``eigen``."""
+    as effective correlations C^T R0 conj(C).  R0's blocks are each
+    gathered once per spacing, by its factor F F^T at its numerical
+    rank, and each case is held as the blocks C_b^T F_b of one coupling
+    solve; the no-coupling case, C = I, is F itself.  Each case is built
+    once, gives its fig8/fig9 eigen CSV (``eigen``) and its table1/table2
+    ICSI cell (``icsi``), and is freed before the next one is built.
+    fig10 and the matrix exports go with ``eigen``."""
     imp = cfg.impedance
     cases = {side: [(None, "no_mc", "coupling: none")]
              + [(zp, impedance_label(prefix, zp), f"{name}: {zp}") for zp in ports]
@@ -276,29 +277,28 @@ def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool
     paths, rows = [], {side: [] for side in cases}
     for sp in cfg.sweep.spacings:
         geom, z = _stack(cfg, sp)
-        r0 = correlation.correlation_matrix_isotropic(geom)
-        f = analysis.factor(r0)
+        f = analysis.factor(correlation.correlation_matrix_isotropic(geom))
         label = spacing_label(sp)
         note = f"spacing: {sp} wavelengths, elements: {geom.n}"
         fig9 = {}  # receive eigenvalues by load, for fig10
-        # the no-coupling case of both sides is R0 itself: solved once
-        r0_spec = analysis.eigen_spectrum(r0, normalize_by_n=False) if eigen else None
-        r0_icsi = analysis.icsi(r0) if icsi else None
+        # the no-coupling case of both sides is the factor f: solved once
+        f_spec = analysis.eigen_spectrum(f, normalize_by_n=False) if eigen else None
+        f_icsi = analysis.icsi(f) if icsi else None
         for side, solve in (("tx", coupling.coupling_tx), ("rx", coupling.coupling_rx)):
             stem, target = _SIDES[side][:2]
             cells = [sp]
             for zp, case, extra in cases[side]:
-                r = r0 if zp is None else analysis.effective_correlation(
+                r = f if zp is None else analysis.effective_correlation(
                     solve(z, zp, f.factors), f)
                 if eigen:
-                    spec = r0_spec if zp is None else analysis.eigen_spectrum(
+                    spec = f_spec if zp is None else analysis.eigen_spectrum(
                         r, normalize_by_n=False)
                     paths.append(_eigen_csv(outdir / f"{stem}_dx{label}_{case}.csv", target, spec,
                                             f"{note}, {extra}"))
                     if side == "rx":
                         fig9[zp] = spec
                 if icsi:
-                    cells.append(r0_icsi if zp is None else analysis.icsi(r))
+                    cells.append(f_icsi if zp is None else analysis.icsi(r))
                 del r  # free this case's matrix before the next one is built
             rows[side].append(tuple(cells))
         # dipole vs isotropic elements at matched load; the configured

@@ -30,17 +30,18 @@ def sinc_offset_table(geom: ArrayGeometry) -> np.ndarray:
     return sinc_table(geom.nx, geom.nz, geom.dx, geom.dz, geom.wavelength)
 
 
-def correlation_matrix_isotropic(geom: ArrayGeometry, lazy: bool = False) -> ParityBlocks:
+def correlation_matrix_isotropic(geom: ArrayGeometry) -> ParityBlocks:
     """Correlation matrix of a geometry under isotropic scattering: the
     package's one R0 constructor.
 
     Entries are the closed-form sinc kernel of pairwise distances,
-    evaluated once per lattice offset; the parity blocks are gathered
-    from that table (each time one is read, with ``lazy``), and the
-    matrix when first read.  It is real with unit diagonal, and
-    Hermitian positive-semidefinite (``eigen_spectrum`` checks both).
+    evaluated once per lattice offset; the blocks keep that table and
+    gather a parity block each time one is read, and the matrix when
+    first read.  It is real with unit diagonal, and Hermitian
+    positive-semidefinite (``eigen_spectrum`` and ``analysis.factor``
+    check both).
     """
     if geom.n == 0:
         raise DomainError("geometry has no elements")
-    return parity_blocks(sinc_offset_table(geom), geom, lazy)
+    return parity_blocks(sinc_offset_table(geom), geom, lazy=True)
 

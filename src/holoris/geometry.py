@@ -20,8 +20,7 @@ from .errors import ConfigError, DomainError
 
 _RATIO_TOL = 1e-9
 _SQRT1_2 = math.sqrt(0.5)
-_ROW_CHUNK = 1 << 15  # entries of one row chunk of the swap halves' pair table
-_CHUNK_BYTES = 1 << 19  # one (N, k) complex array of a gain-sweep or ICSI chunk
+_CHUNK_BYTES = 1 << 19  # one (N, k) complex array of a row-pass chunk
 
 
 class ElementKind(Enum):
@@ -288,7 +287,7 @@ class ParityBlocks:
         with no lattice)."""
         if self.geom is None:
             return [np.multiply.outer(vz, vx).reshape((-1,) + vx.shape[1:])]
-        return [np.multiply.outer(_mirror_split(vz, 0, pz), _mirror_split(vx, 0, px))
+        return [np.multiply.outer(_mirror_split(vz, pz), _mirror_split(vx, px))
                 .reshape((mz * mx,) + vx.shape[1:])
                 for pz, px, mz, mx in _parities(self.geom)]
 
@@ -321,17 +320,16 @@ def _mirror_terms(n: int, odd: bool):
     return np.abs(i[:, None] - i), n - 1 - i[:, None] - i, np.subtract if odd else np.add, w
 
 
-def _mirror_split(v: np.ndarray, axis: int, odd: bool) -> np.ndarray:
-    """One n-point lattice axis of ``v`` in the even or odd half of its
+def _mirror_split(v: np.ndarray, odd: bool) -> np.ndarray:
+    """The n-point lattice axis 0 of ``v`` in the even or odd half of its
     mirror basis: (v[i] +/- v[n-1-i]) / sqrt(2), i < n // 2, then the
     centre v[n // 2] in the even half of an odd n."""
-    n = v.shape[axis]
+    n = len(v)
     h = n // 2
-    v = np.moveaxis(v, axis, 0)
     part = (v[:h] - v[:n - h - 1:-1] if odd else v[:h] + v[:n - h - 1:-1]) * _SQRT1_2
     if not odd and n > 2 * h:
         part = np.concatenate([part, v[h:h + 1]])
-    return np.moveaxis(part, 0, axis)
+    return part
 
 
 def _unmirror(n: int, odd: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -423,9 +421,8 @@ def _swap_halves(table: np.ndarray, odd: bool) -> tuple[np.ndarray, np.ndarray]:
         centre = np.flatnonzero(w != 1.0)
         tz[centre] *= w[centre, None]
     s = np.empty((size, size))
-    step = max(1, _ROW_CHUNK // size)  # then x, a few z pairs at a time
-    for i in range(0, size, step):
-        rows, t = s[i:i + step], tz[i:i + step]
+    for k in chunks(size, size):  # then x, a few z pairs at a time
+        rows, t = s[k], tz[k]
         join(t.take(near, 1), t.take(far, 1), out=rows)
         if w is not None:
             rows[:, centre] *= w[centre]
@@ -489,11 +486,12 @@ def as_blocks(matrix) -> ParityBlocks:
 
 
 def chunks(count: int, n: int) -> list[slice]:
-    """Slices of ``count`` azimuths or lattice points, k at a time: the
-    largest multiple of 16 whose (n, k) complex array fits in 512 KiB,
-    and at least 16.  A BLAS matrix product gives each column the same
-    bits in any set of columns only while the column groups of its
-    kernels, which are narrower than 16, start at the same offsets."""
+    """Slices of ``count`` azimuths, lattice points or matrix rows, k at
+    a time: the largest multiple of 16 whose (n, k) complex array fits
+    in 512 KiB, and at least 16; the package's one slicer of row passes.
+    A BLAS matrix product gives each column the same bits in any set of
+    columns only while the column groups of its kernels, which are
+    narrower than 16, start at the same offsets."""
     step = max(16, _CHUNK_BYTES // (16 * n) // 16 * 16)
     return [slice(i, i + step) for i in range(0, count, step)]
 

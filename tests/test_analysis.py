@@ -13,6 +13,7 @@ from holoris import (DomainError, ParityBlocks, KneeUndefinedError, NumericalErr
                      knee_index, make_dipole_array, make_uniform_grid,
                      parity_blocks)
 from holoris import geometry
+from holoris.analysis import factor
 from holoris.correlation import sinc_offset_table
 
 from conftest import Z_MATCH, random_coupling
@@ -44,6 +45,17 @@ class TestEffectiveCorrelation:
         c = random_coupling(rng, 5)
         with pytest.raises(DomainError):
             effective_correlation(c, dipole_correlations[0.5])
+
+    def test_factored_correlation_takes_y_shaped_as_its_factors(self, dipole_correlations,
+                                                                dipole_impedances):
+        # at 1/8 wavelength R0 is rank-deficient: factors of fewer columns than rows
+        f = factor(dipole_correlations[0.125])
+        ys = coupling_tx(dipole_impedances[0.125], Z_MATCH, f.factors)
+        assert effective_correlation(ys, f).factors == ys
+        assert any(y.shape[1] < y.shape[0] for y in ys)
+        for bad in (ys[:-1], ys + ys[:1], (ys[0][:, :-1],) + ys[1:], tuple(y.T for y in ys)):
+            with pytest.raises(DomainError, match="shaped as its factors"):
+                effective_correlation(bad, f)
 
     def test_equal_lattices_built_twice_match(self):
         g1, g2 = (make_dipole_array(2.0, 0.5, 4, 0.02, 1.0) for _ in range(2))

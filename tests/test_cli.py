@@ -353,9 +353,10 @@ class TestSubcommands:
         calls = []
         build = correlation.correlation_matrix_isotropic
 
-        def recording(geom, lazy=False):
-            calls.append((geom.n, lazy))
-            return build(geom, lazy)
+        def recording(geom):
+            r0 = build(geom)
+            calls.append((geom.n, r0.blocks._kept is None))
+            return r0
 
         monkeypatch.setattr(correlation, "correlation_matrix_isotropic", recording)
         cfg = ExperimentConfig.from_dict({"sweep": {"eigen_aperture": 10.0,
@@ -373,6 +374,49 @@ class TestSubcommands:
         assert peak < 0.75 * n * n * 8
         _, rows = read_csv(tmp_path / "fig3_summary.csv")
         assert [int(row[1]) for row in rows] == [21 * 21, n]
+
+    @pytest.mark.parametrize("subcommand", ["mc-eigen", "icsi"])
+    def test_coupling_study_gathers_each_r0_block_once_per_spacing(self, subcommand, tmp_path,
+                                                                   monkeypatch):
+        from holoris import ParityBlocks, correlation
+        from holoris.geometry import _TableBlocks
+
+        class RecordingTableBlocks(_TableBlocks):
+            def __getitem__(self, k):
+                block = super().__getitem__(k)  # past the end: IndexError, no read
+                self.reads.append(k)
+                return block
+
+        built = []
+        build = correlation.correlation_matrix_isotropic
+
+        def recording(geom):
+            blocks = RecordingTableBlocks(build(geom).table, geom)
+            blocks.reads = []
+            built.append(blocks)
+            return ParityBlocks(blocks, geom)
+
+        monkeypatch.setattr(correlation, "correlation_matrix_isotropic", recording)
+        cfg = ExperimentConfig.from_dict({"sweep": {**FAST_CONFIG["sweep"],
+                                                    "spacings": [0.5, 0.25]}})
+        run(subcommand, cfg, tmp_path)
+        assert len(built) == 2
+        assert [b.reads for b in built] == [list(range(len(b))) for b in built]
+
+    def test_coupling_study_solves_no_table_backed_matrix(self, fast_cfg, tmp_path,
+                                                          monkeypatch):
+        from holoris import analysis
+        from holoris.geometry import as_blocks
+        backed = []  # whether each call's matrix is table-backed
+        for name in ("eigen_spectrum", "icsi"):
+            def recording(r, *args, fn=getattr(analysis, name), **kwargs):
+                backed.append(as_blocks(r).table is not None)
+                return fn(r, *args, **kwargs)
+            monkeypatch.setattr(analysis, name, recording)
+        cli.run_mc_eigen(fast_cfg, tmp_path, icsi=True)
+        # spectra: the no_mc case, three port cases a side and fig10's isotropic
+        # case; ICSI cells: the no_mc case and three port cases a side
+        assert backed == [False] * ((1 + 2 * 3 + 1) + (1 + 2 * 3))
 
     def test_correlation_matrix_export(self, fast_cfg, tmp_path):
         run("correlation", fast_cfg, tmp_path)

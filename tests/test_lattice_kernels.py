@@ -425,7 +425,7 @@ def _traced_peak(call):
 
 def test_lazy_block_read_allocates_the_block_and_small_scratch():
     g = make_uniform_grid(16.0, 16.0, 0.25, 0.25, 1.0)  # N = 4225
-    blocks = correlation_matrix_isotropic(g, lazy=True).blocks
+    blocks = correlation_matrix_isotropic(g).blocks
     peak, b = _traced_peak(lambda: blocks[0])
     assert b.shape == (1089, 1089)
     assert peak <= 1.2 * b.nbytes
@@ -433,7 +433,7 @@ def test_lazy_block_read_allocates_the_block_and_small_scratch():
 
 def test_lazy_eigen_spectrum_peaks_near_the_largest_block():
     g = make_uniform_grid(16.0, 16.0, 0.25, 0.25, 1.0)
-    r0 = correlation_matrix_isotropic(g, lazy=True)
+    r0 = correlation_matrix_isotropic(g)
     largest = max(b.nbytes for b in r0.blocks)
     peak, spec = _traced_peak(lambda: eigen_spectrum(r0))
     assert len(spec.values) == g.n
@@ -451,7 +451,7 @@ def test_lazy_swap_eigenvalues_keep_the_moments_of_the_offset_table():
     block's rows and columns mixed by the same orthogonal map) leaves
     its eigenvalues, and so both moments, unchanged."""
     g = make_uniform_grid(16.0, 16.0, 0.25, 0.25, 1.0)
-    r0 = correlation_matrix_isotropic(g, lazy=True)
+    r0 = correlation_matrix_isotropic(g)
     assert r0.swap and g.n == 4225
     ev = eigen_spectrum(r0, normalize_by_n=False).values
     t = sinc_offset_table(g)

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from holoris import ExperimentConfig
 from holoris.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -122,6 +123,45 @@ def test_outputs_do_not_depend_on_the_unit_of_length(tmp_path):
         elif got != ref:
             errors.append(f"{name}: differs at wavelength 3")
     assert not errors, "\n".join(errors)
+
+
+def _column(path: Path, name: str) -> list[float]:
+    """The float cells of column ``name`` of a CSV written by the CLI."""
+    _, header, rows = same_outputs._split(path.read_text())
+    j = header.index(name)
+    return [float(row[j]) for row in rows]
+
+
+def test_every_eigen_file_at_one_eighth_wavelength_holds_the_rank_of_r0(tmp_path):
+    """At 1/8 wavelength the default stack (N = 264) keeps 152 eigenvalues
+    of R0.  The no-coupling case is R0's factor and each coupled case is
+    solved from it, so the no_mc file and every coupled fig8, fig9 and
+    fig10 file of that spacing hold the same 112 exact zeros."""
+    out = _run("mc-eigen", tmp_path)
+    files = sorted(out.glob("fig*_dx0p125_*.csv"))
+    names = [path.name for path in files]
+    assert "fig8_tx_dx0p125_no_mc.csv" in names and "fig9_rx_dx0p125_no_mc.csv" in names
+    assert len(files) == 2 * 4 + 2
+    for path in files:
+        values = _column(path, "eigenvalue")
+        assert (len(values), values.count(0.0)) == (264, 112), path.name
+
+
+def test_proposed_gain_dominates_on_the_fig7_files(tmp_path):
+    """By Cauchy-Schwarz the proposed excitation has the largest gain
+    over unit-power excitations for the same coupling matrix, so at
+    every azimuth of each swept spacing its gain is at least the
+    conjugate and directivity-max gains, within 1e-9 relative."""
+    out = _run("gain", tmp_path)
+    proposed = sorted(out.glob("fig7_gain_dx*_proposed_mc_aware.csv"))
+    assert len(proposed) == len(ExperimentConfig.from_dict(CONFIG).sweep.gain_spacings) == 2
+    for path in proposed:
+        best = _column(path, "gain")
+        for other in ("conjugate_mc_unaware", "directivity_max"):
+            gains = _column(path.with_name(path.name.replace("proposed_mc_aware", other)),
+                            "gain")
+            assert len(gains) == len(best) > 1
+            assert all(g <= b + 1e-9 * b for g, b in zip(gains, best)), (path.name, other)
 
 
 def record(subcommands=SUBCOMMANDS) -> None:

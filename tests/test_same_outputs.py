@@ -70,3 +70,27 @@ def test_tolerance_compares_differing_csvs_with_the_regression_rule(tmp_path):
         "text.csv:tag: 1 rows differ, first at row 0: x vs reference y",
     ]
     assert len(same_outputs.tree_differences(a, b)) == 4
+
+
+def test_tolerance_notes_name_the_worst_cell_and_the_new_zeros(tmp_path):
+    header = b"# target: t\nindex,eigenvalue,eigenvalue_db,tag\n"
+    a = write_tree(tmp_path / "a", {
+        "case/zeros.csv": header + b"0,1,0,x\n1,0,-inf,x\n",
+        "case/same.csv": header + b"0,1,0,x\n",
+        "case/far.csv": header + b"0,1,0,x\n"})
+    b = write_tree(tmp_path / "b", {
+        # round-off of 1/2 and 1/10 of the floor, which became exact 0 in a
+        "case/zeros.csv": header + b"0,1,0,x\n1,5e-13,-130,x\n",
+        "case/same.csv": header + b"0,1,0,x\n",
+        "case/far.csv": header + b"0,1.000001,0,x\n"})
+    assert same_outputs.tolerance_notes(a, b) == [
+        "case/zeros.csv: within tolerance, worst cell 50 % of it (eigenvalue, row 1); "
+        "became exact 0: eigenvalue 1, eigenvalue_db 1",
+    ]
+    # a note is not a difference; the file out of tolerance gets none
+    assert same_outputs.tree_differences(a, b, tolerance=True) == [
+        "case/far.csv:eigenvalue: 1 rows differ, first at row 0: 1 vs reference 1.000001"]
+    assert same_outputs.tolerance_note("f.csv", (header + b"0,1,0,x\n").decode(),
+                                       (header + b"0,1.00000000001,0,x\n").decode()) == (
+        "f.csv: within tolerance, worst cell 9.9 % of it (eigenvalue, row 0); "
+        "became exact 0: none")

@@ -17,7 +17,10 @@ which imports it from here): float cells within ``RTOL`` of the other
 checkout's value plus ``FLOOR`` times its column's largest magnitude,
 dB cells as the linear values they encode, integer and text cells,
 comment lines and headers exactly.  Every other file must still match
-byte for byte.
+byte for byte.  Each CSV whose bytes differ but which is within the
+tolerance gets a note line: its worst cell as a share of the tolerance,
+and the number of cells of each column that became exact 0 here.  Notes
+do not count as differences.
 
 Run from the repository root, for example against a second checkout of
 the parent commit:
@@ -67,6 +70,17 @@ def _linear(name: str, cell: str) -> float:
     return 10.0 ** (value / 10.0) if name in DB_COLUMNS else value
 
 
+def _float_cells(col: str, got_col: list[str], ref_col: list[str]):
+    """A float column's cells as (value, reference, tolerance), dB cells
+    as the linear values they encode: the tolerance is RTOL |reference|
+    + FLOOR * scale, with ``scale`` the column's largest finite
+    reference magnitude."""
+    got_v = [_linear(col, c) for c in got_col]
+    ref_v = [_linear(col, c) for c in ref_col]
+    scale = max((abs(v) for v in ref_v if math.isfinite(v)), default=0.0)
+    return [(g, r, RTOL * abs(r) + FLOOR * scale) for g, r in zip(got_v, ref_v)]
+
+
 def compare_csv(name: str, got: str, ref: str) -> list[str]:
     """One line per column of CSV text ``got`` outside the tolerance of
     ``ref``: ``|value - ref| <= RTOL |ref| + FLOOR * scale``, with
@@ -84,16 +98,49 @@ def compare_csv(name: str, got: str, ref: str) -> list[str]:
         if col in INT_COLUMNS or col in TEXT_COLUMNS:
             bad = [i for i, (g, r) in enumerate(zip(got_col, ref_col)) if g != r]
         else:
-            got_v = [_linear(col, c) for c in got_col]
-            ref_v = [_linear(col, c) for c in ref_col]
-            scale = max((abs(v) for v in ref_v if math.isfinite(v)), default=0.0)
-            bad = [i for i, (g, r) in enumerate(zip(got_v, ref_v))
-                   if not (g == r or abs(g - r) <= RTOL * abs(r) + FLOOR * scale)]
+            bad = [i for i, (g, r, tol) in enumerate(_float_cells(col, got_col, ref_col))
+                   if not (g == r or abs(g - r) <= tol)]
         if bad:
             i = bad[0]
             errors.append(f"{name}:{col}: {len(bad)} rows differ, first at row {i}: "
                           f"{got_col[i]} vs reference {ref_col[i]}")
     return errors
+
+
+def tolerance_note(name: str, got: str, ref: str) -> str:
+    """The note on CSV text ``got`` that ``compare_csv`` passes against
+    ``ref``: its worst cell as a share of the tolerance, and the count
+    of cells of each float column that are exact 0 in ``got`` but not
+    in ``ref``."""
+    _, header, got_rows = _split(got)
+    _, _, ref_rows = _split(ref)
+    worst, at, zeros = 0.0, "", []
+    for j, col in enumerate(header):
+        if col in INT_COLUMNS or col in TEXT_COLUMNS:
+            continue
+        cells = _float_cells(col, [r[j] for r in got_rows], [r[j] for r in ref_rows])
+        for i, (g, r, tol) in enumerate(cells):
+            if g != r and abs(g - r) / tol > worst:
+                worst, at = abs(g - r) / tol, f" ({col}, row {i})"
+        count = sum(g == 0.0 and r != 0.0 for g, r, _ in cells)
+        if count:
+            zeros.append(f"{col} {count}")
+    return (f"{name}: within tolerance, worst cell {100 * worst:.3g} % of it{at}; "
+            f"became exact 0: {', '.join(zeros) or 'none'}")
+
+
+def tolerance_notes(a: Path, b: Path) -> list[str]:
+    """``tolerance_note`` of each CSV, by its path relative to ``a`` and
+    ``b``, whose bytes differ but which ``compare_csv`` passes, the one
+    in ``a`` against the one in ``b``."""
+    notes = []
+    for rel in sorted(p.relative_to(a) for p in a.rglob("*.csv")):
+        if not (b / rel).is_file():
+            continue
+        got, ref = (a / rel).read_text(), (b / rel).read_text()
+        if got != ref and not compare_csv(str(rel), got, ref):
+            notes.append(tolerance_note(str(rel), got, ref))
+    return notes
 
 
 def cases() -> dict[str, tuple[str, dict | None]]:
@@ -167,8 +214,11 @@ def main(argv=None) -> int:
         here, there = Path(tmp, "here"), Path(tmp, "other")
         problems = run_cases(ROOT, here, runs) + run_cases(other, there, runs)
         problems += tree_differences(here, there, args.tolerance)
+        notes = tolerance_notes(here, there) if args.tolerance else []
     for line in problems:
         print(line)
+    for line in notes:
+        print(f"note: {line}")
     print(f"{len(runs)} cases, {len(problems)} differences or failures")
     return 1 if problems else 0
 
