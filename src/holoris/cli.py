@@ -35,8 +35,8 @@ from . import analysis, correlation, coupling, response, spectrum
 from .config import ExperimentConfig
 from .errors import ConfigError, HolorisError, NumericalError
 from .geometry import ElementKind, make_uniform_grid
-from .outputs import (complex_matrix_rows, decibels, eigen_rows, impedance_label,
-                      spacing_label, write_csv, write_gnuplot)
+from .outputs import (Gather, Table, decibels, eigen_table, grid, impedance_label,
+                      matrix_table, spacing_label, write_csv, write_gnuplot)
 
 OUTPUT_DIR_ENV = "HOLORIS_OUT"
 
@@ -68,30 +68,29 @@ def _square_grid(cfg: ExperimentConfig, aperture: float, spacing: float):
 def _eigen_csv(path: Path, target: str, spec, note: str) -> Path:
     return write_csv(path, target,
                      ["index", "eigenvalue", "eigenvalue_db", "cumulative_fraction"],
-                     eigen_rows(spec.values), notes=[note])
+                     eigen_table(spec.values), notes=[note])
 
 
-def _matrix_csv(outdir: Path, name: str, what: str, geom, values, *notes: str) -> Path:
-    """``values``, a matrix of the configured geometry ``geom``, as
-    (row, col, re, im) rows."""
+def _matrix_csv(outdir: Path, name: str, what: str, matrix, *notes: str) -> Path:
+    """``matrix``, of the configured geometry, as (row, col, re, im) rows."""
+    geom = matrix.geom
     geometry_note = f"elements: {geom.n}, spacing_x: {geom.dx / geom.wavelength} wavelengths"
     return write_csv(outdir / name, f"matrix export ({what} of the configured geometry)",
-                     ["row", "col", "re", "im"], complex_matrix_rows(values),
+                     ["row", "col", "re", "im"], matrix_table(matrix),
                      notes=[geometry_note, *notes])
 
 
 def run_correlation(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     s = cfg.sweep
     seps = np.linspace(0.0, s.correlation_max_separation, s.correlation_points)
-    dx, dz = np.meshgrid(seps, seps)
     # seps[1] is linspace's step; rows of the surface run along dz
     corr = correlation.sinc_table(len(seps), len(seps), seps[1], seps[1], 1.0).T
-    rows = list(zip(dx.ravel().tolist(), dz.ravel().tolist(), corr.ravel().tolist()))
+    dz, dx = grid(seps, seps)
     csv = write_csv(
         outdir / "fig2_correlation.csv",
         "fig2 (spatial correlation vs element separation, isotropic scattering)",
         ["dx_wavelengths", "dz_wavelengths", "correlation"],
-        rows,
+        Table(dx, dz, corr),
     )
     gp = write_gnuplot(
         csv.with_suffix(".gp"),
@@ -102,7 +101,7 @@ def run_correlation(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     )
     geom = cfg.geometry.build()
     r0 = correlation.correlation_matrix_isotropic(geom)
-    return [csv, gp, _matrix_csv(outdir, "matrix_r0.csv", "correlation matrix", geom, r0.values)]
+    return [csv, gp, _matrix_csv(outdir, "matrix_r0.csv", "correlation matrix", r0)]
 
 
 def run_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
@@ -131,7 +130,7 @@ def run_eigen(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         "fig3 (per-spacing eigenvalue summary)",
         ["spacing_wavelengths", "n_elements", "dominant_count", "knee_index",
          "asymptotic_dof"],
-        summary,
+        Table(*zip(*summary)),
         notes=["knee_index is -1 when no knee is detectable"],
     ))
     paths.append(write_gnuplot(
@@ -146,14 +145,11 @@ def _spectrum_csv(outdir: Path, name: str, target: str, geom,
                   notes) -> tuple[Path, spectrum.WavenumberSpectrum]:
     seq = spectrum.generator_sequence(geom)
     spec = spectrum.power_spectrum(seq, geom)
-    kx, kz = np.meshgrid(spec.kx_grid / spec.wavenumber, spec.kz_grid / spec.wavenumber,
-                         indexing="ij")
-    tags = np.where(spec.propagating, "propagating", "evanescent")
-    rows = list(zip(kx.ravel().tolist(), kz.ravel().tolist(), spec.values.ravel().tolist(),
-                    tags.ravel().tolist()))
+    kx, kz = grid(spec.kx_grid / spec.wavenumber, spec.kz_grid / spec.wavenumber)
+    tag = Gather(["evanescent", "propagating"], spec.propagating)
     path = write_csv(outdir / name, target,
-                     ["kx_over_kappa", "kz_over_kappa", "g", "tag"], rows,
-                     notes=notes)
+                     ["kx_over_kappa", "kz_over_kappa", "g", "tag"],
+                     Table(kx, kz, spec.values, tag), notes=notes)
     return path, spec
 
 
@@ -187,7 +183,7 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         "fig5 (spectrum sum and propagating-point counts per geometry)",
         ["spacing_wavelengths", "n_elements", "sum_g", "propagating_count",
          "evanescent_fraction"],
-        checks,
+        Table(*zip(*checks)),
     ))
     for sp, csv in zip(s.spacings, fig5):
         paths.append(write_gnuplot(
@@ -213,12 +209,11 @@ def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         ct = coupling.coupling_tx(z, cfg.impedance.z_source)
         for scheme in response.BeamformingScheme:
             gains = response.gain_sweep(geom, ct, scheme, theta, phis)
-            rows = list(zip(np.degrees(phis).tolist(), gains.tolist(), decibels(gains).tolist()))
             csv = write_csv(
                 outdir / f"fig7_gain_dx{spacing_label(sp)}_{scheme.value}.csv",
                 "fig7 (transmit array gain vs azimuth)",
                 ["phi_deg", "gain", "gain_db"],
-                rows,
+                Table(np.degrees(phis), gains, decibels(gains)),
                 notes=[f"spacing: {sp} wavelengths, elements: {geom.n}, "
                        f"zenith: {s.zenith_deg} deg, scheme: {scheme.value}"],
             )
@@ -241,7 +236,7 @@ def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         outdir / "fig7_summary.csv",
         "fig7 (per-scheme gain maxima)",
         ["spacing_wavelengths", "scheme", "n_elements", "max_gain", "max_gain_over_n"],
-        summary, notes=notes,
+        Table(*zip(*summary)), notes=notes,
     ))
     paths.append(write_gnuplot(
         outdir / "fig7_gain.gp", "Transmit array gain vs azimuth",
@@ -322,7 +317,7 @@ def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool
     if icsi:
         for side, (_, _, name, target) in _SIDES.items():
             columns = ["spacing_wavelengths"] + [case for _, case, _ in cases[side]]
-            paths.append(write_csv(outdir / name, target, columns, rows[side]))
+            paths.append(write_csv(outdir / name, target, columns, Table(*zip(*rows[side]))))
     return paths
 
 
@@ -339,15 +334,14 @@ def run_icsi(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 def _matrix_exports(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     """Impedance and coupling matrices of the configured geometry as
     (row, col, re, im) CSVs."""
-    geom, z = _stack(cfg)
+    z = _stack(cfg)[1]
     ct = coupling.coupling_tx(z, cfg.impedance.z_source)
     cr = coupling.coupling_rx(z, cfg.impedance.z_load)
     return [
-        _matrix_csv(outdir, "matrix_z.csv", "impedance matrix", geom, z.values,
-                    f"z_self: {z.z_self}"),
-        _matrix_csv(outdir, "matrix_ct.csv", "transmit coupling matrix", geom, ct.values,
+        _matrix_csv(outdir, "matrix_z.csv", "impedance matrix", z, f"z_self: {z.z_self}"),
+        _matrix_csv(outdir, "matrix_ct.csv", "transmit coupling matrix", ct,
                     f"z_source: {cfg.impedance.z_source}"),
-        _matrix_csv(outdir, "matrix_cr.csv", "receive coupling matrix", geom, cr.values,
+        _matrix_csv(outdir, "matrix_cr.csv", "receive coupling matrix", cr,
                     f"z_load: {cfg.impedance.z_load}"),
     ]
 

@@ -238,6 +238,22 @@ class ParityBlocks:
         weights = np.outer(2 - (2 * iz == g.nz - 1), 2 - (2 * ix == g.nx - 1))
         return (iz[:, None] * g.nx + ix).ravel(), weights.ravel()
 
+    def mirrored_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the ``quarter()`` points of a lattice matrix, and the
+        (N, N) positions in them, flattened, of every entry: entry (a, b)
+        is entry (R a, R b), where R reverses each axis on which a lies in
+        the far half, so R a is a quarter point.  The rows that ``rows``
+        assembles are exact mirror images: a reversal flips the signs of
+        both weights of an odd-parity term, and leaves its value and the
+        order of the sum."""
+        g = self.geom
+        iz, ix = np.divmod(np.arange(g.n), g.nx)
+        rz, rx = g.nz - 1 - iz, g.nx - 1 - ix
+        q = np.minimum(iz, rz) * (g.nx - g.nx // 2) + np.minimum(ix, rx)
+        bz = np.where((iz > rz)[:, None], rz, iz)
+        bx = np.where((ix > rx)[:, None], rx, ix)
+        return self.rows(self.quarter()[0]), q[:, None] * g.n + bz * g.nx + bx
+
     def pieces(self):
         """The matrices whose eigenvalues together are the matrix's, in
         solve order, as (matrix, multiplicity, symmetric): ``symmetric``

@@ -73,13 +73,6 @@ class WavenumberSpectrum:
         return np.sort(self.values.ravel())[::-1]
 
 
-def _require_uniform(geom: ArrayGeometry) -> None:
-    # The transform needs lattice positions; any constructed geometry
-    # qualifies, but reject degenerate inputs defensively.
-    if geom.nx < 1 or geom.nz < 1:
-        raise DomainError("geometry must have at least one element per axis")
-
-
 def generator_sequence(geom: ArrayGeometry) -> GeneratorSequence:
     """Sample the correlation kernel on the centered index lattice, at
     the aperture step lx / nx and lz / nz per axis.
@@ -88,7 +81,6 @@ def generator_sequence(geom: ArrayGeometry) -> GeneratorSequence:
     depends on the aperture only, so the number of grid points in the
     propagating disk does not change with the element spacing.
     """
-    _require_uniform(geom)
     step_x = geom.lx / geom.nx
     step_z = geom.lz / geom.nz
     quarter = sinc_table(geom.nx, geom.nz, step_x, step_z, geom.wavelength)

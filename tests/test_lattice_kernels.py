@@ -441,18 +441,20 @@ def test_lazy_eigen_spectrum_peaks_near_the_largest_block():
     assert peak <= 1.15 * largest
 
 
-def test_lazy_swap_eigenvalues_keep_the_moments_of_the_offset_table():
-    """The first two moments of the eigenvalues of R0 at N = 4225, on the
-    lazy swap path, against the offset table t alone: sum = tr R0 =
-    N t[0, 0], and the sum of squares = ||R0||_F^2 = sum over l, m of
-    c_l c_m (nx - l) (nz - m) t[l, m]^2, with c_0 = 1 and c_l = 2 else.
-    A lost multiplicity, a wrong weight or a wrong offset moves them.
-    Blind spot: an error that is an orthogonal similarity of a block (a
-    block's rows and columns mixed by the same orthogonal map) leaves
-    its eigenvalues, and so both moments, unchanged."""
-    g = make_uniform_grid(16.0, 16.0, 0.25, 0.25, 1.0)
+@pytest.mark.parametrize("aperture, spacing, n", [(16.0, 0.25, 4225), (12.0, 0.125, 9409)])
+def test_lazy_swap_eigenvalues_keep_the_moments_of_the_offset_table(aperture, spacing, n):
+    """The first two moments of the eigenvalues of R0 at N = 4225 and
+    9409, sizes no dense oracle reaches, on the lazy swap path, against
+    the offset table t alone: sum = tr R0 = N t[0, 0], and the sum of
+    squares = ||R0||_F^2 = sum over l, m of c_l c_m (nx - l) (nz - m)
+    t[l, m]^2, with c_0 = 1 and c_l = 2 else.  A lost multiplicity, a
+    wrong weight or a wrong offset moves them.  Blind spot: an error
+    that is an orthogonal similarity of a block (a block's rows and
+    columns mixed by the same orthogonal map) leaves its eigenvalues,
+    and so both moments, unchanged."""
+    g = make_uniform_grid(aperture, aperture, spacing, spacing, 1.0)
     r0 = correlation_matrix_isotropic(g)
-    assert r0.swap and g.n == 4225
+    assert r0.swap and g.n == n
     ev = eigen_spectrum(r0, normalize_by_n=False).values
     t = sinc_offset_table(g)
     cx = np.where(np.arange(g.nx) == 0, 1, 2) * (g.nx - np.arange(g.nx))
