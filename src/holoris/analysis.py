@@ -55,20 +55,9 @@ def effective_correlation(coupling, r0) -> ParityBlocks:
     C_b^T R0_b conj(C_b) for each parity block: the basis is real and
     orthogonal, so transposes and conjugates stay inside it.  When only
     one of C and R0 has a lattice, both are taken whole, as one block.
-
-    With R0 held as its factor F F^H (``factor``, whose PSD check is
-    eigen_spectrum's), ``coupling`` is C^T F instead: the blocks
-    Y_b = C_b^T F_b that ``coupling_tx``/``coupling_rx`` solve with the
-    factors as right-hand sides.  The result is held as them, block b
-    being Y_b Y_b^H, so it is solved and its ICSI rows are assembled
-    without forming a block."""
-    rb = as_blocks(r0)
-    if rb.factors is not None:
-        ys = tuple(coupling)
-        if [np.shape(y) for y in ys] != [np.shape(f) for f in rb.factors]:
-            raise DomainError("a factored correlation takes C^T F, shaped as its factors")
-        return gram_blocks(ys, rb.geom)
-    cb = as_blocks(coupling)
+    ``coupling_tx``/``coupling_rx`` give it without forming C when R0 is
+    held as its factor (``factor``)."""
+    cb, rb = as_blocks(coupling), as_blocks(r0)
     if (cb.geom is None) != (rb.geom is None):
         cb, rb = as_blocks(cb.dense()), as_blocks(rb.dense())
     if cb.n != rb.n:
@@ -233,7 +222,7 @@ def eigen_spectrum(r, normalize_by_n: bool = True) -> EigenSpectrum:
     ``negative_mass``; above 1e-8 the matrix is not PSD and
     ``NumericalError`` is raised.  ``factor`` runs the same checks on
     the R0 it factors, so an effective correlation held as Gram blocks
-    (``effective_correlation`` of a factored R0) was checked there:
+    (``coupling_tx``/``coupling_rx`` of a factored R0) was checked there:
     its eigenvalues beyond the factor's rank are exact zeros.
     """
     blocks = as_blocks(r)

@@ -259,8 +259,8 @@ def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool
     no-coupling case and then each port impedance, transmit side first,
     as effective correlations C^T R0 conj(C).  R0's blocks are each
     gathered once per spacing, by its factor F F^T at its numerical
-    rank, and each case is held as the blocks C_b^T F_b of one coupling
-    solve; the no-coupling case, C = I, is F itself.  Each case is built
+    rank, and each case is one coupling solve of that factor; the
+    no-coupling case, C = I, is the factor itself.  Each case is built
     once, gives its fig8/fig9 eigen CSV (``eigen``) and its table1/table2
     ICSI cell (``icsi``), and is freed before the next one is built.
     fig10 and the matrix exports go with ``eigen``."""
@@ -283,8 +283,7 @@ def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool
             stem, target = _SIDES[side][:2]
             cells = [sp]
             for zp, case, extra in cases[side]:
-                r = f if zp is None else analysis.effective_correlation(
-                    solve(z, zp, f.factors), f)
+                r = f if zp is None else solve(z, zp, f)
                 if eigen:
                     spec = f_spec if zp is None else analysis.eigen_spectrum(
                         r, normalize_by_n=False)
@@ -304,10 +303,8 @@ def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool
                 spec = fig9.get(load) if model == imp.model else None
                 if spec is None:
                     zm = z if model == imp.model else _impedance(geom, imp, model)
-                    r = analysis.effective_correlation(coupling.coupling_rx(zm, load, f.factors),
-                                                       f)
-                    spec = analysis.eigen_spectrum(r, normalize_by_n=False)
-                    del r
+                    spec = analysis.eigen_spectrum(coupling.coupling_rx(zm, load, f),
+                                                   normalize_by_n=False)
                 paths.append(_eigen_csv(
                     outdir / f"fig10_rx_dx{label}_{model}.csv",
                     "fig10 (receive eigenvalues, dipole vs isotropic elements)",

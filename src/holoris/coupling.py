@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .correlation import sinc_offset_table
-from .geometry import ArrayGeometry, ElementKind, ParityBlocks, parity_blocks
+from .geometry import ArrayGeometry, ElementKind, ParityBlocks, gram_blocks, parity_blocks
 from .specfun import cosine_integral as Ci
 from .specfun import sine_integral as Si
 
@@ -158,20 +158,27 @@ def impedance_matrix_isotropic(geom: ArrayGeometry,
     return ImpedanceMatrix(parity_blocks(table, geom).blocks, geom)
 
 
-def _normalized_inverse(z: ImpedanceMatrix, port: complex, tx: bool, rhs=None):
+def _normalized_inverse(z: ImpedanceMatrix, port: complex, tx: bool, r0=None) -> ParityBlocks:
     """The transmit (``tx``) or receive coupling matrix C, solved block by
     block: the blocks of Z give those of C, in the same basis.  With
-    ``rhs``, arrays F_b of (m_b, k_b) in block order, the tuple of
-    C_b^T F_b instead, from the same solve with k_b right-hand sides."""
+    ``r0``, an R0 on Z's lattice held as its factor F F^H
+    (``analysis.factor``), the effective correlation C^T R0 conj(C)
+    instead, held as ``gram_blocks`` of C_b^T F_b from the same solve
+    with r_b right-hand sides; any other ``r0`` raises ``DomainError``."""
     port, z_self = complex(port), z.z_self
     side, name = ("tx", "z_source") if tx else ("rx", "z_load")
+    if r0 is not None and getattr(r0, "factors", None) is None:
+        raise DomainError("the correlation must be held as its factor (analysis.factor)")
+    if r0 is not None and (r0.geom != z.geom or r0.n != z.n):
+        raise DomainError(f"impedance and correlation must be on the same lattice, "
+                          f"got {z.geom} and {r0.geom}")
     if z_self + port == 0:
         raise DomainError(f"z_self + {name} = 0 leaves the normalization undefined")
     if tx and z_self == 0:
         raise DomainError("z_self = 0 leaves the transmit normalization undefined")
     prefactor = 1.0 + port / z_self if tx else z_self + port
-    out = []
-    for zb, f in zip(z.blocks, rhs or [None] * len(z.blocks), strict=True):
+    out, rhs = [], [None] * len(z.blocks) if r0 is None else r0.factors
+    for zb, f in zip(z.blocks, rhs, strict=True):
         eye = np.eye(len(zb), dtype=complex)
         numerator = zb if tx else eye
         # C = numerator @ inv(a), so C^T = inv(a^T) numerator^T
@@ -185,16 +192,18 @@ def _normalized_inverse(z: ImpedanceMatrix, port: complex, tx: bool, rhs=None):
             raise NumericalError(f"non-finite {side} coupling entries "
                                  f"(condition {_shifted_condition(z, port):.3e})")
         out.append(prefactor * (solved.T if f is None else solved))
-    return ParityBlocks(tuple(out), z.geom) if rhs is None else tuple(out)
+    return ParityBlocks(tuple(out), z.geom) if r0 is None else gram_blocks(out, r0.geom)
 
 
-def coupling_tx(z: ImpedanceMatrix, z_source: complex, rhs=None):
-    """Transmit-side coupling matrix (1 + zS/zA) Z (Z + zS I)^-1; with
-    ``rhs``, the tuple of C_b^T F_b (``_normalized_inverse``)."""
-    return _normalized_inverse(z, z_source, tx=True, rhs=rhs)
+def coupling_tx(z: ImpedanceMatrix, z_source: complex, r0=None) -> ParityBlocks:
+    """Transmit-side coupling matrix (1 + zS/zA) Z (Z + zS I)^-1; with a
+    factored ``r0``, the effective correlation C^T R0 conj(C)
+    (``_normalized_inverse``)."""
+    return _normalized_inverse(z, z_source, tx=True, r0=r0)
 
 
-def coupling_rx(z: ImpedanceMatrix, z_load: complex, rhs=None):
-    """Receive-side coupling matrix (zA + zL) (Z + zL I)^-1; with
-    ``rhs``, the tuple of C_b^T F_b (``_normalized_inverse``)."""
-    return _normalized_inverse(z, z_load, tx=False, rhs=rhs)
+def coupling_rx(z: ImpedanceMatrix, z_load: complex, r0=None) -> ParityBlocks:
+    """Receive-side coupling matrix (zA + zL) (Z + zL I)^-1; with a
+    factored ``r0``, the effective correlation C^T R0 conj(C)
+    (``_normalized_inverse``)."""
+    return _normalized_inverse(z, z_load, tx=False, r0=r0)

@@ -209,7 +209,9 @@ class ParityBlocks:
         g = self.geom
         if g is None:
             return self._block_rows(0, points)
-        out = np.zeros((len(points), g.n), dtype=np.result_type(*(self.factors or self.blocks)))
+        # a table's blocks have its dtype, so no lazy block is gathered to learn it
+        kinds = self.factors or (self.blocks if self.table is None else (self.table,))
+        out = np.zeros((len(points), g.n), dtype=np.result_type(*kinds))
         for k, (pz, px, mz, mx) in enumerate(_parities(g)):
             (rz, wz), (rx, wx) = _unmirror(g.nz, pz), _unmirror(g.nx, px)
             # lattice point (iz, ix) takes block row (rz[iz], rx[ix]), z-major

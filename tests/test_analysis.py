@@ -46,16 +46,31 @@ class TestEffectiveCorrelation:
         with pytest.raises(DomainError):
             effective_correlation(c, dipole_correlations[0.5])
 
-    def test_factored_correlation_takes_y_shaped_as_its_factors(self, dipole_correlations,
-                                                                dipole_impedances):
+    def test_solve_of_a_factored_correlation_is_held_as_its_factor_shapes(
+            self, dipole_correlations, dipole_impedances):
         # at 1/8 wavelength R0 is rank-deficient: factors of fewer columns than rows
-        f = factor(dipole_correlations[0.125])
-        ys = coupling_tx(dipole_impedances[0.125], Z_MATCH, f.factors)
-        assert effective_correlation(ys, f).factors == ys
-        assert any(y.shape[1] < y.shape[0] for y in ys)
-        for bad in (ys[:-1], ys + ys[:1], (ys[0][:, :-1],) + ys[1:], tuple(y.T for y in ys)):
-            with pytest.raises(DomainError, match="shaped as its factors"):
-                effective_correlation(bad, f)
+        r0, z = dipole_correlations[0.125], dipole_impedances[0.125]
+        f = factor(r0)
+        r = coupling_tx(z, Z_MATCH, f)
+        assert isinstance(r, ParityBlocks) and r.geom == f.geom
+        assert [y.shape for y in r.factors] == [y.shape for y in f.factors]
+        assert any(y.shape[1] < y.shape[0] for y in r.factors)
+        ref = effective_correlation(coupling_tx(z, Z_MATCH), r0).dense()
+        assert np.abs(r.dense() - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("solve", [coupling_tx, coupling_rx])
+    def test_solve_takes_only_a_factored_correlation_on_its_lattice(
+            self, solve, dipole_correlations, dipole_impedances):
+        r0, z = dipole_correlations[0.5], dipole_impedances[0.5]
+        g = r0.geom
+        other = make_dipole_array(g.lx, g.dx, g.nz, 0.03, 1.0)  # same N, another gap
+        for unfactored in (r0, r0.values):
+            with pytest.raises(DomainError, match="held as its factor"):
+                solve(z, Z_MATCH, unfactored)
+        for elsewhere in (factor(dipole_correlations[0.25]), factor(r0.values),
+                          factor(correlation_matrix_isotropic(other))):
+            with pytest.raises(DomainError, match="same lattice"):
+                solve(z, Z_MATCH, elsewhere)
 
     def test_equal_lattices_built_twice_match(self):
         g1, g2 = (make_dipole_array(2.0, 0.5, 4, 0.02, 1.0) for _ in range(2))

@@ -477,7 +477,8 @@ class TestSubcommands:
         assert counts == {
             "z": len(s.spacings) + 1 + len(s.gain_spacings),
             "solve": len(s.spacings) * (cases + fig10) + 2 + len(s.gain_spacings),
-            "effective": len(s.spacings) * (cases + fig10),
+            # each case's solve gives its effective correlation
+            "effective": 0,
         }
 
     def test_reproduce_all_matches_subcommands_run_one_by_one(self, fast_cfg, tmp_path):

@@ -8,15 +8,15 @@ definitions, on small lattices with odd and even axis lengths (1 included):
   effective correlation under ``coupling_tx``/``coupling_rx``, against
   dense ``eigvalsh``, and the x <-> z swap split of a square lattice's
   correlation against dense ``eigvalsh`` and against the four-block solve,
-  and lazily gathered blocks read one at a time;
+  and lazily gathered blocks read one at a time, and once per row pass;
 * gathered blocks and swap halves against their whole-array oracles, bit
   for bit, those of a real table against their transpose, and the traced
   peak of a lazy block read and of the lazy eigensolve at N = 4225
   against the block's bytes, and the first two eigenvalue moments of
   that lazy swap solve against the offset table;
 * the traced peaks of the chunked gain sweep and ICSI at N = 520;
-* the coupling cases of a factored R0, each held as the blocks C_b^T F_b
-  of one solve, against dense C_b^T R0_b conj(C_b) and ``eigvalsh`` on
+* the coupling cases of a factored R0, each the Gram blocks of C_b^T F_b
+  from one solve, against dense C_b^T R0_b conj(C_b) and ``eigvalsh`` on
   the default stack from 1/2 to 1/16 wavelength, and the factor's PSD
   check;
 * the blockwise coupling against the closed-form coupling matrices;
@@ -53,7 +53,7 @@ from holoris.analysis import _hermitian_part, factor
 from holoris.config import ExperimentConfig
 from holoris.coupling import HALF_WAVE_DIPOLE_SELF_IMPEDANCE, _shifted_condition
 from holoris.correlation import sinc_offset_table
-from holoris.geometry import _TableBlocks, _parities, _swap_halves, gather_offsets
+from holoris.geometry import _TableBlocks, _parities, _swap_halves, chunks, gather_offsets
 from holoris.spectrum import _odd_grid
 
 import oracles
@@ -243,6 +243,22 @@ def test_lazy_blocks_are_gathered_and_solved_one_at_a_time(n, swap_reads):
         spec = eigen_spectrum(ParityBlocks(blocks, g))
         assert blocks.reads == reads
         assert np.array_equal(spec.values, eigen_spectrum(expected).values)
+
+
+def test_rows_of_lazy_blocks_read_each_block_once_per_pass(dipole_stack_520):
+    """Assembling rows reads each lazy block once: the dtype is the
+    table's, so no block is gathered to learn it.  At N = 520 ICSI
+    assembles its quarter rows in 3 chunks."""
+    g = dipole_stack_520[0]
+    table = sinc_offset_table(g)
+    kept, blocks = parity_blocks(table, g), RecordingTableBlocks(table, g)
+    lazy = ParityBlocks(blocks, g)
+    assert np.array_equal(lazy.dense(), kept.dense())
+    assert blocks.reads == [0, 1, 2, 3]
+    del blocks.reads[:]
+    assert len(chunks(len(lazy.quarter()[0]), g.n)) == 3
+    assert icsi(lazy) == icsi(kept)
+    assert blocks.reads == [0, 1, 2, 3] * 3
 
 
 def test_swap_is_derived_from_the_table():
@@ -865,7 +881,7 @@ def test_factored_coupling_cases_match_dense_blocks(sp):
             c = solve(z, port)
             dense = tuple(cb.T @ rb @ cb.conj() for cb, rb in zip(c.blocks, r0.blocks))
             ref = np.sort(np.abs(np.concatenate([np.linalg.eigvalsh(b) for b in dense])))[::-1]
-            r = effective_correlation(solve(z, port, f.factors), f)
+            r = solve(z, port, f)
             got = eigen_spectrum(r, normalize_by_n=False).values
             assert np.all(np.abs(got - ref) <= 1e-10 * ref + 1e-12 * ref[0]), (solve, port)
             assert np.count_nonzero(got == 0.0) == g.n - rank
