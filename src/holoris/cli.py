@@ -255,53 +255,53 @@ _SIDES = {  # eigen CSV stem and target, ICSI table file and target
 
 
 def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool) -> list[Path]:
-    """One pass over the coupling cases of each swept spacing: the
-    no-coupling case and then each port impedance, transmit side first,
-    as effective correlations C^T R0 conj(C).  R0's blocks are each
-    gathered once per spacing, by its factor F F^T at its numerical
-    rank, and each case is one coupling solve of that factor; the
-    no-coupling case, C = I, is the factor itself.  Each case is built
-    once, gives its fig8/fig9 eigen CSV (``eigen``) and its table1/table2
-    ICSI cell (``icsi``), and is freed before the next one is built.
-    fig10 and the matrix exports go with ``eigen``."""
+    """One pass over the coupling cases of each swept spacing, as
+    effective correlations C^T R0 conj(C).  R0's blocks are each gathered
+    once per spacing, by its factor F F^T at its numerical rank.  Each
+    distinct case is built once and measured for every side that lists
+    it: the no-coupling case, C = I, is the factor itself, and each port
+    is one coupling solve of that factor for both sides
+    (``coupling.couplings``).  A case gives its fig8/fig9 eigen spectrum
+    (``eigen``) and its table1/table2 ICSI cell (``icsi``) and is freed
+    before the next one is built; files and cells then follow each
+    side's case order, transmit side first.  fig10 and the matrix
+    exports go with ``eigen``."""
     imp = cfg.impedance
+    ports = {"tx": imp.z_source_cases, "rx": imp.z_load_cases}
     cases = {side: [(None, "no_mc", "coupling: none")]
-             + [(zp, impedance_label(prefix, zp), f"{name}: {zp}") for zp in ports]
-             for side, ports, prefix, name in (("tx", imp.z_source_cases, "zs", "z_source"),
-                                               ("rx", imp.z_load_cases, "zl", "z_load"))}
+             + [(zp, impedance_label(prefix, zp), f"{name}: {zp}") for zp in ports[side]]
+             for side, prefix, name in (("tx", "zs", "z_source"), ("rx", "zl", "z_load"))}
     paths, rows = [], {side: [] for side in cases}
+
+    def measure(r):
+        return (analysis.eigen_spectrum(r, normalize_by_n=False) if eigen else None,
+                analysis.icsi(r) if icsi else None)
+
     for sp in cfg.sweep.spacings:
         geom, z = _stack(cfg, sp)
         f = analysis.factor(correlation.correlation_matrix_isotropic(geom))
         label = spacing_label(sp)
         note = f"spacing: {sp} wavelengths, elements: {geom.n}"
-        fig9 = {}  # receive eigenvalues by load, for fig10
-        # the no-coupling case of both sides is the factor f: solved once
-        f_spec = analysis.eigen_spectrum(f, normalize_by_n=False) if eigen else None
-        f_icsi = analysis.icsi(f) if icsi else None
-        for side, solve in (("tx", coupling.coupling_tx), ("rx", coupling.coupling_rx)):
-            stem, target = _SIDES[side][:2]
-            cells = [sp]
-            for zp, case, extra in cases[side]:
-                r = f if zp is None else solve(z, zp, f)
-                if eigen:
-                    spec = f_spec if zp is None else analysis.eigen_spectrum(
-                        r, normalize_by_n=False)
-                    paths.append(_eigen_csv(outdir / f"{stem}_dx{label}_{case}.csv", target, spec,
-                                            f"{note}, {extra}"))
-                    if side == "rx":
-                        fig9[zp] = spec
-                if icsi:
-                    cells.append(f_icsi if zp is None else analysis.icsi(r))
-                del r  # free this case's matrix before the next one is built
-            rows[side].append(tuple(cells))
+        # (side, port): (spectrum, ICSI cell); the no-coupling case is both sides' f
+        measured = dict.fromkeys([(side, None) for side in ports], measure(f))
+        for zp in dict.fromkeys([*ports["tx"], *ports["rx"]]):
+            sides = [side for side in ports if zp in ports[side]]
+            measured.update({(side, zp): measure(r)
+                             for side, r in coupling.couplings(z, zp, f, sides).items()})
+        for side, (stem, target, _, _) in _SIDES.items():
+            if eigen:
+                paths += [_eigen_csv(outdir / f"{stem}_dx{label}_{case}.csv", target,
+                                     measured[side, zp][0], f"{note}, {extra}")
+                          for zp, case, extra in cases[side]]
+            rows[side].append((sp, *(measured[side, zp][1] for zp, _, _ in cases[side])))
         # dipole vs isotropic elements at matched load; the configured
         # model's curve is the fig9 case of that load when there is one
         if eigen and geom.element_kind is ElementKind.HALF_WAVE_DIPOLE:
             for model, load in (("dipole", imp.z_antenna.conjugate()),
                                 ("isotropic", imp.r_iso)):
-                spec = fig9.get(load) if model == imp.model else None
-                if spec is None:
+                if model == imp.model and ("rx", load) in measured:
+                    spec = measured["rx", load][0]
+                else:
                     zm = z if model == imp.model else _impedance(geom, imp, model)
                     spec = analysis.eigen_spectrum(coupling.coupling_rx(zm, load, f),
                                                    normalize_by_n=False)

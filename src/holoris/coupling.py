@@ -158,15 +158,21 @@ def impedance_matrix_isotropic(geom: ArrayGeometry,
     return ImpedanceMatrix(parity_blocks(table, geom).blocks, geom)
 
 
-def _normalized_inverse(z: ImpedanceMatrix, port: complex, tx: bool, r0=None) -> ParityBlocks:
-    """The transmit (``tx``) or receive coupling matrix C, solved block by
-    block: the blocks of Z give those of C, in the same basis.  With
-    ``r0``, an R0 on Z's lattice held as its factor F F^H
-    (``analysis.factor``), the effective correlation C^T R0 conj(C)
-    instead, held as ``gram_blocks`` of C_b^T F_b from the same solve
-    with r_b right-hand sides; any other ``r0`` raises ``DomainError``."""
+def couplings(z: ImpedanceMatrix, port: complex, r0=None,
+              sides=("tx", "rx")) -> dict[str, ParityBlocks]:
+    """The coupling matrices C of one port impedance z on the ``sides``
+    named, transmit ("tx") and receive ("rx"), from one solve block by
+    block: the blocks of Z give those of C, in the same basis.  The
+    receive side is C_rx = (zA + z) (Z + z I)^-1, and the transmit side
+    its complement C_tx = (1 + z/zA) Z (Z + z I)^-1 =
+    ((zA + z)/zA) I - (z/zA) C_rx, formed in place.  With ``r0``, an R0
+    on Z's lattice held as its factor F F^H (``analysis.factor``), the
+    effective correlations C^T R0 conj(C) instead, held as
+    ``gram_blocks`` of C_b^T F_b from the same solve with r_b right-hand
+    sides; any other ``r0`` raises ``DomainError``.  Errors name the
+    transmit side and ``z_source`` when it is asked for."""
     port, z_self = complex(port), z.z_self
-    side, name = ("tx", "z_source") if tx else ("rx", "z_load")
+    side, name = ("tx", "z_source") if "tx" in sides else ("rx", "z_load")
     if r0 is not None and getattr(r0, "factors", None) is None:
         raise DomainError("the correlation must be held as its factor (analysis.factor)")
     if r0 is not None and (r0.geom != z.geom or r0.n != z.n):
@@ -174,36 +180,41 @@ def _normalized_inverse(z: ImpedanceMatrix, port: complex, tx: bool, r0=None) ->
                           f"got {z.geom} and {r0.geom}")
     if z_self + port == 0:
         raise DomainError(f"z_self + {name} = 0 leaves the normalization undefined")
-    if tx and z_self == 0:
+    if "tx" in sides and z_self == 0:
         raise DomainError("z_self = 0 leaves the transmit normalization undefined")
-    prefactor = 1.0 + port / z_self if tx else z_self + port
-    out, rhs = [], [None] * len(z.blocks) if r0 is None else r0.factors
-    for zb, f in zip(z.blocks, rhs, strict=True):
+    out = {s: [] for s in sides}
+    for zb, f in zip(z.blocks, [None] * len(z.blocks) if r0 is None else r0.factors, strict=True):
         eye = np.eye(len(zb), dtype=complex)
-        numerator = zb if tx else eye
-        # C = numerator @ inv(a), so C^T = inv(a^T) numerator^T
-        b = numerator.T if f is None else (zb.T @ f if tx else f)
+        rhs = eye if f is None else f
+        # C_rx^T = (zA + z) inv(a^T) with a = Z_b + z I, applied to I or to F_b
         try:
-            solved = np.linalg.solve((zb + port * eye).T, b)
+            solved = np.linalg.solve((zb + port * eye).T, rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular system in {side} coupling "
                                  f"(condition {_shifted_condition(z, port):.3e})") from exc
         if not np.all(np.isfinite(solved)):
             raise NumericalError(f"non-finite {side} coupling entries "
                                  f"(condition {_shifted_condition(z, port):.3e})")
-        out.append(prefactor * (solved.T if f is None else solved))
-    return ParityBlocks(tuple(out), z.geom) if r0 is None else gram_blocks(out, r0.geom)
+        if "rx" in out:
+            out["rx"].append((z_self + port) * solved)
+        if "tx" in out:  # C_tx^T rhs = (1 + z/zA) (rhs - z inv(a^T) rhs), over the solve
+            solved *= -port
+            solved += rhs
+            solved *= 1.0 + port / z_self
+            out["tx"].append(solved)
+    return {s: ParityBlocks(tuple(b.T for b in blocks), z.geom) if r0 is None
+            else gram_blocks(blocks, r0.geom) for s, blocks in out.items()}
 
 
 def coupling_tx(z: ImpedanceMatrix, z_source: complex, r0=None) -> ParityBlocks:
     """Transmit-side coupling matrix (1 + zS/zA) Z (Z + zS I)^-1; with a
     factored ``r0``, the effective correlation C^T R0 conj(C)
-    (``_normalized_inverse``)."""
-    return _normalized_inverse(z, z_source, tx=True, r0=r0)
+    (``couplings``)."""
+    return couplings(z, z_source, r0, ("tx",))["tx"]
 
 
 def coupling_rx(z: ImpedanceMatrix, z_load: complex, r0=None) -> ParityBlocks:
     """Receive-side coupling matrix (zA + zL) (Z + zL I)^-1; with a
     factored ``r0``, the effective correlation C^T R0 conj(C)
-    (``_normalized_inverse``)."""
-    return _normalized_inverse(z, z_load, tx=False, r0=r0)
+    (``couplings``)."""
+    return couplings(z, z_load, r0, ("rx",))["rx"]

@@ -456,8 +456,7 @@ class TestSubcommands:
         from holoris import ElementKind, analysis, coupling
         counts = {"z": 0, "solve": 0, "effective": 0}
         for owner, attr, key in ((coupling, "impedance_matrix_dipoles", "z"),
-                                 (coupling, "coupling_tx", "solve"),
-                                 (coupling, "coupling_rx", "solve"),
+                                 (coupling, "couplings", "solve"),
                                  (analysis, "effective_correlation", "effective")):
             def counted(*args, fn=getattr(owner, attr), key=key, **kwargs):
                 counts[key] += 1
@@ -466,7 +465,9 @@ class TestSubcommands:
         run("reproduce-all", fast_cfg, tmp_path)
         s, imp = fast_cfg.sweep, fast_cfg.impedance
         assert imp.model == "dipole"
-        cases = len(imp.z_source_cases) + len(imp.z_load_cases)
+        # one solve per port for every side that lists it
+        ports = len({*imp.z_source_cases, *imp.z_load_cases})
+        assert ports == len(imp.z_source_cases) == 3
         # fig10: receive solves at matched load for dipole and isotropic
         # elements; the dipole curve is the fig9 case of that load, if any
         fig10 = 0
@@ -476,10 +477,52 @@ class TestSubcommands:
         # per swept spacing, then the matrix exports, then per gain spacing
         assert counts == {
             "z": len(s.spacings) + 1 + len(s.gain_spacings),
-            "solve": len(s.spacings) * (cases + fig10) + 2 + len(s.gain_spacings),
+            "solve": len(s.spacings) * (ports + fig10) + 2 + len(s.gain_spacings),
             # each case's solve gives its effective correlation
             "effective": 0,
         }
+
+    def test_shared_ports_keep_each_sides_case_order(self, tmp_path, monkeypatch):
+        """The load ports are the source ports permuted, plus one port
+        that each list holds alone: each distinct port is one solve per
+        spacing, and the files and ICSI columns of each side follow its
+        own list, with the bytes of runs that share no port."""
+        from holoris import coupling
+        from holoris.outputs import impedance_label, spacing_label
+        shared = [[73.1, -42.5], [50.0, 0.0], [300.0, 0.0]]
+        sources, loads = shared + [[20.0, -100.0]], [shared[2], shared[0], [1e3, 5.0], shared[1]]
+
+        def config(z_source_cases, z_load_cases):
+            return ExperimentConfig.from_dict({
+                "sweep": {**FAST_CONFIG["sweep"], "spacings": [0.5, 0.25]},
+                "impedance": {"z_source_cases": z_source_cases, "z_load_cases": z_load_cases}})
+
+        cfg = config(sources, loads)
+        ports = []
+
+        def counted(z, port, *args, fn=coupling.couplings):
+            ports.append(port)
+            return fn(z, port, *args)
+        monkeypatch.setattr(coupling, "couplings", counted)
+        run("icsi", cfg, tmp_path / "shared")
+        # 5 distinct ports at each of 2 spacings
+        assert ports == 2 * [complex(*zp) for zp in sources + [[1e3, 5.0]]]
+        paths = run("mc-eigen", cfg, tmp_path / "shared")
+        imp = cfg.impedance
+        sides = (("fig8_tx", "zs", imp.z_source_cases), ("fig9_rx", "zl", imp.z_load_cases))
+        cases = {stem: ["no_mc"] + [impedance_label(prefix, zp) for zp in side_ports]
+                 for stem, prefix, side_ports in sides}
+        assert [p.name for p in paths if p.name.startswith(("fig8", "fig9"))] == [
+            f"{stem}_dx{spacing_label(sp)}_{case}.csv"
+            for sp in cfg.sweep.spacings for stem, case_list in cases.items() for case in case_list]
+        run("icsi", config(sources, [[1e3, 5.0]]), tmp_path / "tx_alone")
+        run("icsi", config([[20.0, -100.0]], loads), tmp_path / "rx_alone")
+        for name, stem, alone in (("table1_icsi_tx.csv", "fig8_tx", "tx_alone"),
+                                  ("table2_icsi_rx.csv", "fig9_rx", "rx_alone")):
+            header, _ = read_csv(tmp_path / "shared" / name)
+            assert header == ["spacing_wavelengths", *cases[stem]]
+            assert ((tmp_path / "shared" / name).read_bytes()
+                    == (tmp_path / alone / name).read_bytes())
 
     def test_reproduce_all_matches_subcommands_run_one_by_one(self, fast_cfg, tmp_path):
         together = run("reproduce-all", fast_cfg, tmp_path / "all")

@@ -13,7 +13,7 @@ from holoris import (ArrayGeometry, DomainError, ElementKind, FREE_SPACE_IMPEDAN
                      coupling_rx, coupling_tx, dipole_mutual_impedance,
                      impedance_matrix_dipoles, impedance_matrix_isotropic,
                      make_dipole_array, make_uniform_grid)
-from holoris.coupling import _shifted_condition
+from holoris.coupling import _shifted_condition, couplings
 
 Z_A = HALF_WAVE_DIPOLE_SELF_IMPEDANCE
 
@@ -306,20 +306,32 @@ class TestCouplingMatrices:
         with pytest.raises(DomainError, match="z_self = 0"):
             coupling_tx(impedance_matrix_dipoles(dipole_geometries[0.5], 0j), 50)
 
-    @pytest.mark.parametrize("spacing", [0.5, 0.25, 0.125])
-    def test_transmit_and_receive_couplings_complement(self, dipole_impedances, spacing):
-        """zA / (zA + z) C_tx(z) + z / (zA + z) C_rx(z) = Z (Z + zI)^-1 +
-        z (Z + zI)^-1 = I for any port impedance z, so this checks both
-        sides' normalizations and block solves against each other, on
-        the default stack.  It holds for any Z, so it does not check the
-        impedance table.  Blind spot: an error that is an orthogonal
-        similarity of a block, made alike on both sides (a wrong but
-        orthogonal basis), maps I to I and leaves the sum unchanged."""
-        z = dipole_impedances[spacing]
-        for port in (Z_A.conjugate(), 50.0, 300.0, 1e-3, 1e4 + 5j):
-            total = (Z_A / (Z_A + port) * coupling_tx(z, port).values
-                     + port / (Z_A + port) * coupling_rx(z, port).values)
-            assert np.abs(total - np.eye(z.n)).max() <= 1e-12
+    def test_one_solve_names_the_transmit_side_in_its_errors(self, dipole_geometries):
+        # a port on both sides is checked as a transmit port; the receive
+        # side alone needs no self-impedance to divide by
+        z = diagonal_impedance(3)
+        with pytest.raises(DomainError, match=r"z_self \+ z_source = 0"):
+            couplings(z, -Z_A)
+        z = impedance_matrix_dipoles(dipole_geometries[0.5], 0j)
+        with pytest.raises(DomainError, match="z_self = 0"):
+            couplings(z, 50)
+        assert list(couplings(z, 50, sides=("rx",))) == ["rx"]
+
+    @pytest.mark.parametrize("spacing", [0.5, 0.25, 0.125, 0.0625])
+    def test_transmit_coupling_matches_the_direct_form(self, spacing):
+        """The transmit side, formed from the receive solve as its
+        complement, against the direct form (1 + zS/zA) Z (Z + zS I)^-1 of
+        the dense Z on the default stack, within 1e-12 of its largest
+        entry (3.4e-14 measured, at 1e4 + 5j); and both sides of one
+        ``couplings`` call against ``coupling_tx`` and ``coupling_rx``,
+        bit for bit."""
+        z = impedance_matrix_dipoles(make_dipole_array(4.0, spacing, 8, 0.02, 1.0))
+        for port in (Z_A.conjugate(), 50.0, 300.0, 1e-3, 1e4 + 5j, 20 - 100j):
+            direct = (1.0 + port / Z_A) * z.values @ np.linalg.inv(z.values + port * np.eye(z.n))
+            both = couplings(z, port)
+            assert np.abs(both["tx"].values - direct).max() <= 1e-12 * np.abs(direct).max()
+            assert np.array_equal(both["tx"].values, coupling_tx(z, port).values)
+            assert np.array_equal(both["rx"].values, coupling_rx(z, port).values)
 
     def test_tx_sparsity_grows_with_density(self, dipole_impedances):
         fractions = []

@@ -14,11 +14,12 @@ definitions, on small lattices with odd and even axis lengths (1 included):
   peak of a lazy block read and of the lazy eigensolve at N = 4225
   against the block's bytes, and the first two eigenvalue moments of
   that lazy swap solve against the offset table;
-* the traced peaks of the chunked gain sweep and ICSI at N = 520;
-* the coupling cases of a factored R0, each the Gram blocks of C_b^T F_b
-  from one solve, against dense C_b^T R0_b conj(C_b) and ``eigvalsh`` on
-  the default stack from 1/2 to 1/16 wavelength, and the factor's PSD
-  check;
+* the traced peaks of one coupling solve, and of the chunked gain sweep
+  and ICSI, at N = 520;
+* the coupling cases of a factored R0, both sides of a port the Gram
+  blocks of C_b^T F_b from one solve, against dense C_b^T R0_b conj(C_b)
+  of the direct coupling formula and ``eigvalsh`` on the default stack
+  from 1/2 to 1/16 wavelength, and the factor's PSD check;
 * the blockwise coupling against the closed-form coupling matrices;
 * the gain sweep and the ICSI of parity blocks against the same
   operation on the assembled dense matrix, errors included, and the gain
@@ -51,7 +52,7 @@ from holoris import (ArrayGeometry, BeamformingScheme, Direction, DomainError, E
                      make_uniform_grid, parity_blocks, power_spectrum, steering_vector)
 from holoris.analysis import _hermitian_part, factor
 from holoris.config import ExperimentConfig
-from holoris.coupling import HALF_WAVE_DIPOLE_SELF_IMPEDANCE, _shifted_condition
+from holoris.coupling import HALF_WAVE_DIPOLE_SELF_IMPEDANCE, _shifted_condition, couplings
 from holoris.correlation import sinc_offset_table
 from holoris.geometry import _TableBlocks, _parities, _swap_halves, chunks, gather_offsets
 from holoris.spectrum import _odd_grid
@@ -496,6 +497,18 @@ def test_gain_sweep_and_icsi_transients_stay_within_the_chunk_budget(dipole_stac
     assert peak <= 1.75 * 2**20  # 1.44 MiB measured
 
 
+def test_one_coupling_solve_peaks_near_its_blocks(dipole_stack_520):
+    # at N = 520 the four blocks of C take 1.03 MiB: 1.53 MiB measured on
+    # the transmit side, whose complement overwrites the solve, and 1.80
+    # MiB on the receive side; the complement built out of place from a
+    # receive block, block by block, peaked at 2.07 MiB
+    z = dipole_stack_520[1]
+    for solve in (coupling_tx, coupling_rx):
+        peak, c = _traced_peak(lambda: solve(z, Z_MATCH))
+        assert c.n == 520
+        assert peak <= 1.9 * 2**20
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_exact_hermitian_check_compares_in_small_chunks(dtype):
     a = np.random.default_rng(4).standard_normal((2048, 2048)).astype(dtype)
@@ -863,27 +876,28 @@ def zeroed_coupling(nx, nz, count):
 
 @pytest.mark.parametrize("sp", [0.5, 0.25, 0.125, 0.0625])
 def test_factored_coupling_cases_match_dense_blocks(sp):
-    """Every coupling case of the default stack, at the packaged ports
-    and at a near short and a near open port, from the factored R0:
-    eigenvalues within rtol 1e-10 plus 1e-12 of the largest, and ICSI
-    within rtol 1e-10, of the dense blockwise path built here."""
+    """Both sides of every coupling case of the default stack, each port
+    one solve of the factored R0 (``couplings``), at the packaged port, at
+    a near short, a near open and a reactive port: eigenvalues within
+    rtol 1e-10 plus 1e-12 of the largest, and ICSI within rtol 1e-10, of
+    C_b^T R0_b conj(C_b) with C_b the parity blocks of the direct form
+    (``coupling_formula``) in the basis built here."""
     cfg = ExperimentConfig.default()
-    imp = cfg.impedance
     g = cfg.geometry.build(spacing_x=sp)
-    z = impedance_matrix_dipoles(g, imp.z_antenna)
+    z = impedance_matrix_dipoles(g, cfg.impedance.z_antenna)
     r0 = correlation_matrix_isotropic(g)
     f = factor(r0)
     rank = sum(y.shape[1] for y in f.factors)
     # the rank of an isotropic correlation is set by the aperture, not by N
     assert rank == g.n if sp >= 0.25 else rank < 0.6 * g.n
-    for solve, ports in ((coupling_tx, imp.z_source_cases), (coupling_rx, imp.z_load_cases)):
-        for port in (*ports, 1e-3, 1e4 + 5j):
-            c = solve(z, port)
-            dense = tuple(cb.T @ rb @ cb.conj() for cb, rb in zip(c.blocks, r0.blocks))
+    for port in (73.1 - 42.5j, 50.0, 300.0, 1e-3, 1e4 + 5j, 20 - 100j):
+        for side, r in couplings(z, port, f).items():
+            c = coupling_formula(z, port, side == "tx")
+            blocks = (p.T @ c @ p for p in parity_bases(g))
+            dense = tuple(cb.T @ rb @ cb.conj() for cb, rb in zip(blocks, r0.blocks))
             ref = np.sort(np.abs(np.concatenate([np.linalg.eigvalsh(b) for b in dense])))[::-1]
-            r = solve(z, port, f)
             got = eigen_spectrum(r, normalize_by_n=False).values
-            assert np.all(np.abs(got - ref) <= 1e-10 * ref + 1e-12 * ref[0]), (solve, port)
+            assert np.all(np.abs(got - ref) <= 1e-10 * ref + 1e-12 * ref[0]), (side, port)
             assert np.count_nonzero(got == 0.0) == g.n - rank
             assert icsi(r) == pytest.approx(icsi(ParityBlocks(dense, g)), rel=1e-10)
 
