@@ -55,8 +55,8 @@ def effective_correlation(coupling, r0) -> ParityBlocks:
     C_b^T R0_b conj(C_b) for each parity block: the basis is real and
     orthogonal, so transposes and conjugates stay inside it.  When only
     one of C and R0 has a lattice, both are taken whole, as one block.
-    ``coupling_tx``/``coupling_rx`` give it without forming C when R0 is
-    held as its factor (``factor``)."""
+    ``coupling.couplings`` gives it without forming C when R0 is held as
+    its factor (``factor``)."""
     cb, rb = as_blocks(coupling), as_blocks(r0)
     if (cb.geom is None) != (rb.geom is None):
         cb, rb = as_blocks(cb.dense()), as_blocks(rb.dense())
@@ -222,7 +222,7 @@ def eigen_spectrum(r, normalize_by_n: bool = True) -> EigenSpectrum:
     ``negative_mass``; above 1e-8 the matrix is not PSD and
     ``NumericalError`` is raised.  ``factor`` runs the same checks on
     the R0 it factors, so an effective correlation held as Gram blocks
-    (``coupling_tx``/``coupling_rx`` of a factored R0) was checked there:
+    (``coupling.couplings`` of a factored R0) was checked there:
     its eigenvalues beyond the factor's rank are exact zeros.
     """
     blocks = as_blocks(r)

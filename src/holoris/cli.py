@@ -246,6 +246,18 @@ def run_gain(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     return paths
 
 
+def _port_solves(z, ports: dict, f=None):
+    """Each distinct port of ``ports`` (side -> port list, transmit side
+    first) solved once for every side that lists it
+    (``coupling.couplings``), yielding ((side, port), matrix): the
+    coupling matrix C, or with R0's factor ``f`` the effective
+    correlation C^T R0 conj(C).  A port's errors name the transmit side
+    when it lists the port."""
+    for zp in dict.fromkeys(zp for side_ports in ports.values() for zp in side_ports):
+        solved = coupling.couplings(z, zp, f, [side for side in ports if zp in ports[side]])
+        yield from (((side, zp), r) for side, r in solved.items())
+
+
 _SIDES = {  # eigen CSV stem and target, ICSI table file and target
     "tx": ("fig8_tx", "fig8 (transmit effective correlation eigenvalues)",
            "table1_icsi_tx.csv", "table1 (coupling/correlation strength, transmit side)"),
@@ -261,7 +273,7 @@ def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool
     distinct case is built once and measured for every side that lists
     it: the no-coupling case, C = I, is the factor itself, and each port
     is one coupling solve of that factor for both sides
-    (``coupling.couplings``).  A case gives its fig8/fig9 eigen spectrum
+    (``_port_solves``).  A case gives its fig8/fig9 eigen spectrum
     (``eigen``) and its table1/table2 ICSI cell (``icsi``) and is freed
     before the next one is built; files and cells then follow each
     side's case order, transmit side first.  fig10 and the matrix
@@ -284,10 +296,7 @@ def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool
         note = f"spacing: {sp} wavelengths, elements: {geom.n}"
         # (side, port): (spectrum, ICSI cell); the no-coupling case is both sides' f
         measured = dict.fromkeys([(side, None) for side in ports], measure(f))
-        for zp in dict.fromkeys([*ports["tx"], *ports["rx"]]):
-            sides = [side for side in ports if zp in ports[side]]
-            measured.update({(side, zp): measure(r)
-                             for side, r in coupling.couplings(z, zp, f, sides).items()})
+        measured.update((key, measure(r)) for key, r in _port_solves(z, ports, f))
         for side, (stem, target, _, _) in _SIDES.items():
             if eigen:
                 paths += [_eigen_csv(outdir / f"{stem}_dx{label}_{case}.csv", target,
@@ -303,8 +312,8 @@ def _coupling_study(cfg: ExperimentConfig, outdir: Path, eigen: bool, icsi: bool
                     spec = measured["rx", load][0]
                 else:
                     zm = z if model == imp.model else _impedance(geom, imp, model)
-                    spec = analysis.eigen_spectrum(coupling.coupling_rx(zm, load, f),
-                                                   normalize_by_n=False)
+                    spec = analysis.eigen_spectrum(
+                        coupling.couplings(zm, load, f, ("rx",))["rx"], normalize_by_n=False)
                 paths.append(_eigen_csv(
                     outdir / f"fig10_rx_dx{label}_{model}.csv",
                     "fig10 (receive eigenvalues, dipole vs isotropic elements)",
@@ -330,16 +339,16 @@ def run_icsi(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 
 def _matrix_exports(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     """Impedance and coupling matrices of the configured geometry as
-    (row, col, re, im) CSVs."""
-    z = _stack(cfg)[1]
-    ct = coupling.coupling_tx(z, cfg.impedance.z_source)
-    cr = coupling.coupling_rx(z, cfg.impedance.z_load)
+    (row, col, re, im) CSVs; one solve when ``z_source`` equals
+    ``z_load``."""
+    imp, z = cfg.impedance, _stack(cfg)[1]
+    c = dict(_port_solves(z, {"tx": [imp.z_source], "rx": [imp.z_load]}))
     return [
         _matrix_csv(outdir, "matrix_z.csv", "impedance matrix", z, f"z_self: {z.z_self}"),
-        _matrix_csv(outdir, "matrix_ct.csv", "transmit coupling matrix", ct,
-                    f"z_source: {cfg.impedance.z_source}"),
-        _matrix_csv(outdir, "matrix_cr.csv", "receive coupling matrix", cr,
-                    f"z_load: {cfg.impedance.z_load}"),
+        _matrix_csv(outdir, "matrix_ct.csv", "transmit coupling matrix",
+                    c["tx", imp.z_source], f"z_source: {imp.z_source}"),
+        _matrix_csv(outdir, "matrix_cr.csv", "receive coupling matrix",
+                    c["rx", imp.z_load], f"z_load: {imp.z_load}"),
     ]
 
 

@@ -206,15 +206,13 @@ def couplings(z: ImpedanceMatrix, port: complex, r0=None,
             else gram_blocks(blocks, r0.geom) for s, blocks in out.items()}
 
 
-def coupling_tx(z: ImpedanceMatrix, z_source: complex, r0=None) -> ParityBlocks:
-    """Transmit-side coupling matrix (1 + zS/zA) Z (Z + zS I)^-1; with a
-    factored ``r0``, the effective correlation C^T R0 conj(C)
+def coupling_tx(z: ImpedanceMatrix, z_source: complex) -> ParityBlocks:
+    """Transmit-side coupling matrix (1 + zS/zA) Z (Z + zS I)^-1
     (``couplings``)."""
-    return couplings(z, z_source, r0, ("tx",))["tx"]
+    return couplings(z, z_source, sides=("tx",))["tx"]
 
 
-def coupling_rx(z: ImpedanceMatrix, z_load: complex, r0=None) -> ParityBlocks:
-    """Receive-side coupling matrix (zA + zL) (Z + zL I)^-1; with a
-    factored ``r0``, the effective correlation C^T R0 conj(C)
+def coupling_rx(z: ImpedanceMatrix, z_load: complex) -> ParityBlocks:
+    """Receive-side coupling matrix (zA + zL) (Z + zL I)^-1
     (``couplings``)."""
-    return couplings(z, z_load, r0, ("rx",))["rx"]
+    return couplings(z, z_load, sides=("rx",))["rx"]

@@ -14,6 +14,7 @@ from holoris import (DomainError, ParityBlocks, KneeUndefinedError, NumericalErr
                      parity_blocks)
 from holoris import geometry
 from holoris.analysis import factor
+from holoris.coupling import couplings
 from holoris.correlation import sinc_offset_table
 
 from conftest import Z_MATCH, random_coupling
@@ -51,26 +52,26 @@ class TestEffectiveCorrelation:
         # at 1/8 wavelength R0 is rank-deficient: factors of fewer columns than rows
         r0, z = dipole_correlations[0.125], dipole_impedances[0.125]
         f = factor(r0)
-        r = coupling_tx(z, Z_MATCH, f)
+        r = couplings(z, Z_MATCH, f, ("tx",))["tx"]
         assert isinstance(r, ParityBlocks) and r.geom == f.geom
         assert [y.shape for y in r.factors] == [y.shape for y in f.factors]
         assert any(y.shape[1] < y.shape[0] for y in r.factors)
         ref = effective_correlation(coupling_tx(z, Z_MATCH), r0).dense()
         assert np.abs(r.dense() - ref).max() <= 1e-10 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("solve", [coupling_tx, coupling_rx])
+    @pytest.mark.parametrize("side", ["tx", "rx"], ids=["coupling_tx", "coupling_rx"])
     def test_solve_takes_only_a_factored_correlation_on_its_lattice(
-            self, solve, dipole_correlations, dipole_impedances):
+            self, side, dipole_correlations, dipole_impedances):
         r0, z = dipole_correlations[0.5], dipole_impedances[0.5]
         g = r0.geom
         other = make_dipole_array(g.lx, g.dx, g.nz, 0.03, 1.0)  # same N, another gap
         for unfactored in (r0, r0.values):
             with pytest.raises(DomainError, match="held as its factor"):
-                solve(z, Z_MATCH, unfactored)
+                couplings(z, Z_MATCH, unfactored, (side,))[side]
         for elsewhere in (factor(dipole_correlations[0.25]), factor(r0.values),
                           factor(correlation_matrix_isotropic(other))):
             with pytest.raises(DomainError, match="same lattice"):
-                solve(z, Z_MATCH, elsewhere)
+                couplings(z, Z_MATCH, elsewhere, (side,))[side]
 
     def test_equal_lattices_built_twice_match(self):
         g1, g2 = (make_dipole_array(2.0, 0.5, 4, 0.02, 1.0) for _ in range(2))

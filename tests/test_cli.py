@@ -16,6 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from holoris import ConfigError, ExperimentConfig, cli, config
 from holoris.cli import main, run
+from holoris.outputs import spacing_label
+
+from test_regression import CONFIG as REGRESSION_CONFIG, same_outputs
 
 FAST_CONFIG = {
     "sweep": {
@@ -110,6 +113,18 @@ def read_csv(path):
         else:
             rows.append(parts)
     return header, rows
+
+
+def float_column(path, name):
+    header, rows = read_csv(path)
+    return np.array([float(r[header.index(name)]) for r in rows])
+
+
+def assert_regression_rule(got, ref):
+    """``got`` within the rule of ``tools/same_outputs.py`` of ``ref``:
+    RTOL |ref| + FLOOR times the largest |ref|."""
+    tol = same_outputs.RTOL * np.abs(ref) + same_outputs.FLOOR * np.abs(ref).max()
+    assert np.all(np.abs(got - ref) <= tol), np.max(np.abs(got - ref) / tol)
 
 
 @pytest.fixture()
@@ -320,6 +335,53 @@ class TestSubcommands:
         expected = holoris.impedance_matrix_dipoles(geom).values
         assert np.allclose(z, expected, rtol=1e-10)
 
+    @pytest.mark.parametrize("impedance, solves", [({}, 1), ({"z_load": [50.0, 0.0]}, 2)],
+                             ids=["shared_port", "two_ports"])
+    def test_matrix_exports_match_the_direct_forms(self, tmp_path, monkeypatch, impedance,
+                                                   solves):
+        """matrix_ct.csv and matrix_cr.csv hold (1 + zS/zA) Z (Z + zS I)^-1
+        and (zA + zL) (Z + zL I)^-1 of the configured Z, at the regression
+        rule, from one solve per distinct port."""
+        from holoris import coupling
+        cfg = ExperimentConfig.from_dict({"impedance": impedance})
+        imp = cfg.impedance
+        ports = []
+
+        def counted(z, port, *args, fn=coupling.couplings):
+            ports.append(port)
+            return fn(z, port, *args)
+        monkeypatch.setattr(coupling, "couplings", counted)
+        cli._matrix_exports(cfg, tmp_path)
+        assert ports == list(dict.fromkeys([imp.z_source, imp.z_load]))
+        assert len(ports) == solves
+        z = coupling.impedance_matrix_dipoles(cfg.geometry.build(), imp.z_antenna).values
+        eye = np.eye(len(z))
+        expected = {
+            "matrix_ct.csv": (1.0 + imp.z_source / imp.z_antenna)
+            * np.linalg.solve(z + imp.z_source * eye, z),
+            "matrix_cr.csv": (imp.z_antenna + imp.z_load) * np.linalg.solve(z + imp.z_load * eye,
+                                                                             eye),
+        }
+        for name, c in expected.items():
+            rows, cols = (float_column(tmp_path / name, key).astype(int) for key in ("row", "col"))
+            assert len(rows) == c.size
+            for key, part in (("re", c.real), ("im", c.imag)):
+                assert_regression_rule(float_column(tmp_path / name, key), part[rows, cols])
+
+    def test_fig10_isotropic_curve_is_the_closed_form_of_no_coupling(self, tmp_path):
+        """Isotropic elements have Z = r R0, so at the load r the receive
+        coupling is 2 (R0 + I)^-1: each fig10 isotropic file holds
+        4 w / (1 + w)^2 of the fig9 no-coupling eigenvalues w, re-sorted,
+        at the regression rule, on the output regression's config."""
+        cfg = ExperimentConfig.from_dict(REGRESSION_CONFIG)
+        assert cfg.impedance.model == "dipole"
+        run("mc-eigen", cfg, tmp_path)
+        for sp in cfg.sweep.spacings:
+            label = spacing_label(sp)
+            w = float_column(tmp_path / f"fig9_rx_dx{label}_no_mc.csv", "eigenvalue")
+            got = float_column(tmp_path / f"fig10_rx_dx{label}_isotropic.csv", "eigenvalue")
+            assert_regression_rule(got, np.sort(4.0 * w / (1.0 + w) ** 2)[::-1])
+
     def test_mc_eigen_builds_each_impedance_matrix_once(self, fast_cfg, tmp_path,
                                                         monkeypatch):
         from holoris import coupling
@@ -474,10 +536,12 @@ class TestSubcommands:
         if fast_cfg.geometry.element_kind is ElementKind.HALF_WAVE_DIPOLE:
             fig10 = 2 - (imp.z_antenna.conjugate() in imp.z_load_cases)
         assert fig10 == 1
-        # per swept spacing, then the matrix exports, then per gain spacing
+        # per swept spacing, then the matrix exports (one solve per
+        # distinct port), then per gain spacing
         assert counts == {
             "z": len(s.spacings) + 1 + len(s.gain_spacings),
-            "solve": len(s.spacings) * (ports + fig10) + 2 + len(s.gain_spacings),
+            "solve": (len(s.spacings) * (ports + fig10) + len({imp.z_source, imp.z_load})
+                      + len(s.gain_spacings)),
             # each case's solve gives its effective correlation
             "effective": 0,
         }
@@ -488,7 +552,7 @@ class TestSubcommands:
         spacing, and the files and ICSI columns of each side follow its
         own list, with the bytes of runs that share no port."""
         from holoris import coupling
-        from holoris.outputs import impedance_label, spacing_label
+        from holoris.outputs import impedance_label
         shared = [[73.1, -42.5], [50.0, 0.0], [300.0, 0.0]]
         sources, loads = shared + [[20.0, -100.0]], [shared[2], shared[0], [1e3, 5.0], shared[1]]
 

@@ -20,6 +20,9 @@ definitions, on small lattices with odd and even axis lengths (1 included):
   blocks of C_b^T F_b from one solve, against dense C_b^T R0_b conj(C_b)
   of the direct coupling formula and ``eigvalsh`` on the default stack
   from 1/2 to 1/16 wavelength, and the factor's PSD check;
+* the same chain with isotropic elements, Z = r R0, against the closed
+  forms of its eigenvalues in R0's eigenvalues w: |r + z|^2 w / |r w + z|^2
+  at the receive and |r + z|^2 w^3 / |r w + z|^2 at the transmit side;
 * the blockwise coupling against the closed-form coupling matrices;
 * the gain sweep and the ICSI of parity blocks against the same
   operation on the assembled dense matrix, errors included, and the gain
@@ -900,6 +903,26 @@ def test_factored_coupling_cases_match_dense_blocks(sp):
             assert np.all(np.abs(got - ref) <= 1e-10 * ref + 1e-12 * ref[0]), (side, port)
             assert np.count_nonzero(got == 0.0) == g.n - rank
             assert icsi(r) == pytest.approx(icsi(ParityBlocks(dense, g)), rel=1e-10)
+
+
+@pytest.mark.parametrize("sp", [0.5, 0.25, 0.125, 0.0625])
+def test_isotropic_coupling_cases_match_their_closed_forms(sp):
+    """The whole factored chain (solve, transmit complement, Gram blocks,
+    eigensolve) on the default stack against closed forms.  Isotropic
+    elements have Z = r R0, so C is diagonal in R0's eigenbasis: with w
+    the eigenvalues of R0, the receive effective correlation has the
+    eigenvalues |r + z|^2 w / |r w + z|^2 and the transmit one
+    |r + z|^2 w^3 / |r w + z|^2, within 1e-12 of the largest."""
+    g = ExperimentConfig.default().geometry.build(spacing_x=sp)
+    r = 73.1
+    f = factor(correlation_matrix_isotropic(g))
+    w = eigen_spectrum(f, normalize_by_n=False).values
+    for port in (73.1, 50.0, 300.0 + 20j):
+        scale = np.abs(r + port) ** 2 / np.abs(r * w + port) ** 2
+        for side, got in couplings(impedance_matrix_isotropic(g, r), port, f).items():
+            ref = np.sort(scale * w * (w * w if side == "tx" else 1.0))[::-1]
+            got = eigen_spectrum(got, normalize_by_n=False).values
+            assert np.abs(got - ref).max() <= 1e-12 * ref[0], (side, port)
 
 
 def test_factor_of_a_correlation_with_a_negated_block_raises():
