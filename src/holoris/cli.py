@@ -15,15 +15,20 @@ plus standalone gnuplot scripts:
 * ``reproduce-all``: all of the above, one after another; ``mc-eigen``
   and ``icsi`` share one pass, so each coupling case is built once.
 
-Everything is deterministic: for a fixed BLAS build and thread count,
-re-running a subcommand rewrites the same bytes.  Eigenvalue files can
-change in round-off with the BLAS thread count, within the regression
-tolerance.  Exit codes: 0 success, 2 configuration error (an unreadable
+Everything is deterministic: for a fixed BLAS build, re-running a
+subcommand rewrites the same bytes.  Every runner but ``eigen`` runs
+with numpy's bundled OpenBLAS on one thread, the caller's count restored
+after it, so only the ``eigen`` runner's fig3 files depend on the
+host's BLAS thread count, in round-off within the regression tolerance.
+Exit codes: 0 success, 2 configuration error (an unreadable
 config file or an unwritable output directory included), 3 numerical
 error.
 """
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import math
 import os
 import sys
@@ -362,19 +367,57 @@ SUBCOMMANDS = {
 }
 
 
+@functools.cache
+def _openblas():
+    """``get_num_threads`` and ``set_num_threads`` of the OpenBLAS that
+    numpy bundles, or None when it bundles none (looked up once, on the
+    first run)."""
+    for path in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("get")):
+                get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _blas_threads(subcommand: str) -> contextlib.ExitStack:
+    """OpenBLAS on one thread from now until the returned context exits,
+    which restores the caller's count, for the runner ``subcommand``.
+    After each threaded call the OpenBLAS worker busy-waits for about
+    0.1 s, and the coupling runners make a small BLAS call every few ms,
+    so a second thread would spin through them; the count is set before
+    the runner's first call.  ``eigen`` keeps the caller's count: its
+    parity pieces reach thousands of rows, where a threaded eigensolve
+    is faster."""
+    restore = contextlib.ExitStack()
+    blas = None if subcommand == "eigen" else _openblas()
+    if blas is not None:
+        get, set_ = blas
+        restore.callback(set_, get())
+        set_(1)
+    return restore
+
+
 def run(subcommand: str, cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     """Run one subcommand (or all of them, in ``SUBCOMMANDS`` order) and
     return the written paths."""
     outdir = Path(outdir)
+
+    def call(name: str, **kwargs) -> list[Path]:
+        with _blas_threads(name):
+            return SUBCOMMANDS[name](cfg, outdir, **kwargs)
+
     if subcommand == "reproduce-all":
-        # mc-eigen and icsi, the last two, share one pass over the coupling cases
-        *first, mc_eigen, _ = SUBCOMMANDS.values()
-        return [path for fn in first for path in fn(cfg, outdir)] + mc_eigen(cfg, outdir, icsi=True)
-    try:
-        fn = SUBCOMMANDS[subcommand]
-    except KeyError:
-        raise ConfigError(f"unknown subcommand {subcommand!r}") from None
-    return fn(cfg, outdir)
+        # mc-eigen writes the icsi tables from its own pass over the coupling cases
+        return [path for name in SUBCOMMANDS if name != "icsi"
+                for path in (call(name, icsi=True) if name == "mc-eigen" else call(name))]
+    if subcommand not in SUBCOMMANDS:
+        raise ConfigError(f"unknown subcommand {subcommand!r}")
+    return call(subcommand)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,9 +7,11 @@ config, and each benchmark workload's subcommands on
 workloads of this checkout, one subcommand per case).  Every case is a
 fresh ``python -m holoris.cli`` with that checkout's ``src`` on
 ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``, writing into its own
-directory; its printed path list is kept beside its outputs.  Every file
-is then compared byte for byte, the printed lists included, and each
-difference and each failed run is named.
+directory (the CLI runs every runner but ``eigen`` on one OpenBLAS
+thread itself, so the setting matters only for the fig3 files, and for
+a checkout whose CLI does not); its printed path list is kept beside
+its outputs.  Every file is then compared byte for byte, the printed
+lists included, and each difference and each failed run is named.
 
 With ``--tolerance`` a CSV whose bytes differ is compared instead with
 the rule of the output regression test (``tests/test_regression.py``,
