@@ -20,6 +20,8 @@ subcommand rewrites the same bytes.  Every runner but ``eigen`` runs
 with numpy's bundled OpenBLAS on one thread, the caller's count restored
 after it, so only the ``eigen`` runner's fig3 files depend on the
 host's BLAS thread count, in round-off within the regression tolerance.
+Each runner also parks the OpenBLAS worker threads when it starts and
+when it ends, so no worker spins through a runner it does not serve.
 Exit codes: 0 success, 2 configuration error (an unreadable
 config file or an unwritable output directory included), 3 numerical
 error.
@@ -369,9 +371,11 @@ SUBCOMMANDS = {
 
 @functools.cache
 def _openblas():
-    """``get_num_threads`` and ``set_num_threads`` of the OpenBLAS that
-    numpy bundles, or None when it bundles none (looked up once, on the
-    first run)."""
+    """``get_num_threads``, ``set_num_threads`` and the worker park
+    ``blas_thread_shutdown_`` of the OpenBLAS that numpy bundles, or None
+    when it bundles none (looked up once, on the first run).  The park
+    joins the worker threads, and the next threaded call starts them
+    again; a library without it gets a park that does nothing."""
     for path in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
         lib = ctypes.CDLL(str(path))
         for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
@@ -380,31 +384,49 @@ def _openblas():
                 get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+                park = getattr(lib, "blas_thread_shutdown_", None)
+                if park is None:
+                    return get, set_, lambda: 0
+                park.argtypes, park.restype = [], ctypes.c_int
+                return get, set_, park
     return None
 
 
 def _blas_threads(subcommand: str) -> contextlib.ExitStack:
     """OpenBLAS on one thread from now until the returned context exits,
-    which restores the caller's count, for the runner ``subcommand``.
-    After each threaded call the OpenBLAS worker busy-waits for about
-    0.1 s, and the coupling runners make a small BLAS call every few ms,
-    so a second thread would spin through them; the count is set before
-    the runner's first call.  ``eigen`` keeps the caller's count: its
-    parity pieces reach thousands of rows, where a threaded eigensolve
-    is faster."""
+    which restores the caller's count, for the runner ``subcommand``,
+    with the worker threads parked on entry and again on exit.  An
+    OpenBLAS worker busy-waits for about 0.1 s after it starts and after
+    each threaded call, and a count set later does not stop it; the park
+    does.  The coupling runners make a small BLAS call every few ms, so
+    a second thread would spin through them.  The count is set before
+    the park, and restored before the last park, since setting a count
+    starts parked workers again.  ``eigen`` keeps the caller's count:
+    its parity pieces reach thousands of rows, where a threaded
+    eigensolve is faster, and its first threaded call starts the
+    workers again.  The entry park of the first runner stops the spin
+    of the worker that ``import numpy`` starts, and the exit parks keep
+    the spin that ``eigen``'s threaded calls leave out of the runners
+    after it."""
     restore = contextlib.ExitStack()
-    blas = None if subcommand == "eigen" else _openblas()
+    blas = _openblas()
     if blas is not None:
-        get, set_ = blas
-        restore.callback(set_, get())
-        set_(1)
+        get, set_, park = blas
+        restore.callback(park)
+        if subcommand != "eigen":
+            restore.callback(set_, get())
+            set_(1)
+        park()
     return restore
 
 
 def run(subcommand: str, cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     """Run one subcommand (or all of them, in ``SUBCOMMANDS`` order) and
-    return the written paths."""
+    return the written paths.
+
+    Each runner sets process-wide OpenBLAS state: the thread count and
+    the worker threads (``_blas_threads``).  So no other thread of the
+    process may be inside a BLAS call while ``run`` runs."""
     outdir = Path(outdir)
 
     def call(name: str, **kwargs) -> list[Path]:
